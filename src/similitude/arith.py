@@ -5,25 +5,37 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first k prime bases is proven correct for n below the
+# k-th entry of OEIS A014233, the least strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (  # (bound, k)
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12), (3317044064679887385961981, 13),
+)
+PRIMALITY_LIMIT = _MR_BOUNDS[-1][0]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test: Miller-Rabin with the fewest prime bases
+    proven for n's range.  Raises ValueError when n >= PRIMALITY_LIMIT (about
+    3.3 * 10**24) has no prime factor up to 41, as no proven base set exists."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
             return False
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic primality bound {PRIMALITY_LIMIT}")
+    k = next(k for bound, k in _MR_BOUNDS if n < bound)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -84,12 +96,13 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(m: int) -> list[int]:
-    """Sorted list of positive divisors of m."""
-    divs = [1]
-    for p, e in factorize(m):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def odd_divisor_sums(n: int) -> list[int]:
+    """sums[m] = sum of the odd divisors of m, for 0 <= m <= n (sums[0] = 0), by an O(n log n) sieve."""
+    sums = [0] * (n + 1)
+    for d in range(1, n + 1, 2):
+        for m in range(d, n + 1, d):
+            sums[m] += d
+    return sums
 
 
 def chi5(m: int) -> int:

@@ -15,10 +15,14 @@ import os
 import sys
 
 from . import asymptotics, oracle
+from .arith import odd_divisor_sums
 from .counting import CrossCheckFailure, Target, closed_sequence, engine_sequence, series, ssm_count
 from .dirichlet import is_multiplicative, partial_sum
 
 _SLUGS = {t.value: t for t in Target}
+
+# --terms above this would need gigabytes of coefficient storage
+MAX_TERMS = 10**7
 
 
 def _threads(args) -> int:
@@ -38,9 +42,17 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+def _terms_error(terms: int) -> str | None:
+    if terms < 1:
+        return "terms must be >= 1"
+    if terms > MAX_TERMS:
+        return f"terms must be <= {MAX_TERMS}"
+    return None
+
+
 def cmd_series(args) -> int:
-    if args.terms < 1:
-        return _usage_error("terms must be >= 1")
+    if err := _terms_error(args.terms):
+        return _usage_error(err)
     target = _SLUGS[args.target]
     try:
         seq = series(target, args.terms)
@@ -48,7 +60,7 @@ def cmd_series(args) -> int:
         print(f"FAIL {exc}", file=sys.stderr)
         return 1
     square = target.index_kind == "square"
-    rows = [(m, m * m if square else m, seq[m]) for m in range(1, args.terms + 1)]
+    rows = ((m, m * m if square else m, c) for m, c in enumerate(seq.values, 1))
     out = sys.stdout
     if args.format == "csv":
         out.write("m,index,count\n")
@@ -71,17 +83,13 @@ def _verify_one(target: Target, n: int) -> list[tuple[str, bool]]:
     checks.append(("engine-vs-closed-form", closed.values == engine.values))
     checks.append(("multiplicativity", is_multiplicative(closed)))
     if target is Target.ZETA_J:
-        ok = all(
-            closed[m] == sum(d for d in range(1, m + 1) if m % d == 0 and d % 2 == 1)
-            for m in range(1, n + 1)
-        )
-        checks.append(("sum-of-odd-divisors", ok))
+        checks.append(("sum-of-odd-divisors", list(closed.values) == odd_divisor_sums(n)[1:]))
     return checks
 
 
 def cmd_verify(args) -> int:
-    if args.terms < 1:
-        return _usage_error("terms must be >= 1")
+    if err := _terms_error(args.terms):
+        return _usage_error(err)
     targets = list(Target) if args.target == "all" else [_SLUGS[args.target]]
     failed = False
     for t in targets:
@@ -155,6 +163,8 @@ _ESTIMATES = {
 def cmd_constants(args) -> int:
     if args.estimate and args.terms < 16:
         return _usage_error("terms must be >= 16 for estimates")
+    if args.terms > MAX_TERMS:
+        return _usage_error(f"terms must be <= {MAX_TERMS}")
     for name in asymptotics.constant_names():
         row = [name, asymptotics.closed_form(name), _fmt(asymptotics.target_constant(name))]
         if args.estimate:

@@ -10,10 +10,13 @@ against index m ("plain" kind).
 from __future__ import annotations
 
 import enum
+import math
+
+import numpy as np
 
 from .arith import chi5, chi8, factorize
-from .dirichlet import (CoeffSeq, coeff_seq, convolve, dilate,
-                        dirichlet_inverse, from_multiplicative, ones, shift)
+from .dirichlet import (CoeffSeq, as_array, coeff_seq, convolve, dilate,
+                        dirichlet_inverse, from_multiplicative, shift)
 from .orders import Order
 from .quadfield import PrimeClass, Ring, prime_class
 
@@ -207,16 +210,67 @@ def closed_sequence(target: Target, n: int) -> CoeffSeq:
     return from_multiplicative(_TARGET_PPOWER[target], n)
 
 
-def _character_seq(chi, n: int) -> CoeffSeq:
-    return coeff_seq(chi(m) for m in range(1, n + 1))
+def _ones(n: int) -> np.ndarray:
+    return np.ones(n, np.int64)
 
 
-def _with_index2(n: int, value: int) -> CoeffSeq:
-    vals = [0] * n
-    vals[0] = 1
-    if n >= 2:
-        vals[1] = value
-    return coeff_seq(vals)
+def _character(chi, period: int, n: int) -> np.ndarray:
+    """chi(1..n) for a character of the given period."""
+    return np.array([chi(r) for r in range(period)], np.int64)[np.arange(1, n + 1) % period]
+
+
+def _index2(n: int, c: int) -> np.ndarray:
+    """1 + c 2^(-s): the value c at m = 2."""
+    x = np.zeros(n, np.int64)
+    x[0] = 1
+    x[1:2] = c  # nothing when n == 1
+    return x
+
+
+def _index2_inverse(n: int, c: int) -> np.ndarray:
+    """(1 + c 2^(-s))^(-1): the value (-c)^k at m = 2^k."""
+    x = np.zeros(n, np.int64)
+    for k in range(n.bit_length()):
+        x[2**k - 1] = (-c) ** k
+    return x
+
+
+def _dilated_inverse(x: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of dilate(x, 2) at n terms.  Inverting commutes with
+    s -> 2s, so it is dilate(inverse(x), 2), which reads only x(1..isqrt(n))."""
+    r = math.isqrt(n)
+    inv = dirichlet_inverse(coeff_seq(x[:r].tolist())).values
+    return dilate(as_array(inv + (0,) * (n - r)), 2)
+
+
+_BASE_FIELD = {
+    Target.ZETA_I: Target.DEDEKIND_TAU, Target.F_I: Target.DEDEKIND_TAU,
+    Target.ZETA_K: Target.DEDEKIND_SQRT2, Target.F_K: Target.DEDEKIND_SQRT2,
+}
+
+
+def _engine(target: Target, n: int) -> np.ndarray:
+    if target is Target.RIEMANN:
+        return _ones(n)
+    if target is Target.DEDEKIND_TAU:
+        return convolve(_ones(n), _character(chi5, 5, n))
+    if target is Target.DEDEKIND_SQRT2:
+        return convolve(_ones(n), _character(chi8, 8, n))
+    if target is Target.ZETA_J:
+        return convolve(convolve(_index2(n, -2), _ones(n)), shift(_ones(n)))
+    if target is Target.F_J:
+        zj = _engine(Target.ZETA_J, n)
+        sq = convolve(convolve(zj, zj), _index2_inverse(n, 1))
+        return convolve(sq, _dilated_inverse(_ones(n), n))
+    if target is Target.F_Z4:
+        return convolve(_index2(n, 2), _engine(Target.F_J, n))
+    if target in _BASE_FIELD:
+        base = _engine(_BASE_FIELD[target], n)
+        zeta = convolve(base, shift(base))
+        if target in (Target.ZETA_I, Target.ZETA_K):
+            return zeta
+        return convolve(convolve(zeta, zeta), _dilated_inverse(base, n))
+    raise ValueError(f"unknown target {target!r}")
 
 
 def engine_sequence(target: Target, n: int) -> CoeffSeq:
@@ -226,38 +280,10 @@ def engine_sequence(target: Target, n: int) -> CoeffSeq:
 
     In the "square" indexing, arguments 2s come for free, s -> 2s-1 is shift,
     4s is dilation by 2, and the correction factors (1 - 2^(1-2s)),
-    (1 + 4^(-s)), (1 + 2/4^s) live at m = 2.
+    (1 + 4^(-s)), (1 + 2/4^s) live at m = 2.  The work is done on arrays,
+    and no inverse is taken of more than isqrt(n) terms.
     """
-    if target is Target.RIEMANN:
-        return ones(n)
-    if target is Target.DEDEKIND_TAU:
-        return convolve(ones(n), _character_seq(chi5, n))
-    if target is Target.DEDEKIND_SQRT2:
-        return convolve(ones(n), _character_seq(chi8, n))
-    if target is Target.ZETA_J:
-        return convolve(convolve(_with_index2(n, -2), ones(n)), shift(ones(n)))
-    if target is Target.ZETA_I:
-        base = engine_sequence(Target.DEDEKIND_TAU, n)
-        return convolve(base, shift(base))
-    if target is Target.ZETA_K:
-        base = engine_sequence(Target.DEDEKIND_SQRT2, n)
-        return convolve(base, shift(base))
-    if target is Target.F_J:
-        zj = engine_sequence(Target.ZETA_J, n)
-        sq = convolve(zj, zj)
-        sq = convolve(sq, dirichlet_inverse(_with_index2(n, 1)))
-        return convolve(sq, dirichlet_inverse(dilate(ones(n), 2)))
-    if target is Target.F_Z4:
-        return convolve(_with_index2(n, 2), engine_sequence(Target.F_J, n))
-    if target is Target.F_I:
-        zi = engine_sequence(Target.ZETA_I, n)
-        base = engine_sequence(Target.DEDEKIND_TAU, n)
-        return convolve(convolve(zi, zi), dirichlet_inverse(dilate(base, 2)))
-    if target is Target.F_K:
-        zk = engine_sequence(Target.ZETA_K, n)
-        base = engine_sequence(Target.DEDEKIND_SQRT2, n)
-        return convolve(convolve(zk, zk), dirichlet_inverse(dilate(base, 2)))
-    raise ValueError(f"unknown target {target!r}")
+    return CoeffSeq(tuple(_engine(target, n).tolist()))
 
 
 def series(target: Target, n: int) -> CoeffSeq:

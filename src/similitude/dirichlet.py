@@ -3,6 +3,12 @@
 A CoeffSeq holds a(1..N).  Convolution, inverse, dilation (s -> k*s), and
 shift (s -> s-1) act on coefficients; multiplicative sequences are assembled
 from prime-power data by a smallest-prime-factor sieve.
+
+Convolution, dilation and shift also take 1-D NumPy arrays and then return
+one, which is how the generating-function engine keeps its intermediates.
+An array is int64 only while an a-priori bound shows that no value or
+partial sum can leave int64; otherwise it holds exact Python ints
+(dtype=object), so nothing ever wraps.
 """
 
 from __future__ import annotations
@@ -11,7 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .arith import smallest_prime_factor_sieve
+
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -46,24 +56,62 @@ def epsilon(n: int) -> CoeffSeq:
     return CoeffSeq((1,) + (0,) * (n - 1))
 
 
-def _check_lengths(a: CoeffSeq, b: CoeffSeq):
-    if a.n_terms != b.n_terms:
-        raise ValueError(f"length mismatch: {a.n_terms} vs {b.n_terms}")
+def as_array(values) -> np.ndarray:
+    """The integers as a 1-D int64 array when all fit, else as an object array of exact ints."""
+    lo, hi = min(values, default=0), max(values, default=0)
+    dtype = np.int64 if -_INT64_LIMIT <= lo and hi < _INT64_LIMIT else object
+    return np.array(values, dtype=dtype)
 
 
-def convolve(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
-    """c(m) = sum over d | m of a(d) * b(m/d)."""
+def _array(a) -> np.ndarray:
+    return a if isinstance(a, np.ndarray) else as_array(a.values)
+
+
+def _like(a, out: np.ndarray):
+    """out in the kind of the operand a: an array for an array, else a CoeffSeq."""
+    return out if isinstance(a, np.ndarray) else CoeffSeq(tuple(out.tolist()))
+
+
+def _magnitude(x: np.ndarray) -> int:
+    """max |x(m)| as a Python int."""
+    return max(int(x.max()), -int(x.min())) if len(x) else 0
+
+
+def _check_lengths(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dirichlet convolution of two equal-length 1-D arrays by the hyperbola
+    split (Tenenbaum, Introduction to Analytic and Probabilistic Number
+    Theory, I.3): with s = isqrt(n), every factorisation m = d e <= n has
+    d <= s, or else e <= s < d, never both d, e > s.  So the loop runs over
+    d <= s only, with one strided slice update for each side.
+    """
+    n = len(x)
+    s = math.isqrt(n)
+    # c(m) sums d(m) <= 2 sqrt(m) < 2 (s + 1) products, each at most mx * my
+    mx, my = _magnitude(x), _magnitude(y)
+    fits = mx < _INT64_LIMIT and my < _INT64_LIMIT and mx * my * 2 * (s + 1) < _INT64_LIMIT
+    dtype = np.int64 if fits else object
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    out = np.zeros(n, dtype)
+    for d in range(1, s + 1):
+        if x[d - 1]:  # m = d e for every e <= n / d
+            out[d - 1 :: d] += x[d - 1] * y[: n // d]
+        if y[d - 1]:  # m = e d for s < e <= n / d
+            out[(s + 1) * d - 1 :: d] += y[d - 1] * x[s : n // d]
+    return out
+
+
+def convolve(a, b):
+    """c(m) = sum over d | m of a(d) * b(m/d).
+
+    Takes two CoeffSeqs and gives a CoeffSeq, or two 1-D arrays and gives
+    an array."""
     _check_lengths(a, b)
-    n = a.n_terms
-    va, vb = a.values, b.values
-    out = [0] * (n + 1)
-    for d in range(1, n + 1):
-        ad = va[d - 1]
-        if not ad:
-            continue
-        for m in range(d, n + 1, d):
-            out[m] += ad * vb[m // d - 1]
-    return CoeffSeq(tuple(out[1:]))
+    return _like(a, _convolve(_array(a), _array(b)))
 
 
 def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
@@ -95,22 +143,26 @@ def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
     return CoeffSeq(tuple(inv[1:]))
 
 
-def dilate(a: CoeffSeq, k: int) -> CoeffSeq:
+def dilate(a, k: int):
     """b(m^k) = a(m), zero off k-th powers: realizes s -> k*s."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = a.n_terms
-    out = [0] * n
-    m = 1
-    while m**k <= n:
-        out[m**k - 1] = a.values[m - 1]
-        m += 1
-    return CoeffSeq(tuple(out))
+    x = _array(a)
+    n = len(x)
+    r = int(n ** (1 / k)) + 1  # then down to the largest r with r^k <= n
+    while r**k > n:
+        r -= 1
+    out = np.zeros_like(x)
+    out[np.arange(1, r + 1) ** k - 1] = x[:r]
+    return _like(a, out)
 
 
-def shift(a: CoeffSeq) -> CoeffSeq:
+def shift(a):
     """b(m) = m * a(m): realizes s -> s - 1."""
-    return CoeffSeq(tuple(m * v for m, v in enumerate(a.values, start=1)))
+    x = _array(a)
+    n = len(x)
+    dtype = np.int64 if _magnitude(x) * n < _INT64_LIMIT else object
+    return _like(a, x.astype(dtype, copy=False) * np.arange(1, n + 1).astype(dtype))
 
 
 def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:

@@ -7,6 +7,7 @@ import math
 import time
 from collections import Counter
 
+from similitude.arith import odd_divisor_sums
 from similitude.asymptotics import (l_value_at_one, target_constant,
                                     zeta_special_value_check)
 from similitude.cli import main
@@ -78,10 +79,7 @@ def test_criterion_3_oracle_equality():
 def test_criterion_4_arithmetic_identities():
     n = 10_000
     aj = closed_sequence(Target.ZETA_J, n)
-    odd_sums = [0] * (n + 1)
-    for d in range(1, n + 1, 2):
-        for m in range(d, n + 1, d):
-            odd_sums[m] += d
+    odd_sums = odd_divisor_sums(n)
     assert all(aj[m] == odd_sums[m] for m in range(1, n + 1))
     for target in Target:
         assert is_multiplicative(closed_sequence(target, n)), target

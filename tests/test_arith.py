@@ -1,0 +1,45 @@
+import pytest
+
+from similitude.arith import (PRIMALITY_LIMIT, factorize, is_prime,
+                              odd_divisor_sums, primes_up_to)
+from similitude.counting import Target, ssm_count
+
+# the least strong pseudoprime to the first 12 prime bases (OEIS A014233)
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_agrees_with_sieve():
+    n = 10**6
+    primes = set(primes_up_to(n))
+    assert all(is_prime(m) == (m in primes) for m in range(n + 1))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # each is the least strong pseudoprime to the first 1, 2, 3, 4, 9, 12 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051, PSI_12):
+        assert not is_prime(n), n
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert is_prime(10**24 + 7)  # a prime between the last two bounds, decided with base 41
+
+
+def test_is_prime_raises_beyond_proven_bound():
+    with pytest.raises(ValueError, match="primality bound"):
+        is_prime(PRIMALITY_LIMIT)
+    with pytest.raises(ValueError, match="primality bound"):
+        is_prime(2**127 - 1)
+    assert not is_prime(2**100)  # a small factor still decides
+
+
+def test_factorize_and_counts_refuse_the_pseudoprime():
+    with pytest.raises(ValueError, match="cannot factor"):
+        factorize(PSI_12)
+    with pytest.raises(ValueError):
+        ssm_count(Target.F_J, PSI_12)
+
+
+def test_odd_divisor_sums():
+    sums = odd_divisor_sums(500)
+    assert sums[0] == 0
+    for m in range(1, 501):
+        assert sums[m] == sum(d for d in range(1, m + 1, 2) if m % d == 0)

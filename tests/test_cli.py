@@ -38,6 +38,15 @@ def test_series_rejects_bad_terms(capsys):
     assert "terms must be >= 1" in err
 
 
+@pytest.mark.parametrize("command", (["series", "--target", "f_j"], ["verify"],
+                                     ["constants"], ["constants", "--estimate"]))
+def test_terms_above_memory_guard_rejected(capsys, command):
+    code, out, err = run(capsys, *command, "--terms", str(10**12))
+    assert code == 2
+    assert out == ""
+    assert "terms must be <= 10000000" in err
+
+
 def test_verify_single_target(capsys):
     code, out, _ = run(capsys, "verify", "--target", "zeta_j", "--terms", "200")
     assert code == 0

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from similitude.counting import (CrossCheckFailure, Target, closed_sequence,
+from similitude.counting import (CrossCheckFailure, Target, _dilated_inverse,
+                                 _index2, _index2_inverse, closed_sequence,
                                  dedekind_coeff, engine_sequence, g,
                                  order_zeta_coeff, series, ssm_count)
-from similitude.dirichlet import convolve, dilate, is_multiplicative, shift
+from similitude.dirichlet import (as_array, coeff_seq, convolve, dilate,
+                                  dirichlet_inverse, is_multiplicative, shift)
 from similitude.orders import Order
 from similitude.quadfield import Ring, is_representable_index
 
@@ -132,3 +136,26 @@ def test_cross_check_failure_reports_index():
         raise CrossCheckFailure(Target.F_J, 9, 41, 40)
     assert info.value.index == 9
     assert "f_j" in str(info.value)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3000), st.integers(-3, 3))
+def test_index2_inverse_is_the_full_inverse(n, c):
+    full = dirichlet_inverse(coeff_seq(_index2(n, c).tolist()))
+    assert _index2_inverse(n, c).tolist() == list(full.values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from((1, -1)),
+       st.lists(st.integers(-50, 50), min_size=60, max_size=60))
+def test_dilated_inverse_is_the_full_inverse(n, lead, tail):
+    x = as_array(([lead] + tail + [0] * n)[:n])
+    full = dirichlet_inverse(coeff_seq(dilate(x, 2).tolist()))
+    assert _dilated_inverse(x, n).tolist() == list(full.values)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 3000))
+def test_engine_matches_closed_forms_at_random_n(n):
+    for target in Target:
+        assert engine_sequence(target, n) == closed_sequence(target, n), (target, n)

@@ -1,11 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from similitude.arith import factorize
-from similitude.dirichlet import (coeff_seq, convolve, dilate,
-                                  dirichlet_inverse, epsilon,
+from similitude.dirichlet import (_convolve, as_array, coeff_seq, convolve,
+                                  dilate, dirichlet_inverse, epsilon,
                                   from_multiplicative, is_multiplicative, ones,
                                   partial_sum, shift)
 
@@ -15,6 +18,16 @@ def moebius(m):
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
+
+
+def reference_convolve(a, b):
+    """The plain double loop over d | m, kept as the reference for the kernel."""
+    n = len(a)
+    out = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            out[m] += a[d - 1] * b[m // d - 1]
+    return out[1:]
 
 
 def rand_seq(rng, n, span=9):
@@ -113,3 +126,53 @@ def test_ring_laws_random():
         left = convolve(a, summed)
         right = coeff_seq(x + y for x, y in zip(convolve(a, b).values, convolve(a, c).values))
         assert left == right
+
+
+# a magnitude for each path: int64 throughout, int64 near its bound, and
+# values whose products or partial sums would leave int64 (exact ints)
+_SPANS = (9, 2**28, 2**62, 2**70)
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.integers(1, 400))
+    span_a, span_b = draw(st.sampled_from(_SPANS)), draw(st.sampled_from(_SPANS))
+    a = draw(st.lists(st.integers(-span_a, span_a), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(-span_b, span_b), min_size=n, max_size=n))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands())
+def test_convolve_matches_reference_loop(ops):
+    a, b = ops
+    assert convolve(coeff_seq(a), coeff_seq(b)).values == tuple(reference_convolve(a, b))
+
+
+def test_convolve_picks_int64_only_under_the_bound():
+    n = 100  # 2 (isqrt(n) + 1) = 22 terms at most per coefficient
+    small = np.full(n, 2**29, np.int64)
+    assert _convolve(small, small).dtype == np.int64  # 2^58 * 22 < 2^63
+    big = np.full(n, 2**30, np.int64)
+    out = _convolve(big, big)  # 2^60 * 22 >= 2^63
+    assert out.dtype == object
+    # d(64) = 7 products of 2^60: beyond int64, and exact
+    assert out[63] == 7 * 2**60
+    assert out.tolist() == reference_convolve(big.tolist(), big.tolist())
+
+
+def test_convolve_zero_operand_beside_huge_one():
+    n = 50
+    huge = [(-1) ** m * 2**80 for m in range(n)]
+    zero = [0] * n
+    assert convolve(coeff_seq(zero), coeff_seq(huge)).values == (0,) * n
+    assert convolve(coeff_seq(huge), coeff_seq(zero)).values == (0,) * n
+    assert convolve(coeff_seq(huge), epsilon(n)).values == tuple(huge)
+
+
+def test_shift_and_dilate_on_arrays_stay_exact():
+    x = as_array([2**62, -(2**62), 3])
+    assert x.dtype == np.int64
+    assert shift(x).tolist() == [2**62, -(2**63), 9]
+    assert shift(as_array([2**70])).tolist() == [2**70]
+    assert dilate(as_array(list(range(1, 11))), 2).tolist() == [1, 0, 0, 2, 0, 0, 0, 0, 3, 0]
