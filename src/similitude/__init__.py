@@ -5,8 +5,8 @@ orders, with an independent brute-force oracle and numeric asymptotics checks.
 
 from .asymptotics import (GrowthModel, estimate_constant, l_value_at_one,
                           target_constant, zeta_special_value_check)
-from .counting import (CrossCheckFailure, Target, dedekind_coeff, g,
-                       order_zeta_coeff, series, ssm_count)
+from .counting import (CrossCheckFailure, Target, coeff, g,
+                       series, ssm_count)
 from .dirichlet import (CoeffSeq, coeff_seq, convolve, dilate,
                         dirichlet_inverse, from_multiplicative,
                         is_multiplicative, ones, partial_sum, shift)
@@ -17,21 +17,20 @@ from .oracle import (D4STAR, Z4, AmbientLattice, count_ssl_bruteforce,
 from .orders import (Order, OrderElement, canonicalize_pair, content, element,
                      is_odd, is_primitive, module_lattice, unit_group)
 from .quadfield import (PrimeClass, QuadInt, QuadRat, Ring,
-                        canonical_associate, conjugate, is_representable_index,
-                        norm, prime_class)
-from .quat import Quat, quat_conj, quat_mul, reduced_norm, similarity_matrix
+                        canonical_associate, is_representable_index,
+                        prime_class)
+from .quat import Quat, similarity_matrix
 
 __all__ = [
     "AmbientLattice", "CoeffSeq", "CrossCheckFailure", "D4STAR", "GrowthModel",
     "LatticeKey", "Order", "OrderElement", "PrimeClass", "Quat", "QuadInt",
     "QuadRat", "Ring", "Target", "Z4", "canonical_associate",
-    "canonicalize_pair", "coeff_seq", "conjugate", "content", "convolve",
-    "count_ssl_bruteforce", "dedekind_coeff", "dilate", "dirichlet_inverse",
+    "canonicalize_pair", "coeff", "coeff_seq", "content", "convolve",
+    "count_ssl_bruteforce", "dilate", "dirichlet_inverse",
     "element", "enumerate_ssm_icosian", "enumerate_sublattices",
     "estimate_constant", "from_multiplicative", "g", "is_multiplicative",
     "is_odd", "is_primitive", "is_representable_index",
-    "is_similar_sublattice", "l_value_at_one", "module_lattice", "norm",
-    "ones", "order_zeta_coeff", "partial_sum", "prime_class", "quat_conj",
-    "quat_mul", "reduced_norm", "series", "shift", "similarity_matrix",
+    "is_similar_sublattice", "l_value_at_one", "module_lattice", "ones",
+    "partial_sum", "prime_class", "series", "shift", "similarity_matrix",
     "ssm_count", "target_constant", "unit_group", "zeta_special_value_check",
 ]

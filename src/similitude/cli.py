@@ -3,38 +3,26 @@
 Subcommands: series (emit coefficients), verify (identity cross-checks),
 oracle (brute force vs formula), constants (growth/zeta constants).
 Exit codes: 0 success, 1 verification or oracle failure, 2 usage error.
-Output is deterministic; the thread count never changes a byte of it.
+Output is deterministic.  --threads is accepted and does not change the work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 from . import asymptotics, oracle
 from .arith import odd_divisor_sums
 from .counting import CrossCheckFailure, Target, closed_sequence, engine_sequence, series, ssm_count
-from .dirichlet import is_multiplicative, partial_sum
+from .dirichlet import is_multiplicative
 
 _SLUGS = {t.value: t for t in Target}
 
+_THREADS_HELP = "accepted for compatibility; does not change the work"
+
 # --terms above this would need gigabytes of coefficient storage
 MAX_TERMS = 10**7
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("SIMILITUDE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _usage_error(msg: str) -> int:
@@ -101,7 +89,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    threads = _threads(args)
     if args.module:
         if args.m is None:
             return _usage_error("--module requires --m")
@@ -109,7 +96,7 @@ def cmd_oracle(args) -> int:
         if m < 1:
             return _usage_error("m must be >= 1")
         try:
-            ssms = oracle.enumerate_ssm_icosian(m, threads=threads)
+            ssms = oracle.enumerate_ssm_icosian(m)
         except ValueError as exc:
             return _usage_error(str(exc))
         formula = ssm_count(Target.F_I, m)
@@ -134,7 +121,7 @@ def cmd_oracle(args) -> int:
         )
     failed = False
     for m in range(1, max_m + 1):
-        o = oracle.count_ssl_bruteforce(lat, m, threads=threads)
+        o = oracle.count_ssl_bruteforce(lat, m)
         f = ssm_count(target, m)
         ok = o == f
         failed |= not ok
@@ -161,10 +148,10 @@ _ESTIMATES = {
 
 
 def cmd_constants(args) -> int:
+    if err := _terms_error(args.terms):
+        return _usage_error(err)
     if args.estimate and args.terms < 16:
         return _usage_error("terms must be >= 16 for estimates")
-    if args.terms > MAX_TERMS:
-        return _usage_error(f"terms must be <= {MAX_TERMS}")
     for name in asymptotics.constant_names():
         row = [name, asymptotics.closed_form(name), _fmt(asymptotics.target_constant(name))]
         if args.estimate:
@@ -174,8 +161,8 @@ def cmd_constants(args) -> int:
             else:
                 target, alpha, logp = rule
                 seq = closed_sequence(target, args.terms)
-                denom = args.terms**alpha * math.log(args.terms) ** logp
-                row += [_fmt(partial_sum(seq, args.terms) / denom), str(args.terms)]
+                est = asymptotics.estimate_constant(seq, asymptotics.GrowthModel(alpha, logp))
+                row += [_fmt(est.value), str(args.terms)]
         print(" ".join(row))
     return 0
 
@@ -193,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=sorted(_SLUGS))
     p.add_argument("--terms", type=int, default=20)
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="cross-check identities and closed forms")
@@ -207,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--module", choices=("icosian",))
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("constants", help="closed-form constants (and estimates)")

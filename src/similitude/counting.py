@@ -17,7 +17,6 @@ import numpy as np
 from .arith import chi5, chi8, factorize
 from .dirichlet import (CoeffSeq, as_array, coeff_seq, convolve, dilate,
                         dirichlet_inverse, from_multiplicative, shift)
-from .orders import Order
 from .quadfield import PrimeClass, Ring, prime_class
 
 
@@ -60,154 +59,79 @@ def g(n: int, r: int) -> int:
     return (r + 1) * n**r + q
 
 
-# -- prime-power rules -------------------------------------------------------
+# -- the Euler-factor table -------------------------------------------------
+#
+# Every target is an Euler product over the prime ideals of its base ring.
+# A prime ideal P of norm q contributes the local factor sum_e h(q, e) q^(-es)
+# with h one of 1, sigma or g.  So a rational prime p gives: split, two ideals
+# of norm p, hence sum_s h(p, s) h(p, e-s); inert, one ideal of norm p^2,
+# hence h(p^2, e/2) at even e; ramified (or any p over Z), h(p, e).  The
+# Hurwitz algebra ramifies at 2, where three targets take a fixed value.
+# No rule is handed down for the cubian order: its rows mirror the icosian
+# ones and are read off zeta_K(s) = zeta_sqrt2(2s) zeta_sqrt2(2s-1).
 
-def _dedekind_ppower(ring: Ring, p: int, r: int) -> int:
-    if r == 0:
+def _one(q: int, e: int) -> int:
+    return 1
+
+
+def _sigma(q: int, e: int) -> int:
+    return (q ** (e + 1) - 1) // (q - 1)
+
+
+# target -> (base ring, local rule h, value at 2^e for e >= 1 or None)
+_EULER = {
+    Target.RIEMANN: (Ring.RATIONAL, _one, None),
+    Target.DEDEKIND_TAU: (Ring.GOLDEN, _one, None),
+    Target.DEDEKIND_SQRT2: (Ring.SQRT2, _one, None),
+    Target.ZETA_J: (Ring.RATIONAL, _sigma, 1),
+    Target.ZETA_I: (Ring.GOLDEN, _sigma, None),
+    Target.ZETA_K: (Ring.SQRT2, _sigma, None),
+    Target.F_J: (Ring.RATIONAL, g, 1),
+    Target.F_Z4: (Ring.RATIONAL, g, 3),
+    Target.F_I: (Ring.GOLDEN, g, None),
+    Target.F_K: (Ring.SQRT2, g, None),
+}
+
+_SIMILARITY = (Target.F_J, Target.F_Z4, Target.F_I, Target.F_K)
+
+
+def _ppower(target: Target, p: int, e: int) -> int:
+    """The coefficient of the target at the prime power p^e."""
+    if e == 0:
         return 1
-    cls = prime_class(p, ring)
-    if cls is PrimeClass.RAMIFIED:
-        return 1
+    ring, h, at2 = _EULER[target]
+    if p == 2 and at2 is not None:
+        return at2
+    cls = PrimeClass.RAMIFIED if ring is Ring.RATIONAL else prime_class(p, ring)
     if cls is PrimeClass.SPLIT:
-        return r + 1
-    return 1 if r % 2 == 0 else 0
+        return sum(h(p, s) * h(p, e - s) for s in range(e + 1))
+    if cls is PrimeClass.INERT:
+        return h(p * p, e // 2) if e % 2 == 0 else 0
+    return h(p, e)
 
 
-def _aj_ppower(p: int, r: int) -> int:
-    if p == 2:
-        return 1
-    return (p ** (r + 1) - 1) // (p - 1)
-
-
-def _ai_ppower(p: int, r: int) -> int:
-    if p == 5:
-        return (5 ** (r + 1) - 1) // 4
-    if prime_class(p, Ring.GOLDEN) is PrimeClass.INERT:
-        if r % 2 == 1:
-            return 0
-        return (p ** (r + 2) - 1) // (p * p - 1)
-    return sum((l + 1) * (r - l + 1) * p**l for l in range(r + 1))
-
-
-def _ak_ppower(p: int, r: int) -> int:
-    # No closed rule is handed down for this order; these prime-power values
-    # are read off the identity zeta_K(s) = zeta_sqrt2(2s) zeta_sqrt2(2s-1),
-    # i.e. a_K(p^r) = sum a(p^l) p^(r-l) a(p^(r-l)), and mirror the icosian ones.
-    if p == 2:
-        return 2 ** (r + 1) - 1
-    if prime_class(p, Ring.SQRT2) is PrimeClass.INERT:
-        if r % 2 == 1:
-            return 0
-        return (p ** (r + 2) - 1) // (p * p - 1)
-    return sum((l + 1) * (r - l + 1) * p**l for l in range(r + 1))
-
-
-def _fj_ppower(p: int, r: int) -> int:
-    if r == 0:
-        return 1
-    return 1 if p == 2 else g(p, r)
-
-
-def _fz4_ppower(p: int, r: int) -> int:
-    f = _fj_ppower(p, r)
-    return 3 * f if p == 2 and r >= 1 else f
-
-
-def _fi_ppower(p: int, r: int) -> int:
-    if r == 0:
-        return 1
-    if p == 5:
-        return g(5, r)
-    if prime_class(p, Ring.GOLDEN) is PrimeClass.INERT:
-        if r % 2 == 1:
-            return 0
-        return g(p * p, r // 2)
-    return sum(g(p, s) * g(p, r - s) for s in range(r + 1))
-
-
-def _fk_ppower(p: int, r: int) -> int:
-    if r == 0:
-        return 1
-    if p == 2:
-        return g(2, r)
-    if prime_class(p, Ring.SQRT2) is PrimeClass.INERT:
-        if r % 2 == 1:
-            return 0
-        return g(p * p, r // 2)
-    return sum(g(p, s) * g(p, r - s) for s in range(r + 1))
-
-
-def dedekind_coeff(ring: Ring, m: int) -> int:
-    """Number of ideals of the quadratic ring of norm m (1 for every m over Z)."""
+def coeff(target: Target, m: int) -> int:
+    """The coefficient a(m) of the target, from the factorization of m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if ring is Ring.RATIONAL:
-        return 1
     out = 1
     for p, e in factorize(m):
-        out *= _dedekind_ppower(ring, p, e)
+        out *= _ppower(target, p, e)
     return out
-
-
-_ORDER_PPOWER = {
-    Order.HURWITZ: _aj_ppower,
-    Order.ICOSIAN: _ai_ppower,
-    Order.CUBIAN: _ak_ppower,
-}
-
-
-def order_zeta_coeff(order: Order, m: int) -> int:
-    """Number of left (equivalently right) ideals of the order of index m^2."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rule = _ORDER_PPOWER[order]
-    out = 1
-    for p, e in factorize(m):
-        out *= rule(p, e)
-    return out
-
-
-_SSM_PPOWER = {
-    Target.F_J: _fj_ppower,
-    Target.F_Z4: _fz4_ppower,
-    Target.F_I: _fi_ppower,
-    Target.F_K: _fk_ppower,
-}
 
 
 def ssm_count(target: Target, m: int) -> int:
     """Number of similarity sublattices/submodules of index m^2 (0 when none)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    try:
-        rule = _SSM_PPOWER[target]
-    except KeyError:
-        raise ValueError(f"{target.value} is not a similarity-counting target") from None
-    out = 1
-    for p, e in factorize(m):
-        out *= rule(p, e)
-    return out
+    if target not in _SIMILARITY:
+        raise ValueError(f"{target.value} is not a similarity-counting target")
+    return coeff(target, m)
 
 
 # -- whole sequences ---------------------------------------------------------
 
-_TARGET_PPOWER = {
-    Target.RIEMANN: lambda p, r: 1,
-    Target.DEDEKIND_TAU: lambda p, r: _dedekind_ppower(Ring.GOLDEN, p, r),
-    Target.DEDEKIND_SQRT2: lambda p, r: _dedekind_ppower(Ring.SQRT2, p, r),
-    Target.ZETA_J: _aj_ppower,
-    Target.ZETA_I: _ai_ppower,
-    Target.ZETA_K: _ak_ppower,
-    Target.F_J: _fj_ppower,
-    Target.F_Z4: _fz4_ppower,
-    Target.F_I: _fi_ppower,
-    Target.F_K: _fk_ppower,
-}
-
-
 def closed_sequence(target: Target, n: int) -> CoeffSeq:
-    """First n coefficients from the multiplicative prime-power rules."""
-    return from_multiplicative(_TARGET_PPOWER[target], n)
+    """First n coefficients from the Euler-factor table."""
+    return from_multiplicative(lambda p, e: _ppower(target, p, e), n)
 
 
 def _ones(n: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -200,35 +199,23 @@ def is_similar_sublattice(key: LatticeKey, lattice: AmbientLattice) -> bool:
     return _has_gram_quadruple(members, lattice.gram, m)
 
 
-def _count_chunk(lattice: AmbientLattice, m: int, diags) -> int:
-    vecs = _short_vectors(lattice.name, m)
-    varr = np.array(vecs, dtype=np.int64)
-    gram = lattice.gram
-    count = 0
-    for diag in diags:
-        for rows in _hnf_matrices_for_diag(diag):
-            hnf_np = np.array(rows, dtype=np.int64)
-            members = [tuple(int(x) for x in r) for r in _filter_members(hnf_np, diag, varr)]
-            if _has_gram_quadruple(members, gram, m):
-                count += 1
-    return count
-
-
 def count_ssl_bruteforce(lattice: AmbientLattice, m: int,
-                         bound: int = DEFAULT_INDEX_BOUND, threads: int = 1) -> int:
+                         bound: int = DEFAULT_INDEX_BOUND) -> int:
     """Number of index-m^2 sublattices that are similar images of the ambient
     lattice, by exhaustive enumeration and testing."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m * m > bound:
         raise ValueError(f"index {m * m} exceeds the enumeration bound {bound}")
-    diags = _diag_tuples(m * m)
-    if threads <= 1 or len(diags) < 2:
-        return _count_chunk(lattice, m, diags)
-    chunks = [diags[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _count_chunk(lattice, m, c), chunks))
-    return sum(parts)
+    varr = np.array(_short_vectors(lattice.name, m), dtype=np.int64)
+    count = 0
+    for diag in _diag_tuples(m * m):
+        for rows in _hnf_matrices_for_diag(diag):
+            hnf_np = np.array(rows, dtype=np.int64)
+            members = [tuple(int(x) for x in r) for r in _filter_members(hnf_np, diag, varr)]
+            if _has_gram_quadruple(members, lattice.gram, m):
+                count += 1
+    return count
 
 
 # -- icosian similarity submodules -------------------------------------------
@@ -321,8 +308,7 @@ class IcosianSSM:
     kind: str  # "left-ideal" | "right-ideal" | "two-sided" | "product"
 
 
-def enumerate_ssm_icosian(m: int, bound: int = DEFAULT_ICOSIAN_BOUND,
-                          threads: int = 1) -> list[IcosianSSM]:
+def enumerate_ssm_icosian(m: int, bound: int = DEFAULT_ICOSIAN_BOUND) -> list[IcosianSSM]:
     """All similarity submodules of the icosian order of index m^2, each as a
     deduplicated lattice key with an ideal-type classification."""
     if m < 1:
@@ -353,14 +339,9 @@ def enumerate_ssm_icosian(m: int, bound: int = DEFAULT_ICOSIAN_BOUND,
         lefts = left_by_n.get(nb)
         if not lefts:
             continue
-        pairs = [(ra, lb) for ra in rights.values() for lb in lefts.values()]
-        if threads > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                keys = list(pool.map(lambda ab: module_lattice(ab[0], ab[1]), pairs))
-        else:
-            keys = [module_lattice(ra, lb) for ra, lb in pairs]
-        for key in keys:
-            modules[key] = None
+        for ra in rights.values():
+            for lb in lefts.values():
+                modules[module_lattice(ra, lb)] = None
 
     left_keys = set(left_by_n.get(m, {}))
     right_keys = set(right_by_n.get(m, {}))

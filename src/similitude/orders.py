@@ -202,11 +202,6 @@ def _data(order: Order) -> _OrderData:
                       tuple(tuple(r) for r in adj), det)
 
 
-def basis_quats(order: Order) -> tuple[Quat, ...]:
-    """The fixed integral basis, as quaternions over the order's base ring."""
-    return _data(order).basis
-
-
 def is_member(order: Order, quat: Quat) -> bool:
     if quat.ring is not order.ring:
         return False

@@ -162,14 +162,6 @@ def _fundamental_unit_inverse(ring: Ring) -> QuadInt:
     return QuadInt(ring, -1, 1)
 
 
-def norm(x: QuadInt) -> int:
-    return x.norm()
-
-
-def conjugate(x: QuadInt) -> QuadInt:
-    return x.conjugate()
-
-
 def prime_class(p: int, ring: Ring) -> PrimeClass:
     """Splitting type of the rational prime p in the quadratic ring."""
     if ring is Ring.RATIONAL:
@@ -356,9 +348,6 @@ class QuadRat:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def to_quadint(self) -> QuadInt:
         if self.den != 1:

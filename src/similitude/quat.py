@@ -129,18 +129,6 @@ class Quat:
         return f"({body})" if self.den == 1 else f"({body})/{self.den}"
 
 
-def quat_mul(x: Quat, y: Quat) -> Quat:
-    return x * y
-
-
-def quat_conj(x: Quat) -> Quat:
-    return x.conjugate()
-
-
-def reduced_norm(x: Quat) -> QuadRat:
-    return x.reduced_norm()
-
-
 def similarity_matrix(q1: Quat, q2: Quat) -> tuple[tuple[QuadRat, ...], ...]:
     """The 4x4 matrix M with M x = q1 * x * conjugate(q2) on column vectors x.
 

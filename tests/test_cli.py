@@ -38,6 +38,13 @@ def test_series_rejects_bad_terms(capsys):
     assert "terms must be >= 1" in err
 
 
+def test_constants_rejects_bad_terms(capsys):
+    code, out, err = run(capsys, "constants", "--terms", "0")
+    assert code == 2
+    assert out == ""
+    assert "terms must be >= 1" in err
+
+
 @pytest.mark.parametrize("command", (["series", "--target", "f_j"], ["verify"],
                                      ["constants"], ["constants", "--estimate"]))
 def test_terms_above_memory_guard_rejected(capsys, command):
@@ -123,13 +130,6 @@ def test_thread_flag_is_byte_invariant(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
-
-
-def test_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SIMILITUDE_THREADS", "4")
-    code, out, _ = run(capsys, "oracle", "--lattice", "z4", "--max-m", "2")
-    assert code == 0
-    assert "MATCH" in out
 
 
 def test_usage_error_exit_code(capsys):

@@ -4,11 +4,9 @@ from hypothesis import strategies as st
 
 from similitude.counting import (CrossCheckFailure, Target, _dilated_inverse,
                                  _index2, _index2_inverse, closed_sequence,
-                                 dedekind_coeff, engine_sequence, g,
-                                 order_zeta_coeff, series, ssm_count)
+                                 coeff, engine_sequence, g, series, ssm_count)
 from similitude.dirichlet import (as_array, coeff_seq, convolve, dilate,
                                   dirichlet_inverse, is_multiplicative, shift)
-from similitude.orders import Order
 from similitude.quadfield import Ring, is_representable_index
 
 
@@ -24,31 +22,40 @@ def test_g_examples():
 
 
 def test_dedekind_coeff_examples():
-    assert dedekind_coeff(Ring.GOLDEN, 11) == 2
-    assert dedekind_coeff(Ring.GOLDEN, 3) == 0
-    assert dedekind_coeff(Ring.SQRT2, 17) == 2
-    assert dedekind_coeff(Ring.RATIONAL, 12) == 1
+    assert coeff(Target.DEDEKIND_TAU, 11) == 2
+    assert coeff(Target.DEDEKIND_TAU, 3) == 0
+    assert coeff(Target.DEDEKIND_SQRT2, 17) == 2
+    assert coeff(Target.RIEMANN, 12) == 1
     # first listed terms of the golden series: 1/4^s, 1/5^s, 1/9^s, 2/11^s, ...
     golden = {4: 1, 5: 1, 9: 1, 11: 2, 16: 1, 19: 2, 20: 1, 25: 1, 29: 2, 31: 2, 36: 1, 41: 2}
     for m, v in golden.items():
-        assert dedekind_coeff(Ring.GOLDEN, m) == v
+        assert coeff(Target.DEDEKIND_TAU, m) == v
     sqrt2 = {2: 1, 4: 1, 7: 2, 8: 1, 9: 1, 14: 2, 16: 1, 17: 2, 18: 1, 23: 2, 25: 1, 28: 2}
     for m, v in sqrt2.items():
-        assert dedekind_coeff(Ring.SQRT2, m) == v
+        assert coeff(Target.DEDEKIND_SQRT2, m) == v
 
 
 def test_order_zeta_examples():
-    assert order_zeta_coeff(Order.HURWITZ, 9) == 13
-    assert order_zeta_coeff(Order.ICOSIAN, 4) == 5
-    assert order_zeta_coeff(Order.CUBIAN, 2) == 3
-    assert [order_zeta_coeff(Order.HURWITZ, m) for m in range(1, 13)] == [
+    assert coeff(Target.ZETA_J, 9) == 13
+    assert coeff(Target.ZETA_I, 4) == 5
+    assert coeff(Target.ZETA_K, 2) == 3
+    assert [coeff(Target.ZETA_J, m) for m in range(1, 13)] == [
         1, 1, 4, 1, 6, 4, 8, 1, 13, 6, 12, 4]
 
 
 def test_sum_of_odd_divisors_identity():
     for m in range(1, 2001):
         odd_div_sum = sum(d for d in range(1, m + 1, 2) if m % d == 0)
-        assert order_zeta_coeff(Order.HURWITZ, m) == odd_div_sum
+        assert coeff(Target.ZETA_J, m) == odd_div_sum
+
+
+def test_per_m_coefficients_match_the_sieve():
+    n = 2000
+    for target in Target:
+        per_m = tuple(coeff(target, m) for m in range(1, n + 1))
+        assert per_m == closed_sequence(target, n).values, target
+    with pytest.raises(ValueError):
+        coeff(Target.RIEMANN, 0)
 
 
 def test_ssm_count_examples():

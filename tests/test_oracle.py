@@ -73,11 +73,6 @@ def test_count_bound_and_ambient_lookup():
         ambient("e8")
 
 
-def test_thread_count_does_not_change_results():
-    for threads in (1, 4):
-        assert count_ssl_bruteforce(Z4, 3, threads=threads) == 8
-
-
 def test_point_group_invariance():
     # signed coordinate permutations preserve the Z^4 verdict
     rng = random.Random(30)

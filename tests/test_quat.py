@@ -3,8 +3,7 @@ import random
 import pytest
 
 from similitude.quadfield import QuadInt, QuadRat, Ring
-from similitude.quat import (Quat, apply_matrix, quat_conj, quat_mul,
-                             reduced_norm, similarity_matrix)
+from similitude.quat import Quat, apply_matrix, similarity_matrix
 
 RAT = Ring.RATIONAL
 GOLD = Ring.GOLDEN
@@ -39,21 +38,21 @@ def rand_quat(rng, ring=RAT, span=9):
 
 
 def test_defining_relations():
-    assert quat_mul(I, J) == K
-    assert quat_mul(J, K) == I
-    assert quat_mul(K, I) == J
+    assert I * J == K
+    assert J * K == I
+    assert K * I == J
     minus_one = -ONE
-    assert quat_mul(I, I) == minus_one
-    assert quat_mul(J, J) == minus_one
-    assert quat_mul(quat_mul(I, J), K) == minus_one
+    assert I * I == minus_one
+    assert J * J == minus_one
+    assert I * J * K == minus_one
 
 
 def test_reduced_norm_examples():
     t = Quat(RAT, (1, 1, 1, 1), 2)
-    assert reduced_norm(t) == QuadRat(QuadInt(RAT, 1))
+    assert t.reduced_norm() == QuadRat(QuadInt(RAT, 1))
     # ( tau, 1, -1/tau, 0 ) / 2 has norm 1 since tau^2 = tau + 1
     u = Quat(GOLD, (QuadInt(GOLD, 0, 1), QuadInt(GOLD, 1), QuadInt(GOLD, 1, -1), QuadInt(GOLD, 0)), 2)
-    assert reduced_norm(u) == QuadRat(QuadInt(GOLD, 1))
+    assert u.reduced_norm() == QuadRat(QuadInt(GOLD, 1))
 
 
 def test_mul_associative_and_norm_multiplicative():
@@ -62,13 +61,13 @@ def test_mul_associative_and_norm_multiplicative():
         for _ in range(300):
             x, y, z = (rand_quat(rng, ring) for _ in range(3))
             assert (x * y) * z == x * (y * z)
-            assert reduced_norm(x * y) == reduced_norm(x) * reduced_norm(y)
-            assert quat_conj(x * y) == quat_conj(y) * quat_conj(x)
+            assert (x * y).reduced_norm() == x.reduced_norm() * y.reduced_norm()
+            assert (x * y).conjugate() == y.conjugate() * x.conjugate()
 
 
 def test_ring_mismatch():
     with pytest.raises(ValueError, match="ring mismatch"):
-        quat_mul(ONE, Quat.scalar(GOLD, 1))
+        ONE * Quat.scalar(GOLD, 1)
 
 
 def test_similarity_matrix_identity():
@@ -91,7 +90,7 @@ def test_similarity_matrix_action_oracle():
         q1, q2 = rand_quat(rng), rand_quat(rng)
         m = similarity_matrix(q1, q2)
         for x in basis + (rand_quat(rng),):
-            assert apply_matrix(m, x) == q1 * x * quat_conj(q2)
+            assert apply_matrix(m, x) == q1 * x * q2.conjugate()
     # the example: conjugation by i sends 1 -> i * 1 * 1 = i, i -> -1 with q2 = 1
     m = similarity_matrix(I, ONE)
     assert apply_matrix(m, I) == -ONE
@@ -103,7 +102,7 @@ def test_similarity_matrix_orthogonality():
     for _ in range(1000):
         q1, q2 = rand_quat(rng, span=5), rand_quat(rng, span=5)
         m = similarity_matrix(q1, q2)
-        scale = reduced_norm(q1) * reduced_norm(q2)
+        scale = q1.reduced_norm() * q2.reduced_norm()
         for i in range(4):
             for j in range(i, 4):
                 dot = sum((m[i][k] * m[j][k] for k in range(1, 4)), m[i][0] * m[j][0])
