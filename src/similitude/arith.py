@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 # Miller-Rabin with the first k prime bases is proven correct for n below the
@@ -69,8 +71,29 @@ def primes_up_to(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n + 1) if sieve[i])
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n > 1 with multiplicity: is_prime at the leaves, else a
+    split by Pollard rho with Brent's cycle finding (R. P. Brent, BIT 20, 1980)."""
+    if is_prime(n):
+        return [n]
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return _prime_factors(g) + _prime_factors(n // g)
+
+
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Sorted prime factorization [(p, e), ...] of m >= 1, by sieved trial division."""
+    """Sorted prime factorization [(p, e), ...] of m >= 1: trial division by the
+    primes below 2**16, then Pollard rho on the cofactor.  A composite cofactor
+    beyond PRIMALITY_LIMIT raises ValueError from is_prime."""
     if m < 1:
         raise ValueError("factorize requires m >= 1")
     out = []
@@ -84,15 +107,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
     if m > 1:
-        # remaining cofactor: prime, or a product of two primes > 2**16
-        if is_prime(m):
-            out.append((m, 1))
-        else:
-            r = math.isqrt(m)
-            if r * r == m and is_prime(r):
-                out.append((r, 2))
-            else:
-                raise ValueError(f"cannot factor {m}: cofactor too large for trial division")
+        out += sorted(Counter(_prime_factors(m)).items())
     return out
 
 

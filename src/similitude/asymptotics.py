@@ -62,7 +62,6 @@ class GrowthModel:
 
     alpha: float
     logpower: int
-    constant: float | None = None
 
 
 class Estimate(NamedTuple):

@@ -1,12 +1,14 @@
 """Brute-force verification of the similarity counts, sharing no logic with
 the closed-form rules.
 
-Sublattices of a given index are enumerated directly in Hermite normal form;
-a sublattice is recognized as a similar image by searching for a generating
-quadruple whose Gram matrix is an exact integer multiple of the ambient one.
-Icosian similarity submodules are enumerated as products of a right and a
-left ideal, found by a bounded coordinate search.  No floating point is used
-anywhere; dedup is by lattice-key equality.
+A similar sublattice of index m^2 is spanned by a frame: four lattice vectors
+whose Gram matrix is m times the ambient one.  The oracle enumerates every
+frame among the vectors of norm m, dedups the spanned sublattices by lattice
+key, and checks its own completeness: each similar sublattice has exactly
+|Aut| frames (384 for Z^4, 1152 for D4*), and |Aut| is the frame count at
+m = 1.  Icosian similarity submodules are enumerated as products of a right
+and a left ideal, found by a bounded coordinate search.  No floating point is
+used anywhere; dedup is by lattice-key equality.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeKey
+from .lattice import LatticeKey, lattice_key
 from .orders import Order, element, is_member, module_lattice
 from .quadfield import QuadInt, Ring, is_representable_index
 from .quat import Quat
@@ -81,50 +83,6 @@ def _short_vectors(lattice_name: str, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def _filter_members(hnf_np: np.ndarray, diag: tuple[int, ...], vecs: np.ndarray) -> np.ndarray:
-    """Rows of `vecs` lying in the lattice with lower-triangular row basis hnf."""
-    w = vecs
-    mask = np.ones(len(vecs), dtype=bool)
-    for i in (3, 2, 1, 0):
-        q, r = np.divmod(w[:, i], diag[i])
-        mask &= r == 0
-        if i:
-            w = w - q[:, None] * hnf_np[i]
-    return vecs[mask]
-
-
-def _has_gram_quadruple(cands: list[tuple[int, ...]], gram, m: int) -> bool:
-    """Backtracking search for v1..v4 among cands with <v_i, v_j> = m * gram."""
-    if len(cands) < 4:
-        return False
-    gcols = [[sum(gram[i][j] * v[j] for j in range(4)) for i in range(4)] for v in cands]
-
-    def dot(i: int, j: int) -> int:
-        vi = cands[i]
-        gj = gcols[j]
-        return vi[0] * gj[0] + vi[1] * gj[1] + vi[2] * gj[2] + vi[3] * gj[3]
-
-    n = len(cands)
-
-    def extend(chosen: list[int], depth: int) -> bool:
-        if depth == 4:
-            return True
-        for c in range(n):
-            ok = True
-            for t, prev in enumerate(chosen):
-                if dot(prev, c) != m * gram[t][depth]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(c)
-                if extend(chosen, depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend([], 0)
-
-
 def _diag_tuples(index: int):
     """Ordered 4-tuples of positive integers with product = index."""
     out = []
@@ -173,49 +131,71 @@ def enumerate_sublattices(lattice: AmbientLattice, index: int,
     return keys
 
 
-def is_similar_sublattice(key: LatticeKey, lattice: AmbientLattice) -> bool:
-    """True iff the sublattice is an inflated isometric image of the ambient one.
+@lru_cache(maxsize=64)
+def _frames(lattice: AmbientLattice, m: int) -> tuple[int, frozenset[LatticeKey]]:
+    """Count the frames of index m^2 and collect the sublattices they span.
 
-    Needs a basis with Gram exactly m * ambient Gram where m^2 is the index;
-    a non-square index can never support an integral Gram of that shape, so
-    it is rejected outright.
+    A frame is an ordered quadruple of lattice vectors v_0..v_3 with
+    <v_i, v_j> = m * gram[i][j]; its span is a similar sublattice of index
+    m^2, and every similar sublattice of that index is spanned by exactly
+    |Aut| frames.  Both ambient Gram matrices have a constant diagonal, so
+    every frame vector is a short vector of norm m * gram[0][0].  The dot
+    products are exact in int64: coordinates are at most 2 sqrt(m), and by
+    Cauchy-Schwarz every entry of `dots` is at most m * gram[0][0].
     """
+    vecs = np.array(_short_vectors(lattice.name, m), dtype=np.int64)
+    gram = np.array(lattice.gram, dtype=np.int64)
+    dots = vecs @ gram @ vecs.T
+    target = m * gram
+    frames = 0
+    keys = set()
+    for a in range(len(vecs)):
+        for b in np.flatnonzero(dots[a] == target[0, 1]):
+            mask_c = (dots[a] == target[0, 2]) & (dots[b] == target[1, 2])
+            for c in np.flatnonzero(mask_c):
+                mask_d = ((dots[a] == target[0, 3]) & (dots[b] == target[1, 3])
+                          & (dots[c] == target[2, 3]))
+                for d in np.flatnonzero(mask_d):
+                    frames += 1
+                    keys.add(lattice_key(vecs[[a, b, c, d]].tolist(), 4))
+    return frames, frozenset(keys)
+
+
+def _ssl_keys(lattice: AmbientLattice, m: int) -> frozenset[LatticeKey]:
+    """The similar sublattices of index m^2, checked complete by frame count:
+    |Aut| is the frame count at m = 1, and each sublattice has |Aut| frames."""
+    frames, keys = _frames(lattice, m)
+    aut = _frames(lattice, 1)[0]
+    if frames != aut * len(keys):
+        raise AssertionError(
+            f"{lattice.name} m={m}: {frames} frames != |Aut| {aut} * {len(keys)} sublattices"
+        )
+    return keys
+
+
+def is_similar_sublattice(key: LatticeKey, lattice: AmbientLattice) -> bool:
+    """True iff the sublattice is an inflated isometric image of the ambient one,
+    i.e. one spanned by a frame; a non-square index has no frames."""
     if key.rank != 4:
         raise ValueError("ambient lattices here have rank 4")
-    if any(key.hnf[i][i] <= 0 for i in range(4)) or any(
-        key.hnf[i][j] != 0 for i in range(4) for j in range(i + 1, 4)
-    ):
+    h = key.hnf
+    if (any(h[i][i] <= 0 for i in range(4))
+            or any(h[i][j] != 0 for i in range(4) for j in range(i + 1, 4))
+            or any(not 0 <= h[i][j] < h[j][j] for i in range(4) for j in range(i))):
         raise ValueError("not a sublattice key: bad Hermite normal form")
     m = math.isqrt(key.index)
-    if m * m != key.index:
-        return False
-    vecs = _short_vectors(lattice.name, m)
-    if len(vecs) < 4:
-        return False
-    varr = np.array(vecs, dtype=np.int64)
-    hnf_np = np.array(key.hnf, dtype=np.int64)
-    diag = tuple(int(key.hnf[i][i]) for i in range(4))
-    members = [tuple(int(x) for x in row) for row in _filter_members(hnf_np, diag, varr)]
-    return _has_gram_quadruple(members, lattice.gram, m)
+    return m * m == key.index and key in _ssl_keys(lattice, m)
 
 
 def count_ssl_bruteforce(lattice: AmbientLattice, m: int,
                          bound: int = DEFAULT_INDEX_BOUND) -> int:
     """Number of index-m^2 sublattices that are similar images of the ambient
-    lattice, by exhaustive enumeration and testing."""
+    lattice, by exhaustive frame enumeration."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m * m > bound:
         raise ValueError(f"index {m * m} exceeds the enumeration bound {bound}")
-    varr = np.array(_short_vectors(lattice.name, m), dtype=np.int64)
-    count = 0
-    for diag in _diag_tuples(m * m):
-        for rows in _hnf_matrices_for_diag(diag):
-            hnf_np = np.array(rows, dtype=np.int64)
-            members = [tuple(int(x) for x in r) for r in _filter_members(hnf_np, diag, varr)]
-            if _has_gram_quadruple(members, lattice.gram, m):
-                count += 1
-    return count
+    return len(_ssl_keys(lattice, m))
 
 
 # -- icosian similarity submodules -------------------------------------------

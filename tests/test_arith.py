@@ -2,7 +2,7 @@ import pytest
 
 from similitude.arith import (PRIMALITY_LIMIT, factorize, is_prime,
                               odd_divisor_sums, primes_up_to)
-from similitude.counting import Target, ssm_count
+from similitude.counting import Target, coeff, ssm_count
 
 # the least strong pseudoprime to the first 12 prime bases (OEIS A014233)
 PSI_12 = 318665857834031151167461
@@ -31,11 +31,17 @@ def test_is_prime_raises_beyond_proven_bound():
     assert not is_prime(2**100)  # a small factor still decides
 
 
-def test_factorize_and_counts_refuse_the_pseudoprime():
-    with pytest.raises(ValueError, match="cannot factor"):
-        factorize(PSI_12)
-    with pytest.raises(ValueError):
-        ssm_count(Target.F_J, PSI_12)
+def test_factorize_splits_large_cofactors():
+    assert factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+    assert ssm_count(Target.F_J, PSI_12) == (ssm_count(Target.F_J, 399165290221)
+                                             * ssm_count(Target.F_J, 798330580441))
+    assert factorize(65537 * 65539) == [(65537, 1), (65539, 1)]
+    assert factorize(65537 * 65539 * 65543) == [(65537, 1), (65539, 1), (65543, 1)]
+    assert factorize(12 * 65537**2 * 65539**3) == [(2, 2), (3, 1), (65537, 2), (65539, 3)]
+    assert coeff(Target.RIEMANN, 65537 * 65539) == 1
+    # a composite cofactor beyond the proven primality bound is still refused
+    with pytest.raises(ValueError, match="primality bound"):
+        factorize((2**61 - 1) ** 2)
 
 
 def test_odd_divisor_sums():

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from similitude.lattice import (LatticeKey, hnf_contains, hnf_contains_lattice,
                                 hnf_rows, lattice_key)
@@ -31,6 +34,35 @@ def test_hnf_is_canonical_under_row_operations():
         assert key.hnf == tuple(tuple(r) for r in rows)  # already normal
         scrambled = random_unimodular_ops(rng, rows)
         assert lattice_key(scrambled, 4) == key
+
+
+row_ops = st.lists(
+    st.tuples(st.sampled_from(("add", "swap", "negate")), st.integers(0, 3),
+              st.integers(0, 3), st.integers(-4, 4)),
+    max_size=20,
+)
+int_rows = st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows, row_ops, st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_hnf_key_is_invariant_under_unimodular_change_of_basis(basis, ops, coeffs):
+    det = round(np.linalg.det(np.array(basis, dtype=float)))
+    assume(det != 0)
+    u = [[int(i == j) for j in range(4)] for i in range(4)]
+    for op, i, j, f in ops:
+        if op == "add" and i != j:
+            u[i] = [a + f * b for a, b in zip(u[i], u[j])]
+        elif op == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif op == "negate":
+            u[i] = [-a for a in u[i]]
+    image = [[sum(u[i][k] * basis[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+    key = lattice_key(basis, 4)
+    assert key.index == abs(det)
+    assert lattice_key(image, 4) == key
+    extra = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(4)]
+    assert lattice_key(basis + [extra], 4) == key
 
 
 def test_hnf_index_is_diagonal_product():

@@ -6,7 +6,7 @@ import pytest
 
 from similitude.counting import Target, ssm_count
 from similitude.lattice import LatticeKey, lattice_key
-from similitude.oracle import (D4STAR, Z4, ambient, count_ssl_bruteforce,
+from similitude.oracle import (D4STAR, Z4, _frames, ambient, count_ssl_bruteforce,
                                enumerate_ssm_icosian, enumerate_sublattices,
                                icosian_generator_counts, is_similar_sublattice)
 
@@ -59,9 +59,16 @@ def test_non_square_index_never_similar():
 
 
 def test_counts_match_formulas_small():
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 7):
         assert count_ssl_bruteforce(Z4, m) == ssm_count(Target.F_Z4, m)
         assert count_ssl_bruteforce(D4STAR, m) == ssm_count(Target.F_J, m)
+
+
+def test_frame_count_at_one_is_the_automorphism_group_order():
+    # |W(B4)| = 2^4 * 4! and |W(F4)| = 1152 (Conway & Sloane, SPLAG, ch. 4)
+    for lattice, aut in ((Z4, 384), (D4STAR, 1152)):
+        frames, keys = _frames(lattice, 1)
+        assert frames == aut and [k.index for k in keys] == [1]
 
 
 def test_count_bound_and_ambient_lookup():
@@ -143,3 +150,6 @@ def test_unit_orbit_divides_generator_counts():
 def test_bad_key_rejected():
     with pytest.raises(ValueError, match="Hermite"):
         is_similar_sublattice(LatticeKey(4, ((1, 1, 0, 0),) * 4, 1), Z4)
+    unreduced = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # spans Z^4, 1 not reduced mod 1
+    with pytest.raises(ValueError, match="Hermite"):
+        is_similar_sublattice(LatticeKey(4, unreduced, 1), Z4)
