@@ -11,8 +11,8 @@ from .dirichlet import (CoeffSeq, coeff_seq, convolve, dilate,
                         dirichlet_inverse, from_multiplicative,
                         is_multiplicative, ones, partial_sum, shift)
 from .lattice import LatticeKey
-from .oracle import (D4STAR, Z4, AmbientLattice, count_ssl_bruteforce,
-                     enumerate_ssm_icosian, enumerate_sublattices,
+from .oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, AmbientLattice, count_ssl_bruteforce,
+                     enumerate_ssm_cubian, enumerate_ssm_icosian, enumerate_sublattices,
                      is_similar_sublattice)
 from .orders import (Order, OrderElement, canonicalize_pair, content, element,
                      is_odd, is_primitive, module_lattice, unit_group)
@@ -22,12 +22,12 @@ from .quadfield import (PrimeClass, QuadInt, QuadRat, Ring,
 from .quat import Quat, similarity_matrix
 
 __all__ = [
-    "AmbientLattice", "CoeffSeq", "CrossCheckFailure", "D4STAR", "GrowthModel",
-    "LatticeKey", "Order", "OrderElement", "PrimeClass", "Quat", "QuadInt",
+    "AmbientLattice", "CUBIAN", "CoeffSeq", "CrossCheckFailure", "D4STAR", "GrowthModel",
+    "ICOSIAN", "LatticeKey", "Order", "OrderElement", "PrimeClass", "Quat", "QuadInt",
     "QuadRat", "Ring", "Target", "Z4", "canonical_associate",
     "canonicalize_pair", "coeff", "coeff_seq", "content", "convolve",
     "count_ssl_bruteforce", "dilate", "dirichlet_inverse",
-    "element", "enumerate_ssm_icosian", "enumerate_sublattices",
+    "element", "enumerate_ssm_cubian", "enumerate_ssm_icosian", "enumerate_sublattices",
     "estimate_constant", "from_multiplicative", "g", "is_multiplicative",
     "is_odd", "is_primitive", "is_representable_index",
     "is_similar_sublattice", "l_value_at_one", "module_lattice", "ones",

@@ -88,6 +88,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _breakdown(lattice: oracle.AmbientLattice, m: int) -> None:
+    """Per-lambda census of index m^2 on stderr, to show where a mismatch lies."""
+    for c in oracle.census(lattice, m):
+        print(f"  {lattice.name} m={m} lambda={c.lam}: {c.vectors} vectors, {c.frames} frames, "
+              f"{len(c.keys)} SSMs", file=sys.stderr)
+
+
 def cmd_oracle(args) -> int:
     if args.module:
         if args.m is None:
@@ -96,10 +103,13 @@ def cmd_oracle(args) -> int:
         if m < 1:
             return _usage_error("m must be >= 1")
         try:
-            ssms = oracle.enumerate_ssm_icosian(m)
+            if args.module == "icosian":
+                ssms, target = oracle.enumerate_ssm_icosian(m), Target.F_I
+            else:
+                ssms, target = oracle.enumerate_ssm_cubian(m), Target.F_K
         except ValueError as exc:
             return _usage_error(str(exc))
-        formula = ssm_count(Target.F_I, m)
+        formula = ssm_count(target, m)
         kinds = {"right-ideal": 0, "left-ideal": 0, "two-sided": 0, "product": 0}
         for s in ssms:
             kinds[s.kind] += 1
@@ -109,6 +119,8 @@ def cmd_oracle(args) -> int:
             f"{kinds['two-sided']} two-sided, {kinds['product']} generic; "
             f"formula={formula} {'MATCH' if ok else 'MISMATCH'}"
         )
+        if not ok:
+            _breakdown(oracle.ambient(args.module), m)
         return 0 if ok else 1
     lat = oracle.ambient(args.lattice)
     target = Target.F_Z4 if args.lattice == "z4" else Target.F_J
@@ -126,6 +138,8 @@ def cmd_oracle(args) -> int:
         ok = o == f
         failed |= not ok
         print(f"m={m}: oracle={o} formula={f} {'MATCH' if ok else 'MISMATCH'}")
+        if not ok:
+            _breakdown(lat, m)
     return 1 if failed else 0
 
 
@@ -191,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force counts vs formulas")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lattice", choices=("z4", "d4star"))
-    group.add_argument("--module", choices=("icosian",))
+    group.add_argument("--module", choices=("icosian", "cubian"))
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)

@@ -1,14 +1,17 @@
 """Brute-force verification of the similarity counts, sharing no logic with
 the closed-form rules.
 
-A similar sublattice of index m^2 is spanned by a frame: four lattice vectors
-whose Gram matrix is m times the ambient one.  The oracle enumerates every
-frame among the vectors of norm m, dedups the spanned sublattices by lattice
-key, and checks its own completeness: each similar sublattice has exactly
-|Aut| frames (384 for Z^4, 1152 for D4*), and |Aut| is the frame count at
-m = 1.  Icosian similarity submodules are enumerated as products of a right
-and a left ideal, found by a bounded coordinate search.  No floating point is
-used anywhere; dedup is by lattice-key equality.
+Every oracle reads one frame census.  A similarity submodule (SSM) of an order
+O over Z[w] (w = tau or sqrt2; Z for the lattices Z^4 and D4*) is R(O) inside O
+for a similarity R.  R is real-linear, so R(O) is the Z[w]-span of a *frame*:
+the images of a Z[w]-basis u of O made of units, with Gram matrix lam*Gram(u)
+for a totally positive lam of norm m (index m^2).  lam runs over one generator
+per ideal of norm m, modulo the totally positive units eps^2.  The census
+finds every frame among the elements of norm lam, keys each spanned module
+once, and checks its completeness: each SSM has |Aut| frames (384 for Z^4,
+1152 for D4*, 14400 for the icosians, 2304 for the cubian order), and |Aut| is
+the frame count at m = 1.  No theorem about the shape of an SSM (such as
+a*O*b) is assumed, and no floating point is used.
 """
 
 from __future__ import annotations
@@ -21,100 +24,69 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import LatticeKey, lattice_key
-from .orders import Order, element, is_member, module_lattice
-from .quadfield import QuadInt, Ring, is_representable_index
+from .orders import Order, _data, element
+from .quadfield import QuadInt, Ring, fundamental_unit, is_representable_index, omega
 from .quat import Quat
 
 DEFAULT_INDEX_BOUND = 49
 DEFAULT_ICOSIAN_BOUND = 25
+# Every cubian census up to m = 25 takes under a second (2-core x86 VM).
+DEFAULT_CUBIAN_BOUND = 25
 
 
 @dataclass(frozen=True)
 class AmbientLattice:
-    """A rank-4 ambient lattice described by an integer Gram matrix in its
-    own coordinates (doubled once for the D4* weight lattice so that every
-    entry stays integral)."""
+    """An order O over `ring`, given by a Z[w]-basis of units in doubled
+    coordinates: 2x the 1,i,j,k coordinates, and over Z[w] the rational
+    parts followed by the w parts.  Keys are taken in the fixed Z-basis of
+    `order` (the coordinates of `orders.module_lattice`); Z^4, the Lipschitz
+    order, which `orders` does not model, is keyed in its unit basis."""
 
     name: str
-    gram: tuple[tuple[int, ...], ...]
+    ring: Ring
+    units: tuple[tuple[int, ...], ...]
+    order: Order | None = None
 
 
-Z4 = AmbientLattice(
-    "z4",
-    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-)
+Z4 = AmbientLattice("z4", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)))
 
-# Coordinates over the basis {1, i, j, (1+i+j+k)/2}; Gram doubled to stay integral.
-D4STAR = AmbientLattice(
-    "d4star",
-    ((2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 2)),
-)
+# The Hurwitz order, basis {1, i, j, (1+i+j+k)/2}.
+D4STAR = AmbientLattice("d4star", Ring.RATIONAL,
+                        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)), Order.HURWITZ)
 
-_LATTICES = {"z4": Z4, "d4star": D4STAR}
+# 1, -(1+i+j+k)/2, (-1-i-j+k)/2, (-1+(tau-1)i+tau j)/2
+ICOSIAN = AmbientLattice("icosian", Ring.GOLDEN, (
+    (2, 0, 0, 0, 0, 0, 0, 0), (-1, -1, -1, -1, 0, 0, 0, 0),
+    (-1, -1, -1, 1, 0, 0, 0, 0), (-1, -1, 0, 0, 0, 1, 1, 0)), Order.ICOSIAN)
+
+# 1, (1+i)/sqrt2, (1+j)/sqrt2, (1+i+j+k)/2
+CUBIAN = AmbientLattice("cubian", Ring.SQRT2, (
+    (2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0, 1, 0), (1, 1, 1, 1, 0, 0, 0, 0)), Order.CUBIAN)
+
+_LATTICES = {lat.name: lat for lat in (Z4, D4STAR, ICOSIAN, CUBIAN)}
 
 
 def ambient(name: str) -> AmbientLattice:
-    try:
-        return _LATTICES[name]
-    except KeyError:
-        raise ValueError(f"unknown lattice {name!r}") from None
-
-
-@lru_cache(maxsize=64)
-def _short_vectors(lattice_name: str, m: int) -> tuple[tuple[int, ...], ...]:
-    """All coordinate vectors whose (scaled) squared length is m * gram[0][0]."""
-    out = []
-    if lattice_name == "z4":
-        r = math.isqrt(m)
-        for v in itertools.product(range(-r, r + 1), repeat=4):
-            if v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3] == m:
-                out.append(v)
-    else:
-        # D4*: quaternions of reduced norm m.  Enumerate doubled 1,i,j,k
-        # coordinates (all even or all odd) with square sum 4m, then convert
-        # to basis coordinates.
-        target = 4 * m
-        r = math.isqrt(target)
-        for u in itertools.product(range(-r, r + 1), repeat=4):
-            if (u[0] & 1) == (u[1] & 1) == (u[2] & 1) == (u[3] & 1):
-                if u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3] == target:
-                    x0, x1, x2, x3 = u
-                    out.append(((x0 - x3) // 2, (x1 - x3) // 2, (x2 - x3) // 2, x3))
-    return tuple(sorted(out))
+    if name not in _LATTICES:
+        raise ValueError(f"unknown lattice {name!r}")
+    return _LATTICES[name]
 
 
 def _diag_tuples(index: int):
     """Ordered 4-tuples of positive integers with product = index."""
-    out = []
-
-    def rec(prefix, rem, k):
-        if k == 1:
-            out.append((*prefix, rem))
-            return
-        for d in range(1, rem + 1):
-            if rem % d == 0:
-                rec((*prefix, d), rem // d, k - 1)
-
-    rec((), index, 4)
-    return out
+    return [(a, b, c, index // (a * b * c))
+            for a in range(1, index + 1) if index % a == 0
+            for b in range(1, index // a + 1) if index // a % b == 0
+            for c in range(1, index // (a * b) + 1) if index // (a * b) % c == 0]
 
 
 def _hnf_matrices_for_diag(diag: tuple[int, ...]):
     """All HNF row bases with the given diagonal (below-diagonal reduced)."""
-    ranges = []
-    positions = []
-    for i in range(4):
-        for j in range(i):
-            positions.append((i, j))
-            ranges.append(range(diag[j]))
-    base = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        base[i][i] = diag[i]
-    for combo in itertools.product(*ranges):
-        rows = [list(r) for r in base]
-        for (i, j), v in zip(positions, combo):
-            rows[i][j] = v
-        yield tuple(tuple(r) for r in rows)
+    for below in itertools.product(*(range(diag[j]) for i in range(4) for j in range(i))):
+        it = iter(below)  # entries (i, j), j < i, in row-major order
+        yield tuple(tuple(next(it) if j < i else diag[i] * (i == j) for j in range(4))
+                    for i in range(4))
 
 
 def enumerate_sublattices(lattice: AmbientLattice, index: int,
@@ -124,53 +96,185 @@ def enumerate_sublattices(lattice: AmbientLattice, index: int,
         raise ValueError("index must be >= 1")
     if index > bound:
         raise ValueError(f"index {index} exceeds the enumeration bound {bound}")
-    keys = []
-    for diag in _diag_tuples(index):
-        for rows in _hnf_matrices_for_diag(diag):
-            keys.append(LatticeKey(4, rows, index))
-    return keys
+    return [LatticeKey(4, rows, index)
+            for diag in _diag_tuples(index) for rows in _hnf_matrices_for_diag(diag)]
+
+
+def _lambdas(ring: Ring, m: int) -> list[QuadInt]:
+    """One totally positive generator of each ideal of norm m, modulo eps^2.
+
+    lam = a + b w is taken with 1 <= lam/lam' < eps^4: b >= 0 puts lam at or
+    above its conjugate, and multiplying by eps^2 multiplies lam/lam' by
+    eps^4.  Then lam < eps^2 sqrt(m), which bounds b below 3 (isqrt(m) + 1).
+    The trace s = lam + lam' solves s^2 = 5b^2 + 4m (golden), 8b^2 + 4m (sqrt2).
+    """
+    if ring is Ring.RATIONAL:
+        return [QuadInt(ring, m)]
+    eps2 = fundamental_unit(ring) * fundamental_unit(ring)
+    out = []
+    for b in range(3 * math.isqrt(m) + 3):
+        s = math.isqrt((5 if ring is Ring.GOLDEN else 8) * b * b + 4 * m)
+        a2 = s - b if ring is Ring.GOLDEN else s
+        lam = QuadInt(ring, a2 // 2, b)
+        if a2 % 2 == 0 and lam.norm() == m and (eps2 * eps2 * lam.conjugate() - lam).sign() > 0:
+            out.append(lam)
+    return out
+
+
+def _omega_times(x: np.ndarray, ring: Ring) -> np.ndarray:
+    """Rows of Z[w]-coordinates (rational parts, then w parts) times w:
+    tau (a + b tau) = b + (a + b) tau, sqrt2 (a + b sqrt2) = 2b + a sqrt2."""
+    a, b = x[:, :4], x[:, 4:]
+    return np.hstack([b, a + b] if ring is Ring.GOLDEN else [2 * b, a])
+
+
+def _form(ring: Ring, s: int) -> np.ndarray:
+    """L with X @ L @ Y.T = a * s + b for the dot product 4 Re(x y-bar) =
+    a + b w of doubled coordinates X, Y (tau^2 = tau + 1, sqrt2^2 = 2)."""
+    i = np.eye(4, dtype=np.int64)
+    if ring is Ring.RATIONAL:
+        return s * i
+    return np.block([[s * i, i], [i, (s + 1 if ring is Ring.GOLDEN else 2 * s) * i]])
+
+
+def _norm_vectors(lattice: AmbientLattice, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled coordinates X of the elements of norm lam, and their key
+    coordinates: sum X_i^2 = 4 lam with X/2 in the order, by a
+    meet-in-the-middle join of pairs of coordinate squares a + b w, packed
+    as a * 2^24 + b.
+
+    A coordinate c = p + q w has c^2 <= 4 lam under both embeddings (exact
+    QuadInt sign tests).  So |c| <= 2 sqrt(T) in each, T = lam + lam', which
+    bounds |q| by 2r (w - w' > 2) and |p| by 6r, r = isqrt(T) + 1.
+    """
+    ring, pack, four = lattice.ring, 1 << 24, lam * 4
+    r = math.isqrt((lam + lam.conjugate()).a) + 1
+    cands, squares = [], []
+    for p in range(-6 * r, 6 * r + 1):
+        for q in ((0,) if ring is Ring.RATIONAL else range(-2 * r, 2 * r + 1)):
+            c = QuadInt(ring, p, q)
+            room = four - c * c
+            if room.sign() >= 0 and room.conjugate().sign() >= 0:
+                cands.append((p, q))
+                squares.append((c * c).a * pack + (c * c).b)
+    cands, squares = np.array(cands, dtype=np.int64), np.array(squares, dtype=np.int64)
+    k = len(cands)
+    i, j = np.divmod(np.arange(k * k), k)
+    pair = squares[i] + squares[j]
+    order = np.argsort(pair, kind="stable")
+    need = four.a * pack + four.b - pair
+    lo = np.searchsorted(pair[order], need, "left")
+    count = np.searchsorted(pair[order], need, "right") - lo
+    left = np.repeat(np.arange(k * k), count)
+    start = np.repeat(lo - np.cumsum(count) + count, count)
+    right = order[start + np.arange(len(left))]
+    idx = np.stack([i[left], j[left], i[right], j[right]], axis=1)
+    x = np.hstack([cands[idx, 0], cands[idx, 1]])[:, :4 if ring is Ring.RATIONAL else 8]
+    data = _data(lattice.order) if lattice.order else None  # Z^4 is keyed as X/2
+    adj, det = (data.adj, data.det) if data else (np.eye(4, dtype=np.int64), 2)
+    c = x @ np.array(adj, dtype=np.int64).T
+    inside = (c % det == 0).all(axis=1)
+    return x[inside], c[inside] // det
+
+
+def _contains(hnf, vecs: np.ndarray) -> np.ndarray:
+    """Row mask of the integer rows of `vecs` that lie in the lattice with
+    row basis `hnf` (vectorised `lattice.hnf_contains`)."""
+    v, ok = vecs.copy(), np.ones(len(vecs), dtype=bool)
+    for i in range(len(hnf) - 1, -1, -1):
+        q, rem = np.divmod(v[:, i], hnf[i][i])
+        ok &= rem == 0
+        v -= np.outer(q, hnf[i])
+    return ok
+
+
+@dataclass(frozen=True)
+class LambdaClass:
+    lam: QuadInt
+    vectors: int
+    frames: int
+    keys: frozenset[LatticeKey]
+
+
+@lru_cache(maxsize=128)
+def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
+    """Count the frames with Gram lam * Gram(u) and key the SSMs they span.
+
+    One pass per v_0: its dot row gives the candidates B, C, D for v_1, v_2,
+    v_3; the (v_1, v_2) pairs come from one |B| x |C| block and v_3 from
+    `bd[b] & cd[c]`, so no n x n matrix is held.  A dot a + b w is packed as
+    a * S + b.  Each embedding of a dot of norm-lam vectors is at most 4T in
+    absolute value (Cauchy-Schwarz, T = lam + lam'), so |b| < 4T, |a| < 11T
+    and S = 8T + 1 packs injectively; coordinates are below 6 sqrt(T), so
+    every partial sum stays below 2^57 for T < 2^20 and int64 is exact.
+
+    Each SSM found gets a shell, the mask of the norm-lam vectors inside it.
+    A frame inside one shell spans that SSM (same index), so only frames no
+    shell covers get a `lattice_key`, of v_i (and w v_i) in key coordinates.
+    """
+    ring = lattice.ring
+    x, coords = _norm_vectors(lattice, lam)
+    big_t = (lam + lam.conjugate()).a
+    if big_t >= 1 << 20:
+        raise OverflowError(f"lambda={lam} is too large for int64 dot products")
+    form = _form(ring, 8 * big_t + 1)
+    u = np.array(lattice.units, dtype=np.int64)
+    t = (u @ form @ (lam.a * u + (lam.b * _omega_times(u, ring) if lam.b else 0)).T).tolist()
+    y = x @ form
+    frames, keys = 0, []
+    shells = np.zeros((0, len(x)), dtype=bool)
+    for a in range(len(x)):
+        row = y @ x[a]
+        b_set, c_set, d_set = (np.flatnonzero(row == t[0][k]) for k in (1, 2, 3))
+        bi, ci = np.nonzero(x[b_set] @ y[c_set].T == t[1][2])
+        if not len(bi) or not len(d_set):
+            continue
+        bd = x[b_set] @ y[d_set].T == t[1][3]
+        cd = x[c_set] @ y[d_set].T == t[2][3]
+        pi, di = np.nonzero(bd[bi] & cd[ci])
+        fb, fc, fd = b_set[bi[pi]], c_set[ci[pi]], d_set[di]
+        frames += len(fd)
+        own = shells[shells[:, a]]
+        todo = ~(own[:, fb] & own[:, fc] & own[:, fd]).any(axis=0)
+        while todo.any():
+            f = np.flatnonzero(todo)[0]
+            quad = [a, fb[f], fc[f], fd[f]]
+            rows = coords[quad]
+            if ring is not Ring.RATIONAL:
+                rows = np.concatenate([rows, _omega_times(rows, ring)])
+            key = lattice_key(rows.tolist(), coords.shape[1])
+            shell = _contains(key.hnf, coords)
+            if not shell[quad].all() or key in keys:
+                raise AssertionError(f"{lattice.name} lambda={lam}: a frame escaped its shell")
+            keys.append(key)
+            shells = np.vstack([shells, shell])
+            todo &= ~(shell[fb] & shell[fc] & shell[fd])
+    return LambdaClass(lam, len(x), frames, frozenset(keys))
 
 
 @lru_cache(maxsize=64)
+def census(lattice: AmbientLattice, m: int) -> tuple[LambdaClass, ...]:
+    """The SSMs of index m^2, one LambdaClass per lam, checked complete:
+    each lam has |Aut| frames per SSM (|Aut| is the frame count at m = 1),
+    and no SSM appears under two lam."""
+    aut = _search(lattice, QuadInt(lattice.ring, 1)).frames
+    classes, seen = [], set()
+    for lam in _lambdas(lattice.ring, m):
+        c = _search(lattice, lam)
+        if c.frames != aut * len(c.keys):
+            raise AssertionError(f"{lattice.name} m={m} lambda={lam}: {c.frames} frames "
+                                 f"!= |Aut| {aut} * {len(c.keys)} SSMs")
+        if seen & c.keys:
+            raise AssertionError(f"{lattice.name} m={m}: an SSM appears under two lambda classes")
+        seen |= c.keys
+        classes.append(c)
+    return tuple(classes)
+
+
 def _frames(lattice: AmbientLattice, m: int) -> tuple[int, frozenset[LatticeKey]]:
-    """Count the frames of index m^2 and collect the sublattices they span.
-
-    A frame is an ordered quadruple of lattice vectors v_0..v_3 with
-    <v_i, v_j> = m * gram[i][j]; its span is a similar sublattice of index
-    m^2, and every similar sublattice of that index is spanned by exactly
-    |Aut| frames.  Both ambient Gram matrices have a constant diagonal, so
-    every frame vector is a short vector of norm m * gram[0][0].  The dot
-    products are exact in int64: coordinates are at most 2 sqrt(m), and by
-    Cauchy-Schwarz every entry of `dots` is at most m * gram[0][0].
-    """
-    vecs = np.array(_short_vectors(lattice.name, m), dtype=np.int64)
-    gram = np.array(lattice.gram, dtype=np.int64)
-    dots = vecs @ gram @ vecs.T
-    target = m * gram
-    frames = 0
-    keys = set()
-    for a in range(len(vecs)):
-        for b in np.flatnonzero(dots[a] == target[0, 1]):
-            mask_c = (dots[a] == target[0, 2]) & (dots[b] == target[1, 2])
-            for c in np.flatnonzero(mask_c):
-                mask_d = ((dots[a] == target[0, 3]) & (dots[b] == target[1, 3])
-                          & (dots[c] == target[2, 3]))
-                for d in np.flatnonzero(mask_d):
-                    frames += 1
-                    keys.add(lattice_key(vecs[[a, b, c, d]].tolist(), 4))
-    return frames, frozenset(keys)
-
-
-def _ssl_keys(lattice: AmbientLattice, m: int) -> frozenset[LatticeKey]:
-    """The similar sublattices of index m^2, checked complete by frame count:
-    |Aut| is the frame count at m = 1, and each sublattice has |Aut| frames."""
-    frames, keys = _frames(lattice, m)
-    aut = _frames(lattice, 1)[0]
-    if frames != aut * len(keys):
-        raise AssertionError(
-            f"{lattice.name} m={m}: {frames} frames != |Aut| {aut} * {len(keys)} sublattices"
-        )
-    return keys
+    """(frames, SSM keys) of index m^2, summed over the lam classes."""
+    classes = census(lattice, m)
+    return sum(c.frames for c in classes), frozenset().union(*(c.keys for c in classes))
 
 
 def is_similar_sublattice(key: LatticeKey, lattice: AmbientLattice) -> bool:
@@ -184,7 +288,7 @@ def is_similar_sublattice(key: LatticeKey, lattice: AmbientLattice) -> bool:
             or any(not 0 <= h[i][j] < h[j][j] for i in range(4) for j in range(i))):
         raise ValueError("not a sublattice key: bad Hermite normal form")
     m = math.isqrt(key.index)
-    return m * m == key.index and key in _ssl_keys(lattice, m)
+    return m * m == key.index and key in _frames(lattice, m)[1]
 
 
 def count_ssl_bruteforce(lattice: AmbientLattice, m: int,
@@ -195,161 +299,56 @@ def count_ssl_bruteforce(lattice: AmbientLattice, m: int,
         raise ValueError("m must be >= 1")
     if m * m > bound:
         raise ValueError(f"index {m * m} exceeds the enumeration bound {bound}")
-    return len(_ssl_keys(lattice, m))
-
-
-# -- icosian similarity submodules -------------------------------------------
-
-def _sign_le(z: QuadInt, bound: int, conj: bool) -> bool:
-    """Exact test sigma(z) <= bound (or the conjugate embedding)."""
-    if conj:
-        z = z.conjugate()
-    return (z - QuadInt(Ring.GOLDEN, bound)).sign() <= 0
-
-
-def _coordinate_candidates(c_bound: int) -> list[tuple[int, int, QuadInt]]:
-    """Coordinates x = (p + q tau)/2 with both embeddings of x^2 at most
-    c_bound; returns (p, q, (p + q tau)^2), i.e. the square of 2x."""
-    out = []
-    qmax = math.isqrt((16 * c_bound) // 5) + 2
-    pspan = math.isqrt(16 * c_bound) + 2
-    for q in range(-qmax, qmax + 1):
-        for twop_plus_q in range(-pspan, pspan + 1):
-            if (twop_plus_q - q) % 2:
-                continue
-            p = (twop_plus_q - q) // 2
-            z = QuadInt(Ring.GOLDEN, p, q)
-            z2 = z * z
-            # (2x)^2 <= 4 c_bound under both embeddings
-            if _sign_le(z2, 4 * c_bound, False) and _sign_le(z2, 4 * c_bound, True):
-                out.append((p, q, z2))
-    return out
-
-
-def _icosian_elements_by_norm(m: int) -> dict[int, list[Quat]]:
-    """Nonzero icosians a, bucketed by n = N(|a|^2) for n dividing m.
-
-    Every one-sided ideal of norm index n^2 <= m^2 has a generator in the
-    searched box: a scalar power of the fundamental unit balances the two
-    embeddings of |a|^2 so that both are at most tau * sqrt(m), and the box
-    bound C = ceil(tau * sqrt(m)) covers that.
-    """
-    # smallest integer C with C >= tau * sqrt(m):  4C^2 >= (6 + 2 sqrt5) m,
-    # decided exactly by squaring out the sqrt5
-    c_bound = 1
-    while not (4 * c_bound * c_bound >= 6 * m and (4 * c_bound * c_bound - 6 * m) ** 2 >= 20 * m * m):
-        c_bound += 1
-    cands = _coordinate_candidates(c_bound)
-    four_c = 4 * c_bound
-    buckets: dict[int, list[Quat]] = {}
-    divs = {d for d in range(1, m + 1) if m % d == 0}
-
-    def feasible(s: QuadInt) -> bool:
-        return _sign_le(s, four_c, False) and _sign_le(s, four_c, True)
-
-    for p0, q0, z0 in cands:
-        if not feasible(z0):
-            continue
-        for p1, q1, z1 in cands:
-            s1 = z0 + z1
-            if not feasible(s1):
-                continue
-            for p2, q2, z2 in cands:
-                s2 = s1 + z2
-                if not feasible(s2):
-                    continue
-                for p3, q3, z3 in cands:
-                    s3 = s2 + z3
-                    # s3 = 4 |a|^2 must be integral in the ring and positive
-                    if s3.a % 4 or s3.b % 4:
-                        continue
-                    if not (s3.a or s3.b):
-                        continue
-                    if not feasible(s3):
-                        continue
-                    nrd = QuadInt(Ring.GOLDEN, s3.a // 4, s3.b // 4)
-                    n = nrd.norm()
-                    if n not in divs:
-                        continue
-                    quat = Quat(
-                        Ring.GOLDEN,
-                        (QuadInt(Ring.GOLDEN, p0, q0), QuadInt(Ring.GOLDEN, p1, q1),
-                         QuadInt(Ring.GOLDEN, p2, q2), QuadInt(Ring.GOLDEN, p3, q3)),
-                        2,
-                    )
-                    if is_member(Order.ICOSIAN, quat):
-                        buckets.setdefault(n, []).append(quat)
-    return buckets
+    return len(_frames(lattice, m)[1])
 
 
 @dataclass(frozen=True)
-class IcosianSSM:
+class SSM:
     key: LatticeKey
     kind: str  # "left-ideal" | "right-ideal" | "two-sided" | "product"
 
 
-def enumerate_ssm_icosian(m: int, bound: int = DEFAULT_ICOSIAN_BOUND) -> list[IcosianSSM]:
-    """All similarity submodules of the icosian order of index m^2, each as a
-    deduplicated lattice key with an ideal-type classification."""
+@lru_cache(maxsize=None)
+def _mult_matrices(lattice: AmbientLattice) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Integer matrices of x -> x u and of x -> u x on key coordinates (row
+    vectors), one pair per unit basis element u."""
+    ring, order = lattice.ring, lattice.order
+    zbasis = _data(order).basis + tuple(e * omega(ring) for e in _data(order).basis)
+
+    def matrix(products) -> np.ndarray:
+        rows = [element(order, q).basis_coords for q in products]
+        return np.array([[c.a for c in r] + [c.b for c in r] for r in rows], dtype=np.int64)
+
+    units = [Quat(ring, [QuadInt(ring, a, b) for a, b in zip(u[:4], u[4:])], 2)
+             for u in lattice.units]
+    return tuple((matrix(z * u for z in zbasis), matrix(u * z for z in zbasis)) for u in units)
+
+
+def enumerate_ssm(lattice: AmbientLattice, m: int, bound: int) -> list[SSM]:
+    """All SSMs of index m^2 of the icosian or cubian order, each with its
+    kind: a right ideal is stable under right multiplication by the order,
+    a left ideal under left multiplication, a two-sided ideal under both."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > bound:
         raise ValueError(f"m = {m} exceeds the enumeration bound {bound}")
-    if not is_representable_index(m, Ring.GOLDEN):
-        raise ValueError(f"index {m}^2 is not attainable for the icosian order")
-    one = element(Order.ICOSIAN, Quat.scalar(Ring.GOLDEN, 1))
-    buckets = _icosian_elements_by_norm(m)
-
-    def dedup(quats: list[Quat], side: str) -> dict[LatticeKey, object]:
-        out = {}
-        for q in quats:
-            e = element(Order.ICOSIAN, q)
-            key = module_lattice(e, one) if side == "right" else module_lattice(one, e)
-            out.setdefault(key, e)
-        return out
-
-    right_by_n = {n: dedup(quats, "right") for n, quats in buckets.items()}
-    left_by_n = {n: dedup(quats, "left") for n, quats in buckets.items()}
-
-    modules: dict[LatticeKey, None] = {}
-    for na, rights in sorted(right_by_n.items()):
-        nb = m // na
-        if na * nb != m:
-            continue
-        lefts = left_by_n.get(nb)
-        if not lefts:
-            continue
-        for ra in rights.values():
-            for lb in lefts.values():
-                modules[module_lattice(ra, lb)] = None
-
-    left_keys = set(left_by_n.get(m, {}))
-    right_keys = set(right_by_n.get(m, {}))
+    if not is_representable_index(m, lattice.ring):
+        raise ValueError(f"index {m}^2 is not attainable for the {lattice.name} order")
     out = []
-    for key in modules:
-        if key in left_keys and key in right_keys:
-            kind = "two-sided"
-        elif key in left_keys:
-            kind = "left-ideal"
-        elif key in right_keys:
-            kind = "right-ideal"
-        else:
-            kind = "product"
-        out.append(IcosianSSM(key, kind))
+    for key in _frames(lattice, m)[1]:
+        h = np.array(key.hnf, dtype=np.int64)
+        r, l = (all(_contains(key.hnf, h @ mats[side]).all() for mats in _mult_matrices(lattice))
+                for side in (0, 1))
+        out.append(SSM(key, ("product", "left-ideal", "right-ideal", "two-sided")[2 * r + l]))
     out.sort(key=lambda s: s.key.hnf)
     return out
 
 
-def icosian_generator_counts(m: int) -> dict[int, list[int]]:
-    """Raw generator multiplicities per distinct one-sided ideal, for the
-    unit-orbit divisibility property (each count is a multiple of 120)."""
-    one = element(Order.ICOSIAN, Quat.scalar(Ring.GOLDEN, 1))
-    buckets = _icosian_elements_by_norm(m)
-    counts: dict[int, list[int]] = {}
-    for n, quats in buckets.items():
-        per_key: dict[LatticeKey, int] = {}
-        for q in quats:
-            key = module_lattice(element(Order.ICOSIAN, q), one)
-            per_key[key] = per_key.get(key, 0) + 1
-        counts[n] = sorted(per_key.values())
-    return counts
+def enumerate_ssm_icosian(m: int, bound: int = DEFAULT_ICOSIAN_BOUND) -> list[SSM]:
+    """All similarity submodules of the icosian order of index m^2."""
+    return enumerate_ssm(ICOSIAN, m, bound)
+
+
+def enumerate_ssm_cubian(m: int, bound: int = DEFAULT_CUBIAN_BOUND) -> list[SSM]:
+    """All similarity submodules of the cubian order of index m^2."""
+    return enumerate_ssm(CUBIAN, m, bound)

@@ -90,6 +90,31 @@ def test_oracle_icosian(capsys):
     assert "MATCH" in out
 
 
+def test_oracle_cubian(capsys):
+    code, out, err = run(capsys, "oracle", "--module", "cubian", "--m", "7")
+    assert code == 0
+    assert out == "m=7: 32 SSMs: 16 right, 16 left, 0 two-sided, 0 generic; formula=32 MATCH\n"
+    assert err == ""
+
+
+def test_oracle_mismatch_prints_breakdown_to_stderr(capsys, monkeypatch):
+    import similitude.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "ssm_count", lambda target, m: 0)
+    code, out, err = run(capsys, "oracle", "--module", "cubian", "--m", "7")
+    assert code == 1
+    assert out == "m=7: 32 SSMs: 16 right, 16 left, 0 two-sided, 0 generic; formula=0 MISMATCH\n"
+    lines = err.splitlines()
+    assert len(lines) == 2  # 7 splits over Z[sqrt2]: two lambda classes
+    assert all(l.startswith("  cubian m=7 lambda=") and l.endswith("36864 frames, 16 SSMs")
+               for l in lines)
+    code, out, err = run(capsys, "oracle", "--lattice", "z4", "--max-m", "2")
+    assert code == 1
+    assert out.endswith("m=2: oracle=3 formula=0 MISMATCH\n")
+    assert err.splitlines() == ["  z4 m=1 lambda=1: 8 vectors, 384 frames, 1 SSMs",
+                                "  z4 m=2 lambda=2: 24 vectors, 1152 frames, 3 SSMs"]
+
+
 def test_oracle_bound_violation(capsys):
     code, _, err = run(capsys, "oracle", "--lattice", "z4", "--max-m", "8")
     assert code == 2

@@ -2,13 +2,18 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from similitude.counting import Target, ssm_count
-from similitude.lattice import LatticeKey, lattice_key
-from similitude.oracle import (D4STAR, Z4, _frames, ambient, count_ssl_bruteforce,
+import similitude.oracle as oracle
+from similitude.counting import Target, coeff, ssm_count
+from similitude.lattice import LatticeKey, hnf_rows, lattice_key
+from similitude.oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, _frames, _lambdas, ambient,
+                               count_ssl_bruteforce, enumerate_ssm_cubian,
                                enumerate_ssm_icosian, enumerate_sublattices,
-                               icosian_generator_counts, is_similar_sublattice)
+                               is_similar_sublattice)
+from similitude.orders import _data
+from similitude.quadfield import Ring
 
 
 def subgroup_count_formula(index):
@@ -65,10 +70,62 @@ def test_counts_match_formulas_small():
 
 
 def test_frame_count_at_one_is_the_automorphism_group_order():
-    # |W(B4)| = 2^4 * 4! and |W(F4)| = 1152 (Conway & Sloane, SPLAG, ch. 4)
-    for lattice, aut in ((Z4, 384), (D4STAR, 1152)):
+    # |W(B4)| = 2^4 * 4! and |W(F4)| = 1152 (Conway & Sloane, SPLAG, ch. 4);
+    # |W(H4)| = 14400 (ch. 8 sec. 2); 2304 for the cubian order
+    for lattice, aut in ((Z4, 384), (D4STAR, 1152), (ICOSIAN, 14400), (CUBIAN, 2304)):
         frames, keys = _frames(lattice, 1)
         assert frames == aut and [k.index for k in keys] == [1]
+
+
+def test_unit_bases_span_their_orders():
+    # the Z[w]-span of each frozen unit basis is the whole order
+    for lattice in (ICOSIAN, CUBIAN):
+        units = [tuple(u) for u in lattice.units]
+        w_units = [tuple(oracle._omega_times(np.array([u]), lattice.ring)[0]) for u in units]
+        assert hnf_rows(units + w_units, 8) == _data(lattice.order).hnf
+
+
+def test_lambda_classes_count_the_ideals_of_norm_m():
+    # one lambda per ideal of norm m: the Dedekind zeta coefficients
+    for ring, target in ((Ring.GOLDEN, Target.DEDEKIND_TAU), (Ring.SQRT2, Target.DEDEKIND_SQRT2)):
+        for m in range(1, 1001):
+            lams = _lambdas(ring, m)
+            assert len(lams) == coeff(target, m), (ring, m)
+            assert all(lam.norm() == m and lam.sign() > 0 and lam.conjugate().sign() > 0
+                       for lam in lams)
+
+
+def test_cubian_census_matches_formulas():
+    for m in (2, 4, 7, 8, 9):
+        ssms = enumerate_ssm_cubian(m)
+        assert len(ssms) == ssm_count(Target.F_K, m), m
+        if m in (2, 4, 7):
+            kinds = Counter(s.kind for s in ssms)
+            assert kinds["left-ideal"] + kinds["two-sided"] == coeff(Target.ZETA_K, m), m
+    with pytest.raises(ValueError, match="not attainable"):
+        enumerate_ssm_cubian(3)  # 3 is inert over Z[sqrt2]
+    with pytest.raises(ValueError, match="bound"):
+        enumerate_ssm_cubian(26)
+
+
+def test_icosian_left_ideals_match_zeta_i():
+    for m in (4, 5, 9, 16):
+        kinds = Counter(s.kind for s in enumerate_ssm_icosian(m))
+        assert kinds["left-ideal"] + kinds["two-sided"] == coeff(Target.ZETA_I, m), m
+
+
+def test_census_failure_names_the_class(monkeypatch):
+    # one frame too many for lambda = 2 + sqrt2 must trip the |Aut| check
+    real = oracle._search
+
+    def off_by_one(lattice, lam):
+        c = real(lattice, lam)
+        return c if lam.b == 0 else oracle.LambdaClass(c.lam, c.vectors, c.frames + 1, c.keys)
+
+    monkeypatch.setattr(oracle, "_search", off_by_one)
+    with pytest.raises(AssertionError, match=r"cubian m=2 lambda=2\+1r2: 13825 frames "
+                                             r"!= \|Aut\| 2304 \* 6 SSMs"):
+        oracle.census.__wrapped__(CUBIAN, 2)
 
 
 def test_count_bound_and_ambient_lookup():
@@ -136,15 +193,6 @@ def test_icosian_errors():
         enumerate_ssm_icosian(26)
     with pytest.raises(ValueError, match="not attainable"):
         enumerate_ssm_icosian(2)  # 2 is inert over Z[tau]
-
-
-def test_unit_orbit_divides_generator_counts():
-    # each one-sided ideal collects its generators in whole unit orbits
-    counts = icosian_generator_counts(4)
-    assert counts, "no ideals found"
-    for n, per_ideal in counts.items():
-        for c in per_ideal:
-            assert c % 120 == 0, (n, c)
 
 
 def test_bad_key_rejected():
