@@ -7,6 +7,8 @@ import math
 from collections import Counter
 from functools import lru_cache
 
+import numpy as np
+
 # Miller-Rabin with the first k prime bases is proven correct for n below the
 # k-th entry of OEIS A014233, the least strong pseudoprime to all of them.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -62,13 +64,23 @@ def smallest_prime_factor_sieve(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def primes_up_to(n: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
+def primes_up_to(n: int) -> np.ndarray:
+    """The primes p <= n, ascending, as an int64 array from one Eratosthenes
+    sieve.  The array is cached and shared by every caller, so it is read-only."""
+    sieve = np.ones(n + 1, bool)
+    sieve[:2] = False
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(n + 1) if sieve[i])
+            sieve[i * i :: i] = False
+    primes = np.flatnonzero(sieve).astype(np.int64)
+    primes.flags.writeable = False
+    return primes
+
+
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    """The primes below 2**16 as Python ints: m % p stays exact for m >= 2**63."""
+    return tuple(primes_up_to(1 << 16).tolist())
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -97,7 +109,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
     if m < 1:
         raise ValueError("factorize requires m >= 1")
     out = []
-    for p in primes_up_to(1 << 16):
+    for p in _trial_primes():
         if p * p > m:
             break
         if m % p == 0:
@@ -120,19 +132,17 @@ def odd_divisor_sums(n: int) -> list[int]:
     return sums
 
 
-def chi5(m: int) -> int:
-    """Primitive quadratic character mod 5: +1 at +-1, -1 at +-2, 0 at multiples of 5."""
-    r = m % 5
-    if r == 0:
-        return 0
-    return 1 if r in (1, 4) else -1
+def _residue_rule(table: tuple[int, ...], m):
+    """table[m % period]: a Python int for an int m, elementwise for an integer array."""
+    r = m % len(table)
+    return np.array(table)[r] if isinstance(r, np.ndarray) else table[r]
 
 
-def chi8(m: int) -> int:
-    """Primitive quadratic character mod 8: +1 at +-1, -1 at +-3, 0 at even m."""
-    r = m % 8
-    if r in (1, 7):
-        return 1
-    if r in (3, 5):
-        return -1
-    return 0
+def chi5(m):
+    """Quadratic character mod 5: +1 at +-1, -1 at +-2, else 0; of an int or an int array."""
+    return _residue_rule((0, 1, -1, -1, 1), m)
+
+
+def chi8(m):
+    """Quadratic character mod 8: +1 at +-1, -1 at +-3, else 0; of an int or an int array."""
+    return _residue_rule((0, 1, 0, -1, 0, -1, 0, 1), m)

@@ -2,6 +2,9 @@
 ideal-counting zeta series, each cross-checked against an independent
 construction by Dirichlet-series algebra.
 
+The closed forms are one Euler-factor table, read on arrays by the kernel of
+dirichlet.from_multiplicative and one exact integer at a time by coeff.
+
 Index conventions: the quaternionic series list a(m) against lattice index
 m^2 ("square" kind); the field zeta series and Riemann's series list a(m)
 against index m ("plain" kind).
@@ -17,7 +20,7 @@ import numpy as np
 from .arith import chi5, chi8, factorize
 from .dirichlet import (CoeffSeq, as_array, coeff_seq, convolve, dilate,
                         dirichlet_inverse, from_multiplicative, shift)
-from .quadfield import PrimeClass, Ring, prime_class
+from .quadfield import Ring, splitting_sign
 
 
 class CrossCheckFailure(Exception):
@@ -48,13 +51,14 @@ class Target(enum.Enum):
         return "plain" if self in plain else "square"
 
 
-def g(n: int, r: int) -> int:
-    """(r+1) n^r + 2 (1 - (r+1) n^r + r n^(r+1)) / (n-1)^2, always an integer."""
-    if n <= 1 or r < 0:
+def g(n, r: int):
+    """(r+1) n^r + 2 (1 - (r+1) n^r + r n^(r+1)) / (n-1)^2, always an integer.
+    n may also be an int64 array whose n^(r+1) stays within int64."""
+    if np.any(n <= 1) or r < 0:
         raise ValueError("g(n, r) needs n >= 2 and r >= 0")
     num = 2 * (1 - (r + 1) * n**r + r * n ** (r + 1))
     q, rem = divmod(num, (n - 1) ** 2)
-    if rem:
+    if np.any(rem):
         raise AssertionError("g(n, r) numerator must be divisible by (n-1)^2")
     return (r + 1) * n**r + q
 
@@ -95,17 +99,20 @@ _EULER = {
 _SIMILARITY = (Target.F_J, Target.F_Z4, Target.F_I, Target.F_K)
 
 
-def _ppower(target: Target, p: int, e: int) -> int:
-    """The coefficient of the target at the prime power p^e."""
+def _ppower(target: Target, p, e: int):
+    """The coefficient of the target at the prime power p^e.  At e = 1, p may
+    also be an int64 array of odd primes, giving an array or one scalar."""
     if e == 0:
         return 1
     ring, h, at2 = _EULER[target]
-    if p == 2 and at2 is not None:
+    if at2 is not None and not isinstance(p, np.ndarray) and p == 2:
         return at2
-    cls = PrimeClass.RAMIFIED if ring is Ring.RATIONAL else prime_class(p, ring)
-    if cls is PrimeClass.SPLIT:
+    sign = splitting_sign(p, ring)  # +1 split, -1 inert, 0 ramified or over Z
+    if e == 1:  # split 2 h, inert 0, ramified h
+        return (1 + sign) * h(p, 1)
+    if sign == 1:
         return sum(h(p, s) * h(p, e - s) for s in range(e + 1))
-    if cls is PrimeClass.INERT:
+    if sign == -1:
         return h(p * p, e // 2) if e % 2 == 0 else 0
     return h(p, e)
 
@@ -130,17 +137,13 @@ def ssm_count(target: Target, m: int) -> int:
 # -- whole sequences ---------------------------------------------------------
 
 def closed_sequence(target: Target, n: int) -> CoeffSeq:
-    """First n coefficients from the Euler-factor table."""
+    """First n coefficients from the Euler-factor table: _ppower for each small
+    prime power, and its e = 1 row on the array of primes above sqrt(n)."""
     return from_multiplicative(lambda p, e: _ppower(target, p, e), n)
 
 
 def _ones(n: int) -> np.ndarray:
     return np.ones(n, np.int64)
-
-
-def _character(chi, period: int, n: int) -> np.ndarray:
-    """chi(1..n) for a character of the given period."""
-    return np.array([chi(r) for r in range(period)], np.int64)[np.arange(1, n + 1) % period]
 
 
 def _index2(n: int, c: int) -> np.ndarray:
@@ -177,9 +180,9 @@ def _engine(target: Target, n: int) -> np.ndarray:
     if target is Target.RIEMANN:
         return _ones(n)
     if target is Target.DEDEKIND_TAU:
-        return convolve(_ones(n), _character(chi5, 5, n))
+        return convolve(_ones(n), chi5(np.arange(1, n + 1)))
     if target is Target.DEDEKIND_SQRT2:
-        return convolve(_ones(n), _character(chi8, 8, n))
+        return convolve(_ones(n), chi8(np.arange(1, n + 1)))
     if target is Target.ZETA_J:
         return convolve(convolve(_index2(n, -2), _ones(n)), shift(_ones(n)))
     if target is Target.F_J:

@@ -2,7 +2,8 @@
 
 A CoeffSeq holds a(1..N).  Convolution, inverse, dilation (s -> k*s), and
 shift (s -> s-1) act on coefficients; multiplicative sequences are assembled
-from prime-power data by a smallest-prime-factor sieve.
+from prime-power data by one array kernel over a prime sieve, which also
+decides multiplicativity.
 
 Convolution, dilation and shift also take 1-D NumPy arrays and then return
 one, which is how the generating-function engine keeps its intermediates.
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import smallest_prime_factor_sieve
+from .arith import primes_up_to, smallest_prime_factor_sieve
 
 _INT64_LIMIT = 1 << 63
 
@@ -165,43 +166,68 @@ def shift(a):
     return _like(a, x.astype(dtype, copy=False) * np.arange(1, n + 1).astype(dtype))
 
 
+def _apply_prime_powers(out: np.ndarray, factors, op) -> None:
+    """out[m] = op(out[m], v(p^e)) at every m <= n with p^e || m, for each
+    (p, [v(p), v(p^2), ...]) in factors: one strided op over out[p::p]."""
+    n = len(out) - 1
+    for p, pv in factors:
+        fac = np.full(n // p, pv[0], out.dtype)  # fac[j] belongs to m = p (j + 1)
+        q = p
+        for v in pv[1:]:  # p^e | m exactly when p^(e-1) | j + 1
+            fac[q - 1 :: q] = v
+            q *= p
+        view = out[p::p]
+        op(view, fac, out=view)
+
+
 def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
-    """Assemble a(prod p_i^r_i) = prod ppower(p_i, r_i) for all m <= n."""
+    """Assemble a(prod p_i^r_i) = prod ppower(p_i, r_i) for all m <= n.
+
+    Each prime p <= sqrt(n), and 2 always, gives ppower(p, e) as Python ints
+    for every p^e <= n, applied by one strided multiply over its multiples.
+    A prime P > sqrt(n) divides m <= n at most once: ppower(P, 1) is asked
+    once with P the int64 array of them all (an array or a scalar must come
+    back), and each cofactor k <= n / min(P) sets a(k P) = a(k) a(P).
+
+    Exact: |a(m)| and its partial products are below 2^b(m), b(m) the sum of
+    the bit lengths of |a(p^e)| over p^e || m.  The same kernel sums those
+    first, and the values are int64 only when every b(m) <= 63, else exact
+    Python ints (dtype=object)."""
     for p in (2, 3):
         if ppower(p, 0) != 1:
             raise ValueError(f"ppower({p}, 0) must be 1")
-    spf = smallest_prime_factor_sieve(n)
-    vals = [0] * (n + 1)
-    if n >= 1:
-        vals[1] = 1
-    cache: dict[tuple[int, int], int] = {}
-    for m in range(2, n + 1):
-        p = spf[m]
-        e = 1
-        rest = m // p
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        key = (p, e)
-        pv = cache.get(key)
-        if pv is None:
-            pv = cache[key] = ppower(p, e)
-        vals[m] = vals[rest] * pv
-    return CoeffSeq(tuple(vals[1:]))
+    primes = primes_up_to(n)
+    cut = np.searchsorted(primes, max(math.isqrt(n), 2), side="right")
+    factors = []
+    for p in primes[:cut].tolist():
+        pv, q = [], p
+        while q <= n:
+            pv.append(int(ppower(p, len(pv) + 1)))
+            q *= p
+        factors.append((p, pv))
+    bits = np.zeros(n + 1, np.int16)  # at most 15 distinct primes of 64 bits each
+    _apply_prime_powers(bits, [(p, [min(abs(v).bit_length(), 64) for v in pv])
+                               for p, pv in factors], np.add)
+    large = primes[cut:]
+    big = np.broadcast_to(ppower(large, 1), large.shape)
+    kmax = n // int(large[0]) if len(large) else 0
+    top = max(int(bits.max()), int(bits[: kmax + 1].max()) + min(_magnitude(big).bit_length(), 64))
+    vals = np.ones(n + 1, np.int64 if top <= 63 else object)
+    _apply_prime_powers(vals, factors, np.multiply)
+    big = big.astype(vals.dtype)
+    counts = np.searchsorted(large, n // np.arange(1, kmax + 1), side="right")
+    for k, c in enumerate(counts.tolist(), 1):
+        if vals[k]:  # else a(k P) = 0 already, from the small primes of k
+            vals[k * large[:c]] = vals[k] * big[:c]
+    return CoeffSeq(tuple(vals[1:].tolist()))
 
 
 def is_multiplicative(a: CoeffSeq) -> bool:
-    """Check a(mn) = a(m) a(n) over all coprime pairs with mn <= N."""
-    if a.n_terms and a[1] != 1:
-        return False
-    n = a.n_terms
-    va = a.values
-    for m in range(2, n + 1):
-        am = va[m - 1]
-        for k in range(2, n // m + 1):
-            if math.gcd(m, k) == 1 and va[m * k - 1] != am * va[k - 1]:
-                return False
-    return True
+    """a(1) = 1 and a = the kernel's rebuild of a from its prime powers.  That
+    is a(mk) = a(m) a(k) for all coprime m, k with mk <= N: the product rule
+    gives every such pair, and the pairs give it one prime power at a time."""
+    n, x = a.n_terms, _array(a)
+    return n == 0 or (a[1] == 1 and from_multiplicative(lambda p, e: x[p**e - 1], n).values == a.values)
 
 
 def partial_sum(a: CoeffSeq, x: int) -> int:

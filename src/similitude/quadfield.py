@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime
+from .arith import chi5, chi8, factorize, is_prime
 
 
 class Ring(enum.Enum):
@@ -162,31 +162,30 @@ def _fundamental_unit_inverse(ring: Ring) -> QuadInt:
     return QuadInt(ring, -1, 1)
 
 
+def splitting_sign(p, ring: Ring):
+    """+1 when the prime p splits in the ring, -1 when inert, 0 when ramified
+    or over Z: the residue rule p mod 5 or p mod 8, with no primality test,
+    so p may be an int or an integer array of primes."""
+    if ring is Ring.RATIONAL:
+        return 0
+    return chi5(p) if ring is Ring.GOLDEN else chi8(p)
+
+
 def prime_class(p: int, ring: Ring) -> PrimeClass:
     """Splitting type of the rational prime p in the quadratic ring."""
     if ring is Ring.RATIONAL:
         raise ValueError("prime splitting is undefined over Z")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if ring is Ring.GOLDEN:
-        if p == 5:
-            return PrimeClass.RAMIFIED
-        return PrimeClass.SPLIT if p % 5 in (1, 4) else PrimeClass.INERT
-    if p == 2:
-        return PrimeClass.RAMIFIED
-    return PrimeClass.SPLIT if p % 8 in (1, 7) else PrimeClass.INERT
+    # the sign 0, +1 or -1 indexes the tuple; -1 is its last entry
+    return (PrimeClass.RAMIFIED, PrimeClass.SPLIT, PrimeClass.INERT)[splitting_sign(p, ring)]
 
 
 def is_representable_index(m: int, ring: Ring) -> bool:
     """True iff m is the norm of an ideal: every inert prime divides m evenly."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if ring is Ring.RATIONAL:
-        return True
-    for p, e in factorize(m):
-        if prime_class(p, ring) is PrimeClass.INERT and e % 2 == 1:
-            return False
-    return True
+    return all(e % 2 == 0 or splitting_sign(p, ring) != -1 for p, e in factorize(m))
 
 
 def _round_div(n: int, d: int) -> int:

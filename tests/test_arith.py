@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from similitude.arith import (PRIMALITY_LIMIT, factorize, is_prime,
+from similitude.arith import (PRIMALITY_LIMIT, chi5, chi8, factorize, is_prime,
                               odd_divisor_sums, primes_up_to)
 from similitude.counting import Target, coeff, ssm_count
 
@@ -42,6 +44,32 @@ def test_factorize_splits_large_cofactors():
     # a composite cofactor beyond the proven primality bound is still refused
     with pytest.raises(ValueError, match="primality bound"):
         factorize((2**61 - 1) ** 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(0, 30), st.integers(0, 10**4)))
+def test_primes_up_to_matches_is_prime(n):
+    assert primes_up_to(n).tolist() == [p for p in range(n + 1) if is_prime(p)]
+
+
+def test_primes_up_to_is_read_only():
+    primes = primes_up_to(100)
+    with pytest.raises(ValueError, match="read-only"):
+        primes[0] = 3
+    assert primes_up_to(100)[0] == 2
+
+
+def test_factorize_beyond_int64():
+    assert factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+    m = (2**61 - 1) * 5
+    assert m >= 2**63
+    assert factorize(m) == [(5, 1), (2**61 - 1, 1)]
+    assert ssm_count(Target.F_K, m) == ssm_count(Target.F_K, 5) * ssm_count(Target.F_K, 2**61 - 1)
+    # a prime above 2^64, as Pollard rho hands it over: the residue rule and g stay exact
+    p = next(q for q in range(2**64 + 1, 2**64 + 1000, 2) if is_prime(q))
+    assert factorize(3 * p) == [(3, 1), (p, 1)]
+    assert coeff(Target.F_I, p) == (1 + chi5(p)) * (2 * p + 2)
+    assert coeff(Target.F_K, 3 * p) == coeff(Target.F_K, 3) * (1 + chi8(p)) * (2 * p + 2)
 
 
 def test_odd_divisor_sums():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from similitude.arith import factorize
+from similitude.arith import factorize, smallest_prime_factor_sieve
+from similitude.counting import Target, _ppower, closed_sequence
 from similitude.dirichlet import (_convolve, as_array, coeff_seq, convolve,
                                   dilate, dirichlet_inverse, epsilon,
                                   from_multiplicative, is_multiplicative, ones,
@@ -28,6 +29,37 @@ def reference_convolve(a, b):
         for m in range(d, n + 1, d):
             out[m] += a[d - 1] * b[m // d - 1]
     return out[1:]
+
+
+def reference_from_multiplicative(ppower, n):
+    """The smallest-prime-factor loop, kept as the reference for the kernel."""
+    spf = smallest_prime_factor_sieve(n)
+    vals = [0] * (n + 1)
+    if n >= 1:
+        vals[1] = 1
+    for m in range(2, n + 1):
+        p = spf[m]
+        e = 1
+        rest = m // p
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        vals[m] = vals[rest] * ppower(p, e)
+    return tuple(vals[1:])
+
+
+def reference_is_multiplicative(a):
+    """The pairwise test a(mk) = a(m) a(k) over coprime m, k, kept as the reference."""
+    if a.n_terms and a[1] != 1:
+        return False
+    n = a.n_terms
+    va = a.values
+    for m in range(2, n + 1):
+        am = va[m - 1]
+        for k in range(2, n // m + 1):
+            if math.gcd(m, k) == 1 and va[m * k - 1] != am * va[k - 1]:
+                return False
+    return True
 
 
 def rand_seq(rng, n, span=9):
@@ -176,3 +208,59 @@ def test_shift_and_dilate_on_arrays_stay_exact():
     assert shift(x).tolist() == [2**62, -(2**63), 9]
     assert shift(as_array([2**70])).tolist() == [2**70]
     assert dilate(as_array(list(range(1, 11))), 2).tolist() == [1, 0, 0, 2, 0, 0, 0, 0, 3, 0]
+
+
+# N < 25 puts 3 (and below 9, also 5 and 7) above sqrt(N), so the array path
+# of _ppower carries primes that the larger N give to the scalar path
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.integers(1, 24), st.integers(25, 3000)))
+def test_closed_sequence_matches_reference_loop(n):
+    for target in Target:
+        expected = reference_from_multiplicative(lambda p, e: _ppower(target, p, e), n)
+        assert closed_sequence(target, n).values == expected, target
+
+
+@st.composite
+def _large_ppowers(draw):
+    """A ppower with values of about 2^k, zeros and signs included, that takes an
+    int64 array of primes at e = 1: products of a few such values leave int64
+    for k = 31 and 40."""
+    k = draw(st.sampled_from((20, 31, 40)))
+    c, d = draw(st.integers(1, 97)), draw(st.integers(0, 97))
+    return lambda p, e: 1 if e == 0 else ((c * p + d * e) % 7 - 3) << k
+
+
+@settings(max_examples=40, deadline=None)
+@given(_large_ppowers(), st.integers(1, 2000))
+def test_from_multiplicative_matches_reference_beyond_int64(ppower, n):
+    assert from_multiplicative(ppower, n).values == reference_from_multiplicative(ppower, n)
+
+
+def test_from_multiplicative_leaves_int64_exactly():
+    a = from_multiplicative(lambda p, e: 1 << 40 if e else 1, 30)
+    assert a[6] == 2**80 and a[30] == 2**120 and a[8] == 2**40
+
+
+@st.composite
+def _multiplicative_seqs(draw):
+    n = draw(st.integers(1, 400))
+    rng = draw(st.randoms(use_true_random=False))
+    table = {}
+
+    def ppower(p, e):
+        return table.setdefault((p, e), rng.randint(-6, 6))
+
+    return coeff_seq(reference_from_multiplicative(ppower, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multiplicative_seqs(), st.data())
+def test_is_multiplicative_matches_pairwise_reference(a, data):
+    assert reference_is_multiplicative(a)
+    assert is_multiplicative(a)
+    m = data.draw(st.integers(1, a.n_terms))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    vals = list(a.values)
+    vals[m - 1] += delta
+    b = coeff_seq(vals)
+    assert is_multiplicative(b) == reference_is_multiplicative(b)
