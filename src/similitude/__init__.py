@@ -12,25 +12,20 @@ from .dirichlet import (CoeffSeq, coeff_seq, convolve, dilate,
                         is_multiplicative, ones, partial_sum, shift)
 from .lattice import LatticeKey
 from .oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, AmbientLattice, count_ssl_bruteforce,
-                     enumerate_ssm_cubian, enumerate_ssm_icosian, enumerate_sublattices,
-                     is_similar_sublattice)
-from .orders import (Order, OrderElement, canonicalize_pair, content, element,
-                     is_odd, is_primitive, module_lattice, unit_group)
-from .quadfield import (PrimeClass, QuadInt, QuadRat, Ring,
-                        canonical_associate, is_representable_index,
+                     enumerate_ssm_cubian, enumerate_ssm_icosian, is_similar_sublattice)
+from .orders import Order, OrderElement, element, module_lattice
+from .quadfield import (PrimeClass, QuadInt, QuadRat, Ring, is_representable_index,
                         prime_class)
-from .quat import Quat, similarity_matrix
+from .quat import Quat
 
 __all__ = [
     "AmbientLattice", "CUBIAN", "CoeffSeq", "CrossCheckFailure", "D4STAR", "GrowthModel",
     "ICOSIAN", "LatticeKey", "Order", "OrderElement", "PrimeClass", "Quat", "QuadInt",
-    "QuadRat", "Ring", "Target", "Z4", "canonical_associate",
-    "canonicalize_pair", "coeff", "coeff_seq", "content", "convolve",
+    "QuadRat", "Ring", "Target", "Z4", "coeff", "coeff_seq", "convolve",
     "count_ssl_bruteforce", "dilate", "dirichlet_inverse",
-    "element", "enumerate_ssm_cubian", "enumerate_ssm_icosian", "enumerate_sublattices",
+    "element", "enumerate_ssm_cubian", "enumerate_ssm_icosian",
     "estimate_constant", "from_multiplicative", "g", "is_multiplicative",
-    "is_odd", "is_primitive", "is_representable_index",
-    "is_similar_sublattice", "l_value_at_one", "module_lattice", "ones",
-    "partial_sum", "prime_class", "series", "shift", "similarity_matrix",
-    "ssm_count", "target_constant", "unit_group", "zeta_special_value_check",
+    "is_representable_index", "is_similar_sublattice", "l_value_at_one", "module_lattice",
+    "ones", "partial_sum", "prime_class", "series", "shift",
+    "ssm_count", "target_constant", "zeta_special_value_check",
 ]

@@ -52,11 +52,6 @@ def ones(n: int) -> CoeffSeq:
     return CoeffSeq((1,) * n)
 
 
-def epsilon(n: int) -> CoeffSeq:
-    """Convolution identity: 1 at m = 1, 0 elsewhere."""
-    return CoeffSeq((1,) + (0,) * (n - 1))
-
-
 def as_array(values) -> np.ndarray:
     """The integers as a 1-D int64 array when all fit, else as an object array of exact ints."""
     lo, hi = min(values, default=0), max(values, default=0)
@@ -116,7 +111,7 @@ def convolve(a, b):
 
 
 def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
-    """b with convolve(a, b) = epsilon; needs a(1) in {1, -1}."""
+    """b with convolve(a, b) the convolution identity (1, 0, 0, ...); needs a(1) in {1, -1}."""
     lead = a[1]
     if lead not in (1, -1):
         raise ValueError("not invertible: leading coefficient must be +-1")

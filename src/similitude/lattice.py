@@ -72,7 +72,3 @@ def hnf_contains(hnf: tuple[tuple[int, ...], ...], vector) -> bool:
                 v[k] -= q * row[k]
     return True
 
-
-def hnf_contains_lattice(outer: tuple[tuple[int, ...], ...], inner) -> bool:
-    """True iff every row of `inner` lies in the lattice with basis `outer`."""
-    return all(hnf_contains(outer, row) for row in inner)

@@ -16,7 +16,6 @@ a*O*b) is assumed, and no floating point is used.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,33 +72,6 @@ def ambient(name: str) -> AmbientLattice:
     return _LATTICES[name]
 
 
-def _diag_tuples(index: int):
-    """Ordered 4-tuples of positive integers with product = index."""
-    return [(a, b, c, index // (a * b * c))
-            for a in range(1, index + 1) if index % a == 0
-            for b in range(1, index // a + 1) if index // a % b == 0
-            for c in range(1, index // (a * b) + 1) if index // (a * b) % c == 0]
-
-
-def _hnf_matrices_for_diag(diag: tuple[int, ...]):
-    """All HNF row bases with the given diagonal (below-diagonal reduced)."""
-    for below in itertools.product(*(range(diag[j]) for i in range(4) for j in range(i))):
-        it = iter(below)  # entries (i, j), j < i, in row-major order
-        yield tuple(tuple(next(it) if j < i else diag[i] * (i == j) for j in range(4))
-                    for i in range(4))
-
-
-def enumerate_sublattices(lattice: AmbientLattice, index: int,
-                          bound: int = DEFAULT_INDEX_BOUND) -> list[LatticeKey]:
-    """One key per sublattice of the given index, by direct HNF enumeration."""
-    if index < 1:
-        raise ValueError("index must be >= 1")
-    if index > bound:
-        raise ValueError(f"index {index} exceeds the enumeration bound {bound}")
-    return [LatticeKey(4, rows, index)
-            for diag in _diag_tuples(index) for rows in _hnf_matrices_for_diag(diag)]
-
-
 def _lambdas(ring: Ring, m: int) -> list[QuadInt]:
     """One totally positive generator of each ideal of norm m, modulo eps^2.
 
@@ -146,9 +118,23 @@ def _norm_vectors(lattice: AmbientLattice, lam: QuadInt) -> tuple[np.ndarray, np
     A coordinate c = p + q w has c^2 <= 4 lam under both embeddings (exact
     QuadInt sign tests).  So |c| <= 2 sqrt(T) in each, T = lam + lam', which
     bounds |q| by 2r (w - w' > 2) and |p| by 6r, r = isqrt(T) + 1.
+
+    T < 2^20 is required here, before any array is built, and it bounds
+    both this packing and the dot packing of `_search`.  An element
+    x = a + b w has b = (x - x')/(w - w') and |a| <= max(|x|, |x'|).  Each
+    square c^2 lies in [0, 4T] under both embeddings, so its w part is
+    below 4T/2 = 2T and its rational part at most 4T.  A pair sum then has
+    |b| < 4T, and 4 lam - pair has |b| < 2T + 4T = 6T < 2^23 (the w part of
+    lam is below T/2).  Every w part is thus below half the pack, so each
+    packed value determines its (a, b), and a pair matches 4 lam exactly
+    when both parts agree; the rational parts stay below 12T, the packed
+    values below 2^48.  Over Z, b = 0 and T = 2 lam.
     """
+    big_t = (lam + lam.conjugate()).a
+    if big_t >= 1 << 20:
+        raise OverflowError(f"lambda={lam} is too large for the int64 packings (T >= 2^20)")
     ring, pack, four = lattice.ring, 1 << 24, lam * 4
-    r = math.isqrt((lam + lam.conjugate()).a) + 1
+    r = math.isqrt(big_t) + 1
     cands, squares = [], []
     for p in range(-6 * r, 6 * r + 1):
         for q in ((0,) if ring is Ring.RATIONAL else range(-2 * r, 2 * r + 1)):
@@ -206,7 +192,8 @@ def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
     a * S + b.  Each embedding of a dot of norm-lam vectors is at most 4T in
     absolute value (Cauchy-Schwarz, T = lam + lam'), so |b| < 4T, |a| < 11T
     and S = 8T + 1 packs injectively; coordinates are below 6 sqrt(T), so
-    every partial sum stays below 2^57 for T < 2^20 and int64 is exact.
+    every partial sum stays below 2^57 for T < 2^20 (which `_norm_vectors`
+    enforces) and int64 is exact.
 
     Each SSM found gets a shell, the mask of the norm-lam vectors inside it.
     A frame inside one shell spans that SSM (same index), so only frames no
@@ -215,13 +202,11 @@ def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
     ring = lattice.ring
     x, coords = _norm_vectors(lattice, lam)
     big_t = (lam + lam.conjugate()).a
-    if big_t >= 1 << 20:
-        raise OverflowError(f"lambda={lam} is too large for int64 dot products")
     form = _form(ring, 8 * big_t + 1)
     u = np.array(lattice.units, dtype=np.int64)
     t = (u @ form @ (lam.a * u + (lam.b * _omega_times(u, ring) if lam.b else 0)).T).tolist()
     y = x @ form
-    frames, keys = 0, []
+    frames, keys = 0, set()
     shells = np.zeros((0, len(x)), dtype=bool)
     for a in range(len(x)):
         row = y @ x[a]
@@ -246,7 +231,7 @@ def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
             shell = _contains(key.hnf, coords)
             if not shell[quad].all() or key in keys:
                 raise AssertionError(f"{lattice.name} lambda={lam}: a frame escaped its shell")
-            keys.append(key)
+            keys.add(key)
             shells = np.vstack([shells, shell])
             todo &= ~(shell[fb] & shell[fc] & shell[fd])
     return LambdaClass(lam, len(x), frames, frozenset(keys))

@@ -1,25 +1,21 @@
 """The maximal quaternion orders: Hurwitz (over Z), icosian (over Z[tau]),
 cubian (over Z[sqrt2]).
 
-Provides membership and integral coordinates, the finite unit groups, content
-and primitivity, parity for the Hurwitz order, reduction of a two-sided
-product a*O*b to canonical form, and its identifying integer-lattice key.
+Provides membership, integral coordinates in a fixed basis, and the
+integer-lattice key of a two-sided product a*O*b.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import quadfield as qf
 from .lattice import LatticeKey, hnf_contains, hnf_rows, lattice_key
-from .quadfield import QuadInt, QuadRat, Ring
+from .quadfield import QuadInt, Ring
 from .quat import Quat
-
-_UNIT_CLOSURE_CAP = 10_000
 
 
 class Order(enum.Enum):
@@ -65,72 +61,6 @@ _BASIS_DOUBLED = {
         ((1, 0), (1, 0), (1, 0), (1, 0)),
     ),
 }
-
-
-def _hurwitz_unit_quats(ring: Ring = Ring.RATIONAL) -> list[Quat]:
-    """The 24 units: +-1, +-i, +-j, +-k and (+-1 +- i +- j +- k)/2."""
-    out = []
-    for pos in range(4):
-        for s in (1, -1):
-            co = [0, 0, 0, 0]
-            co[pos] = s
-            out.append(Quat(ring, co))
-    for signs in itertools.product((1, -1), repeat=4):
-        out.append(Quat(ring, signs, 2))
-    return out
-
-
-def _even_permutations() -> list[tuple[int, ...]]:
-    perms = []
-    for p in itertools.permutations(range(4)):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
-        if inv % 2 == 0:
-            perms.append(p)
-    return perms
-
-
-def _icosian_unit_quats() -> list[Quat]:
-    """The 120 units: even coordinate permutations and arbitrary sign flips
-    of (1,0,0,0), (1,1,1,1)/2, and (tau, 1, 1-tau, 0)/2, noting 1/tau = tau-1."""
-    tau = (0, 1)
-    tau_inv_neg = (1, -1)  # -1/tau = 1 - tau
-    seeds = [
-        ((2, 0), (0, 0), (0, 0), (0, 0)),
-        ((1, 0), (1, 0), (1, 0), (1, 0)),
-        (tau, (1, 0), tau_inv_neg, (0, 0)),
-    ]
-    out = set()
-    for seed in seeds:
-        for perm in _even_permutations():
-            permuted = tuple(seed[perm.index(k)] for k in range(4))
-            for signs in itertools.product((1, -1), repeat=4):
-                coords = tuple((s * a, s * b) for s, (a, b) in zip(signs, permuted))
-                out.add(_q(Ring.GOLDEN, coords))
-    return sorted(out, key=lambda u: tuple((n.a, n.b) for n in u.nums))
-
-
-def _cubian_seed_quats() -> list[Quat]:
-    seeds = _hurwitz_unit_quats(Ring.SQRT2)
-    seeds.append(_q(Ring.SQRT2, ((0, 1), (0, 1), (0, 0), (0, 0))))  # (1+i)/sqrt2
-    return seeds
-
-
-def _closure(seeds: list[Quat]) -> list[Quat]:
-    """Closure of a finite set of norm-1 quaternions under multiplication."""
-    elems = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        cur = list(elems)
-        for x in cur:
-            for y in cur:
-                z = x * y
-                if z not in elems:
-                    elems.add(z)
-                    changed = True
-                    if len(elems) > _UNIT_CLOSURE_CAP:
-                        raise RuntimeError("unit-group closure exceeded the safety cap")
-    return sorted(elems, key=lambda u: tuple((n.a, n.b) for n in u.nums))
 
 
 def _doubled_coords(quat: Quat):
@@ -221,9 +151,6 @@ class OrderElement:
     def __bool__(self) -> bool:
         return bool(self.q)
 
-    def _key(self):
-        return tuple((c.a, c.b) for c in self.basis_coords)
-
 
 def element(order: Order, quat: Quat) -> OrderElement:
     """Certify membership and compute basis coordinates; ValueError if outside."""
@@ -246,43 +173,6 @@ def element(order: Order, quat: Quat) -> OrderElement:
     else:
         coords = tuple(QuadInt(ring, sol[i], sol[4 + i]) for i in range(4))
     return OrderElement(order, quat, coords)
-
-
-@lru_cache(maxsize=None)
-def unit_group(order: Order) -> tuple[OrderElement, ...]:
-    """The full finite unit group: 24 (Hurwitz), 120 (icosian), 48 (cubian)."""
-    if order is Order.HURWITZ:
-        quats = _closure(_hurwitz_unit_quats())
-    elif order is Order.ICOSIAN:
-        quats = _closure(_icosian_unit_quats())
-    else:
-        quats = _closure(_cubian_seed_quats())
-    elems = [element(order, u) for u in quats]
-    return tuple(sorted(elems, key=lambda e: e._key()))
-
-
-def content(a: OrderElement) -> QuadInt:
-    """Canonical generator of the largest scalar ideal dividing a inside the order."""
-    if not a:
-        raise ZeroDivisionError("content of zero")
-    g = a.basis_coords[0]
-    for c in a.basis_coords[1:]:
-        g = qf.gcd(g, c)
-    return g  # qf.gcd already canonicalizes
-
-
-def is_primitive(a: OrderElement) -> bool:
-    """True iff no non-unit scalar of the base ring divides a."""
-    return content(a).is_unit()
-
-
-def is_odd(a: OrderElement) -> bool:
-    """Hurwitz only: true iff the reduced norm is odd."""
-    if a.order is not Order.HURWITZ:
-        raise ValueError("parity is defined only for the Hurwitz order")
-    if not a:
-        raise ZeroDivisionError("parity of zero")
-    return a.q.reduced_norm().to_quadint().a % 2 == 1
 
 
 def _omega_coords(coords: tuple[QuadInt, ...]) -> tuple[QuadInt, ...]:
@@ -315,51 +205,3 @@ def module_lattice(a: OrderElement, b: OrderElement) -> LatticeKey:
     if key.index != nrd * nrd:
         raise AssertionError(f"index {key.index} != N(|a|^2|b|^2)^2 = {nrd * nrd}")
     return key
-
-
-def _unit_minimized(quat: Quat, order: Order, side: str) -> Quat:
-    """Deterministic representative of quat's unit orbit (right or left)."""
-    best = None
-    best_key = None
-    for u in unit_group(order):
-        cand = quat * u.q if side == "right" else u.q * quat
-        k = element(order, cand)._key()
-        if best_key is None or k < best_key:
-            best, best_key = cand, k
-    return best
-
-
-def canonicalize_pair(a: Quat, b: Quat, order: Order) -> tuple[OrderElement, OrderElement]:
-    """Rewrite the module a*O*b as a'*O*b' with a' in O primitive (odd for the
-    Hurwitz order) and b' in O, without changing the module.
-
-    Raises ValueError("...not contained...") when a*O*b is not inside O.
-    """
-    if a.ring is not order.ring or b.ring is not order.ring:
-        raise ValueError("coordinate field does not match the order")
-    if not a or not b:
-        raise ZeroDivisionError("zero factor")
-    # scalars commute through O: a*O*b = (a*s) O (b/s) for field scalars s
-    a1 = a * a.den
-    b1 = b * QuadRat(qf.one(order.ring), a.den)
-    c = content(element(order, a1))
-    a1 = a1 * QuadRat(c.conjugate(), qf.conj_product(c))  # divide by the content
-    b1 = b1 * c
-    if order is Order.HURWITZ and element(order, a1).q.reduced_norm().to_quadint().a % 2 == 0:
-        # a primitive and even: shift one factor (1+i) across to b
-        x = Quat(order.ring, (1, 1, 0, 0))
-        a1 = a1 * x.conjugate() * QuadRat(qf.one(order.ring), 2)
-        b1 = x * b1
-    ea = element(order, a1)
-    if not is_primitive(ea):
-        raise AssertionError("content removal failed to make the left factor primitive")
-    if order is Order.HURWITZ and not is_odd(ea):
-        raise AssertionError("parity shift failed to make the left factor odd")
-    try:
-        eb = element(order, b1)
-    except ValueError:
-        raise ValueError("a*O*b is not contained in the order") from None
-    # deterministic unit normalization on both sides
-    a2 = _unit_minimized(ea.q, order, "right")
-    b2 = _unit_minimized(eb.q, order, "left")
-    return element(order, a2), element(order, b2)

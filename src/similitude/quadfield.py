@@ -119,9 +119,6 @@ class QuadInt:
             return self.a * self.a - 2 * self.b * self.b
         return self.a
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
     def sign(self) -> int:
         """Sign under the identity embedding (tau and sqrt2 taken positive)."""
         if self.ring is Ring.GOLDEN:
@@ -138,10 +135,6 @@ class QuadInt:
         return f"{self.a}{self.b:+d}{sym}"
 
 
-def one(ring: Ring) -> QuadInt:
-    return QuadInt(ring, 1)
-
-
 def omega(ring: Ring) -> QuadInt:
     if ring is Ring.RATIONAL:
         raise ValueError("Z has no omega")
@@ -155,11 +148,6 @@ def fundamental_unit(ring: Ring) -> QuadInt:
     if ring is Ring.SQRT2:
         return QuadInt(ring, 1, 1)
     raise ValueError("Z has no fundamental unit")
-
-
-def _fundamental_unit_inverse(ring: Ring) -> QuadInt:
-    # tau^-1 = tau - 1;  (1+sqrt2)^-1 = -1 + sqrt2
-    return QuadInt(ring, -1, 1)
 
 
 def splitting_sign(p, ring: Ring):
@@ -188,91 +176,6 @@ def is_representable_index(m: int, ring: Ring) -> bool:
     return all(e % 2 == 0 or splitting_sign(p, ring) != -1 for p, e in factorize(m))
 
 
-def _round_div(n: int, d: int) -> int:
-    """Nearest integer to n/d, ties toward +infinity. d != 0."""
-    if d < 0:
-        n, d = -n, -d
-    return (2 * n + d) // (2 * d)
-
-
-def conj_product(x: QuadInt) -> int:
-    """x * conjugate(x) as a plain integer.
-
-    Coincides with norm() on the quadratic rings but is a^2 over Z, which is
-    what field inversion x^-1 = conjugate(x) / (x conjugate(x)) needs.
-    """
-    return (x * x.conjugate()).a
-
-
-def div_nearest(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Quotient of x/y rounded componentwise to the nearest ring element.
-
-    Both quadratic rings are norm-Euclidean for this rounding:
-    |N(x - q*y)| < |N(y)| always holds.
-    """
-    if not y:
-        raise ZeroDivisionError("division by zero")
-    num = x * y.conjugate()
-    den = conj_product(y)
-    return QuadInt(x.ring, _round_div(num.a, den), _round_div(num.b, den))
-
-
-def exact_div(x: QuadInt, y: QuadInt) -> QuadInt:
-    """x / y when y divides x exactly; raises ValueError otherwise."""
-    if not y:
-        raise ZeroDivisionError("division by zero")
-    num = x * y.conjugate()
-    den = conj_product(y)
-    qa, ra = divmod(num.a, den)
-    qb, rb = divmod(num.b, den)
-    if ra or rb:
-        raise ValueError(f"{y} does not divide {x}")
-    return QuadInt(x.ring, qa, qb)
-
-
-def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Greatest common divisor, returned as a canonical associate."""
-    if x.ring is not y.ring:
-        raise ValueError("ring mismatch")
-    if x.ring is Ring.RATIONAL:
-        g = math.gcd(x.a, y.a)
-        return QuadInt(x.ring, g)
-    while y:
-        x, y = y, x - div_nearest(x, y) * y
-    if not x:
-        return x
-    return canonical_associate(x)
-
-
-def canonical_associate(x: QuadInt) -> QuadInt:
-    """The distinguished representative of x among its unit multiples.
-
-    Rule: positive under the identity embedding, with |x| >= |x'| but minimal
-    such among the unit orbit (i.e. dividing once more by the fundamental unit
-    would break |x| >= |x'|).  Two elements are associates iff their canonical
-    associates are equal.
-    """
-    if not x:
-        raise ZeroDivisionError("zero has no canonical associate")
-    if x.ring is Ring.RATIONAL:
-        return QuadInt(x.ring, abs(x.a))
-    eps = fundamental_unit(x.ring)
-    eps_inv = _fundamental_unit_inverse(x.ring)
-
-    def balanced(y: QuadInt) -> bool:
-        # |y| >= |y'| under the embeddings <=> the omega part of y^2 is >= 0
-        return (y * y).b >= 0
-
-    y = x
-    while not balanced(y):
-        y = y * eps
-    while balanced(y * eps_inv):
-        y = y * eps_inv
-    if y.sign() < 0:
-        y = -y
-    return y
-
-
 @dataclass(frozen=True)
 class QuadRat:
     """num/den with num a QuadInt and den a positive integer, in lowest terms."""
@@ -293,68 +196,10 @@ class QuadRat:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @property
-    def ring(self) -> Ring:
-        return self.num.ring
-
-    def _coerce(self, other) -> "QuadRat":
-        if isinstance(other, QuadRat):
-            if other.ring is not self.ring:
-                raise ValueError("ring mismatch")
-            return other
-        if isinstance(other, (int, QuadInt)):
-            return QuadRat(self.num._coerce(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadRat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadRat(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return QuadRat(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: "QuadRat") -> "QuadRat":
         return QuadRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadRat":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero")
-        return QuadRat(self.num.conjugate() * self.den, conj_product(self.num))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
 
     def to_quadint(self) -> QuadInt:
         if self.den != 1:
             raise ValueError(f"{self} is not integral")
         return self.num
-
-    def sign(self) -> int:
-        return self.num.sign()
-
-    def __str__(self) -> str:
-        return f"{self.num}" if self.den == 1 else f"({self.num})/{self.den}"

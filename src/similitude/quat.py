@@ -49,17 +49,6 @@ class Quat:
     def __setattr__(self, *args):
         raise AttributeError("Quat is immutable")
 
-    @classmethod
-    def scalar(cls, ring: Ring, v) -> "Quat":
-        z = QuadInt(ring, 0)
-        return cls(ring, (_as_quadint(ring, v), z, z, z))
-
-    @classmethod
-    def basis(cls, ring: Ring) -> tuple["Quat", "Quat", "Quat", "Quat"]:
-        """(1, i, j, k)."""
-        rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        return tuple(cls(ring, row) for row in rows)
-
     def _check(self, other: "Quat"):
         if self.ring is not other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
@@ -80,17 +69,12 @@ class Quat:
         d1, d2 = self.den, other.den
         return Quat(self.ring, tuple(a * d2 + b * d1 for a, b in zip(self.nums, other.nums)), d1 * d2)
 
-    def __sub__(self, other: "Quat") -> "Quat":
-        return self + (-other)
-
     def __neg__(self) -> "Quat":
         return Quat(self.ring, tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other) -> "Quat":
         if isinstance(other, (int, QuadInt)):
             return Quat(self.ring, tuple(n * other for n in self.nums), self.den)
-        if isinstance(other, QuadRat):
-            return Quat(self.ring, tuple(n * other.num for n in self.nums), self.den * other.den)
         if not isinstance(other, Quat):
             return NotImplemented
         self._check(other)
@@ -107,11 +91,6 @@ class Quat:
             self.den * other.den,
         )
 
-    def __rmul__(self, other) -> "Quat":
-        if isinstance(other, (int, QuadInt, QuadRat)):
-            return self.__mul__(other)  # scalars are central
-        return NotImplemented
-
     def conjugate(self) -> "Quat":
         n0, n1, n2, n3 = self.nums
         return Quat(self.ring, (n0, -n1, -n2, -n3), self.den)
@@ -121,40 +100,7 @@ class Quat:
         s = sum((n * n for n in self.nums), QuadInt(self.ring, 0))
         return QuadRat(s, self.den * self.den)
 
-    def coords(self) -> tuple[QuadRat, QuadRat, QuadRat, QuadRat]:
-        return tuple(QuadRat(n, self.den) for n in self.nums)
-
     def __repr__(self) -> str:
         body = ", ".join(str(n) for n in self.nums)
         return f"({body})" if self.den == 1 else f"({body})/{self.den}"
 
-
-def similarity_matrix(q1: Quat, q2: Quat) -> tuple[tuple[QuadRat, ...], ...]:
-    """The 4x4 matrix M with M x = q1 * x * conjugate(q2) on column vectors x.
-
-    det M = (|q1|^2 |q2|^2)^2 and M M^t = |q1|^2 |q2|^2 * I.
-    """
-    q1._check(q2)
-    a, b, c, d = q1.coords()
-    t, u, v, w = q2.coords()
-    return (
-        (a * t + b * u + c * v + d * w, -b * t + a * u + d * v - c * w,
-         -c * t - d * u + a * v + b * w, -d * t + c * u - b * v + a * w),
-        (b * t - a * u + d * v - c * w, a * t + b * u - c * v - d * w,
-         -d * t + c * u + b * v - a * w, c * t + d * u + a * v + b * w),
-        (c * t - d * u - a * v + b * w, d * t + c * u + b * v + a * w,
-         a * t - b * u + c * v - d * w, -b * t - a * u + d * v + c * w),
-        (d * t + c * u - b * v - a * w, -c * t + d * u - a * v + b * w,
-         b * t + a * u + d * v + c * w, a * t - b * u - c * v + d * w),
-    )
-
-
-def apply_matrix(mat, x: Quat) -> Quat:
-    """Apply a QuadRat matrix to the coordinate column of x."""
-    cs = x.coords()
-    out = [sum((row[k] * cs[k] for k in range(1, 4)), row[0] * cs[0]) for row in mat]
-    den = 1
-    for e in out:
-        den = den * e.den // math.gcd(den, e.den)
-    nums = tuple(e.num * (den // e.den) for e in out)
-    return Quat(x.ring, nums, den)

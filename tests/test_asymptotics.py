@@ -7,7 +7,7 @@ from similitude.asymptotics import (GrowthModel, character_values,
                                     estimate_constant, l_value_at_one,
                                     target_constant, zeta_special_value_check)
 from similitude.counting import Target, closed_sequence
-from similitude.dirichlet import epsilon, partial_sum
+from similitude.dirichlet import coeff_seq, partial_sum
 
 
 def test_target_constant_values():
@@ -53,7 +53,7 @@ def test_estimate_constant_trend():
     # converges slowly from above
     assert est.value > target
     assert est.at_quarter > est.at_half > est.value
-    eps_est = estimate_constant(epsilon(n), GrowthModel(1, 0))
+    eps_est = estimate_constant(coeff_seq((1,) + (0,) * (n - 1)), GrowthModel(1, 0))
     assert eps_est.value < eps_est.at_quarter < 1e-3
 
 

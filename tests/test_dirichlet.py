@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 from similitude.arith import factorize, smallest_prime_factor_sieve
 from similitude.counting import Target, _ppower, closed_sequence
 from similitude.dirichlet import (_convolve, as_array, coeff_seq, convolve,
-                                  dilate, dirichlet_inverse, epsilon,
+                                  dilate, dirichlet_inverse,
                                   from_multiplicative, is_multiplicative, ones,
                                   partial_sum, shift)
+
+
+def epsilon(n):
+    """The convolution identity: 1 at m = 1, 0 elsewhere."""
+    return coeff_seq((1,) + (0,) * (n - 1))
 
 
 def moebius(m):

@@ -8,12 +8,30 @@ import pytest
 import similitude.oracle as oracle
 from similitude.counting import Target, coeff, ssm_count
 from similitude.lattice import LatticeKey, hnf_rows, lattice_key
-from similitude.oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, _frames, _lambdas, ambient,
-                               count_ssl_bruteforce, enumerate_ssm_cubian,
-                               enumerate_ssm_icosian, enumerate_sublattices,
-                               is_similar_sublattice)
+from similitude.oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, _frames, _lambdas, _norm_vectors,
+                               ambient, count_ssl_bruteforce, enumerate_ssm_cubian,
+                               enumerate_ssm_icosian, is_similar_sublattice)
 from similitude.orders import _data
-from similitude.quadfield import Ring
+from similitude.quadfield import QuadInt, Ring
+
+
+def enumerate_sublattices(index):
+    """One key per sublattice of Z^4 of the given index, by direct HNF
+    enumeration: every lower-triangular HNF with diagonal product `index`,
+    each entry below the diagonal reduced modulo the diagonal above it.
+    This is the all-sublattice route, independent of the frame census."""
+    diags = [(a, b, c, index // (a * b * c))
+             for a in range(1, index + 1) if index % a == 0
+             for b in range(1, index // a + 1) if index // a % b == 0
+             for c in range(1, index // (a * b) + 1) if index // (a * b) % c == 0]
+    keys = []
+    for diag in diags:
+        for below in itertools.product(*(range(diag[j]) for i in range(4) for j in range(i))):
+            it = iter(below)  # entries (i, j), j < i, in row-major order
+            rows = tuple(tuple(next(it) if j < i else diag[i] * (i == j) for j in range(4))
+                         for i in range(4))
+            keys.append(LatticeKey(4, rows, index))
+    return keys
 
 
 def subgroup_count_formula(index):
@@ -34,18 +52,13 @@ def subgroup_count_formula(index):
 
 
 def test_enumerate_sublattices_counts():
-    assert len(enumerate_sublattices(Z4, 1)) == 1
-    assert len(enumerate_sublattices(Z4, 2)) == 15
-    assert len(enumerate_sublattices(Z4, 9)) == subgroup_count_formula(9) == 1210
+    assert len(enumerate_sublattices(1)) == 1
+    assert len(enumerate_sublattices(2)) == 15
+    assert len(enumerate_sublattices(9)) == subgroup_count_formula(9) == 1210
     for index in (3, 4, 6, 8, 12):
-        assert len(enumerate_sublattices(Z4, index)) == subgroup_count_formula(index)
-    keys = enumerate_sublattices(Z4, 4)
+        assert len(enumerate_sublattices(index)) == subgroup_count_formula(index)
+    keys = enumerate_sublattices(4)
     assert len(set(keys)) == len(keys)  # duplicate-free
-
-
-def test_enumerate_sublattices_bound():
-    with pytest.raises(ValueError, match="bound"):
-        enumerate_sublattices(Z4, 50)
 
 
 def test_is_similar_examples():
@@ -60,7 +73,7 @@ def test_is_similar_examples():
 def test_non_square_index_never_similar():
     # indices 2, 3, 5, 6, 7, 8 are not perfect squares: no sublattice passes
     for index in (2, 3, 5, 6, 7, 8):
-        assert all(not is_similar_sublattice(k, Z4) for k in enumerate_sublattices(Z4, index))
+        assert all(not is_similar_sublattice(k, Z4) for k in enumerate_sublattices(index))
 
 
 def test_counts_match_formulas_small():
@@ -128,6 +141,16 @@ def test_census_failure_names_the_class(monkeypatch):
         oracle.census.__wrapped__(CUBIAN, 2)
 
 
+def test_norm_vectors_refuse_large_lambda_before_allocating():
+    # T = lam + lam' = 2^20 is the first trace outside the int64 packings
+    for lattice, lam in ((Z4, QuadInt(Ring.RATIONAL, 1 << 19)),
+                         (CUBIAN, QuadInt(Ring.SQRT2, 1 << 19)),
+                         (ICOSIAN, QuadInt(Ring.GOLDEN, (1 << 19) - 1, 2))):
+        assert (lam + lam.conjugate()).a == 1 << 20
+        with pytest.raises(OverflowError, match="too large"):
+            _norm_vectors(lattice, lam)
+
+
 def test_count_bound_and_ambient_lookup():
     with pytest.raises(ValueError, match="bound"):
         count_ssl_bruteforce(Z4, 8)
@@ -141,7 +164,7 @@ def test_point_group_invariance():
     # signed coordinate permutations preserve the Z^4 verdict
     rng = random.Random(30)
     perms = list(itertools.permutations(range(4)))
-    keys = enumerate_sublattices(Z4, 4) + enumerate_sublattices(Z4, 9)
+    keys = enumerate_sublattices(4) + enumerate_sublattices(9)
     sample = rng.sample(keys, 100)
     for key in sample:
         verdict = is_similar_sublattice(key, Z4)

@@ -1,21 +1,57 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from similitude.lattice import hnf_contains_lattice, hnf_rows, lattice_key
-from similitude.orders import (Order, canonicalize_pair, content, element,
-                               is_member, is_odd, is_primitive, module_lattice,
-                               unit_group)
-from similitude.orders import _data, _doubled_coords, _icosian_unit_quats
+from similitude.lattice import hnf_contains, hnf_rows, lattice_key
+from similitude.oracle import CUBIAN, D4STAR, ICOSIAN, Z4, _norm_vectors
+from similitude.orders import Order, _data, element, is_member, module_lattice
 from similitude.quadfield import QuadInt, QuadRat, Ring
 from similitude.quat import Quat
 
 RAT = Ring.RATIONAL
 GOLD = Ring.GOLDEN
 
-ONE_J = Quat.scalar(RAT, 1)
-ONE_I = Quat.scalar(GOLD, 1)
+ONE_J = Quat(RAT, (1, 0, 0, 0))
+ONE_I = Quat(GOLD, (1, 0, 0, 0))
+
+LATTICE = {Order.HURWITZ: D4STAR, Order.ICOSIAN: ICOSIAN, Order.CUBIAN: CUBIAN}
+
+
+def as_quat(ring, doubled):
+    """The quaternion with doubled coordinates `doubled` (over Z[w]: the
+    rational parts, then the w parts), as the census lists them."""
+    if ring is RAT:
+        return Quat(RAT, doubled, 2)
+    return Quat(ring, [QuadInt(ring, a, b) for a, b in zip(doubled[:4], doubled[4:])], 2)
+
+
+def norm_vectors(lattice, n):
+    """Doubled coordinates of the elements of norm n, from the census."""
+    return _norm_vectors(lattice, QuadInt(lattice.ring, n))[0]
+
+
+def units(order):
+    """The unit group of the order: its census vectors of norm 1."""
+    lattice = LATTICE[order]
+    return [as_quat(lattice.ring, v) for v in norm_vectors(lattice, 1).tolist()]
+
+
+def icosian_unit_coords():
+    """The 120 icosian units in doubled coordinates, built from their seeds:
+    even coordinate permutations and all sign changes of (1, 0, 0, 0),
+    (1, 1, 1, 1)/2 and (tau, 1, -1/tau, 0)/2, with -1/tau = 1 - tau."""
+    seeds = (((2, 0), (0, 0), (0, 0), (0, 0)),
+             ((1, 0), (1, 0), (1, 0), (1, 0)),
+             ((0, 1), (1, 0), (1, -1), (0, 0)))
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    out = set()
+    for seed, perm, signs in itertools.product(seeds, even, itertools.product((1, -1), repeat=4)):
+        coords = [(s * seed[k][0], s * seed[k][1]) for s, k in zip(signs, perm)]
+        out.add(tuple(a for a, _ in coords) + tuple(b for _, b in coords))
+    return out
 
 
 def hurwitz_by_norm(n):
@@ -32,28 +68,30 @@ def hurwitz_by_norm(n):
 
 
 def test_unit_group_sizes_and_closure():
-    for order, size in ((Order.HURWITZ, 24), (Order.ICOSIAN, 120), (Order.CUBIAN, 48)):
-        ug = unit_group(order)
-        assert len(ug) == size
-        quats = {u.q for u in ug}
-        one = QuadInt(order.ring, 1)
-        for u in ug:
-            nrd = u.q.reduced_norm()
-            assert nrd == QuadRat(one)
-            assert u.q.conjugate() in quats  # inverse of a norm-1 unit
-        rng = random.Random(0)
-        sample = rng.sample(list(quats), 10)
-        for x in sample:
-            for y in sample:
-                assert x * y in quats
+    # the units are the norm-1 vectors: 8 Lipschitz units in Z^4, and
+    # 24, 120 and 48 in the Hurwitz, icosian and cubian orders
+    for lattice, size in ((Z4, 8), (D4STAR, 24), (ICOSIAN, 120), (CUBIAN, 48)):
+        assert len(norm_vectors(lattice, 1)) == size
+    for order in Order:
+        group = units(order)
+        quats = set(group)
+        assert len(quats) == len(group)
+        one = QuadRat(QuadInt(order.ring, 1))
+        for u in group:
+            assert u.reduced_norm() == one
+            assert u.conjugate() in quats  # inverse of a norm-1 unit
+        for x, y in itertools.product(group, repeat=2):
+            product = x * y
+            assert product in quats and is_member(order, product)
 
 
 def test_icosian_basis_spans_the_unit_span():
-    # the frozen basis generates exactly the Z-span of the 120 units
-    units = _icosian_unit_quats()
-    assert len(units) == 120
-    h_units = hnf_rows([_doubled_coords(u) for u in units], 8)
-    assert h_units == _data(Order.ICOSIAN).hnf
+    # the units built from their seeds are exactly the census's norm-1
+    # vectors, and the frozen basis generates exactly their Z-span
+    units_120 = icosian_unit_coords()
+    assert len(units_120) == 120
+    assert units_120 == {tuple(v) for v in norm_vectors(ICOSIAN, 1).tolist()}
+    assert hnf_rows(sorted(units_120), 8) == _data(Order.ICOSIAN).hnf
 
 
 def test_membership_and_coords():
@@ -65,53 +103,12 @@ def test_membership_and_coords():
     # order closure under multiplication, all three orders
     rng = random.Random(5)
     for order in Order:
-        ug = unit_group(order)
-        members = [u.q for u in rng.sample(list(ug), 8)]
+        members = rng.sample(units(order), 8)
         basis = _data(order).basis
         members += [b1 + b2 for b1 in basis for b2 in basis[:2]]
         for x in members:
             for y in members:
                 assert is_member(order, x * y)
-
-
-def test_content_examples_and_bruteforce():
-    two = element(Order.HURWITZ, Quat.scalar(RAT, 2))
-    assert content(two) == QuadInt(RAT, 2)
-    ones = element(Order.HURWITZ, Quat(RAT, (1, 1, 1, 1)))
-    assert content(ones) == QuadInt(RAT, 2)
-    opi = element(Order.HURWITZ, Quat(RAT, (1, 1, 0, 0)))
-    assert content(opi) == QuadInt(RAT, 1)
-
-    def content_bruteforce(q):
-        # largest integer n with q/n still in the order
-        bound = 2 * max(abs(c.a) for c in q.nums) + 2
-        best = 1
-        for n in range(2, bound):
-            if is_member(Order.HURWITZ, q * QuadRat(QuadInt(RAT, 1), n)):
-                best = n
-        return best
-
-    rng = random.Random(6)
-    for _ in range(200):
-        q = Quat(RAT, [2 * rng.randint(-4, 4)] * 1 + [2 * rng.randint(-4, 4) for _ in range(3)])
-        scale = rng.choice((1, 2, 3, 4))
-        q = q * scale
-        if not q:
-            continue
-        e = element(Order.HURWITZ, q)
-        assert content(e).a == content_bruteforce(q)
-
-
-def test_primitive_and_odd():
-    ones = element(Order.HURWITZ, Quat(RAT, (1, 1, 1, 1)))
-    assert not is_primitive(ones)
-    opi = element(Order.HURWITZ, Quat(RAT, (1, 1, 0, 0)))
-    assert is_primitive(opi)
-    assert not is_odd(opi)  # norm 2
-    w = element(Order.HURWITZ, Quat(RAT, (1, 1, 1, 0)))
-    assert is_odd(w)  # norm 3
-    with pytest.raises(ValueError, match="Hurwitz"):
-        is_odd(element(Order.ICOSIAN, ONE_I))
 
 
 def test_module_lattice_examples():
@@ -129,39 +126,37 @@ def test_module_lattice_examples():
     e = element(Order.CUBIAN, b1 + b2)
     nrd = e.q.reduced_norm().to_quadint()
     assert (nrd.a, nrd.b) == (2, 1)
-    one_k = element(Order.CUBIAN, Quat.scalar(Ring.SQRT2, 1))
+    one_k = element(Order.CUBIAN, Quat(Ring.SQRT2, (1, 0, 0, 0)))
     assert module_lattice(e, one_k).index == 4
 
 
 def test_module_lattice_unit_invariance():
     rng = random.Random(7)
     for order in (Order.HURWITZ, Order.ICOSIAN):
-        ug = unit_group(order)
+        group = units(order)
         basis = _data(order).basis
         a = element(order, basis[1] + basis[3] + basis[0])
         b = element(order, basis[2] + basis[3])
         key = module_lattice(a, b)
         for _ in range(500):
-            u, v = rng.choice(ug), rng.choice(ug)
-            au = element(order, a.q * u.q)
-            vb = element(order, v.q * b.q)
+            u, v = rng.choice(group), rng.choice(group)
+            au = element(order, a.q * u)
+            vb = element(order, v * b.q)
             assert module_lattice(au, vb) == key
 
 
 def test_canonical_form_unique_up_to_units_at_small_norm():
     # Hurwitz pairs (a, b) with a odd (hence primitive at these squarefree odd
     # norms) and |a|^2 |b|^2 <= 5: equal module keys <=> equal unit classes
-    units = [u.q for u in unit_group(Order.HURWITZ)]
+    units_24 = hurwitz_by_norm(1)
     odd_elems = [q for n in (1, 3, 5) for q in hurwitz_by_norm(n)]
     all_elems = {n: hurwitz_by_norm(n) for n in (1, 2, 3, 4, 5)}
 
-    def right_class(q):
-        return min(element(Order.HURWITZ, q * u)._key() for u in units)
+    def coords(q):
+        return tuple(c.a for c in element(Order.HURWITZ, q).basis_coords)
 
-    def left_class(q):
-        return min(element(Order.HURWITZ, u * q)._key() for u in units)
-
-    rcls = {q: right_class(q) for q in odd_elems}
+    rcls = {a: min(coords(a * u) for u in units_24) for a in odd_elems}
+    lcls = {b: min(coords(u * b) for u in units_24) for elems in all_elems.values() for b in elems}
     key_to_cls = {}
     cls_to_key = {}
     for a in odd_elems:
@@ -169,14 +164,24 @@ def test_canonical_form_unique_up_to_units_at_small_norm():
         for nb in range(1, 5 // na + 1):
             for b in all_elems[nb]:
                 key = module_lattice(element(Order.HURWITZ, a), element(Order.HURWITZ, b))
-                cls = (rcls[a], left_class(b))
+                cls = (rcls[a], lcls[b])
                 assert key_to_cls.setdefault(key, cls) == cls
                 assert cls_to_key.setdefault(cls, key) == key
 
 
 def test_f4_root_count():
-    roots = {u.q for u in unit_group(Order.HURWITZ)} | set(hurwitz_by_norm(2))
+    # the D4* vectors of norm 1 and 2 are the 48 roots of F4: the Hurwitz
+    # elements of those norms, closed under the reflections in each other
+    roots = np.vstack([norm_vectors(D4STAR, n) for n in (1, 2)])
     assert len(roots) == 48
+    assert ({as_quat(RAT, r) for r in roots.tolist()}
+            == set(hurwitz_by_norm(1)) | set(hurwitz_by_norm(2)))
+    rows = {tuple(r) for r in roots.tolist()}
+    gram = roots @ roots.T
+    for s, r in itertools.product(range(48), repeat=2):
+        cartan, rem = divmod(2 * gram[r, s], gram[s, s])
+        assert rem == 0
+        assert tuple(roots[r] - cartan * roots[s]) in rows
 
 
 def test_inclusion_chain_indices():
@@ -187,47 +192,4 @@ def test_inclusion_chain_indices():
     l_key = lattice_key([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), k_coords], 4)
     assert l_key.index == 2
     assert x_key.index == 4
-    assert hnf_contains_lattice(l_key.hnf, x_key.hnf)
-
-
-def test_canonicalize_pair_examples():
-    # scalar moved across: 2 * O * t with t the half unit
-    a, b = canonicalize_pair(Quat.scalar(RAT, 2), Quat(RAT, (1, 1, 1, 1), 2), Order.HURWITZ)
-    assert is_primitive(a) and is_odd(a)
-    direct = module_lattice(
-        element(Order.HURWITZ, ONE_J), element(Order.HURWITZ, Quat(RAT, (1, 1, 1, 1)))
-    )
-    assert module_lattice(a, b) == direct
-
-    # already canonical
-    w = Quat(RAT, (1, 1, 1, 0))
-    a, b = canonicalize_pair(w, ONE_J, Order.HURWITZ)
-    units = {u.q for u in unit_group(Order.HURWITZ)}
-    assert any(a.q == w * u for u in units)
-    assert b.q in units
-
-    # even primitive left factor: the (1+i) shift
-    opi = Quat(RAT, (1, 1, 0, 0))
-    a, b = canonicalize_pair(opi, opi, Order.HURWITZ)
-    assert is_primitive(a) and is_odd(a)
-    key = module_lattice(a, b)
-    assert key == module_lattice(element(Order.HURWITZ, opi), element(Order.HURWITZ, opi))
-    assert key.index == 16
-
-
-def test_canonicalize_pair_random_and_rejection():
-    rng = random.Random(8)
-    for order in (Order.HURWITZ, Order.ICOSIAN, Order.CUBIAN):
-        basis = _data(order).basis
-        for _ in range(25):
-            a = sum((basis[i] * rng.randint(-2, 2) for i in range(4)), Quat.scalar(order.ring, 0))
-            b = sum((basis[i] * rng.randint(-2, 2) for i in range(4)), Quat.scalar(order.ring, 0))
-            if not a or not b:
-                continue
-            ca, cb = canonicalize_pair(a, b, order)
-            assert is_primitive(ca)
-            if order is Order.HURWITZ:
-                assert is_odd(ca)
-            assert module_lattice(ca, cb) == module_lattice(element(order, a), element(order, b))
-    with pytest.raises(ValueError, match="not contained"):
-        canonicalize_pair(Quat(RAT, (1, 0, 0, 0), 2), ONE_J, Order.HURWITZ)
+    assert all(hnf_contains(l_key.hnf, row) for row in x_key.hnf)
