@@ -182,48 +182,115 @@ class LambdaClass:
     keys: frozenset[LatticeKey]
 
 
+# Array entries per block of v_0.  A v_0 costs its n dots, its k x k Gram
+# block (k its most candidates for one of v_1, v_2, v_3) and about ten index
+# entries per frame; the first block is one v_0, and each block sizes the
+# next from its own frames.
+# 2^15 entries (256 kB of int64) are enough v_0 to spread the fixed cost of
+# the ~40 NumPy calls a block makes, and keep the block under 0.5 MB in all.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _padded(mask: np.ndarray) -> np.ndarray:
+    """Column indices of the True entries of each row of `mask`, padded with
+    -1 to a common width."""
+    rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    out = np.full((len(mask), pos.max(initial=-1) + 1), -1, dtype=np.intp)
+    out[rows, pos] = cols
+    return out
+
+
+def _words(mask: np.ndarray) -> np.ndarray:
+    """The last axis of a bool array as uint64 words, bit j of word w
+    holding entry 64 w + j."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    out = np.zeros(mask.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
+def _block_frames(x: np.ndarray, y: np.ndarray, t: list[list[int]],
+                  lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The frames (v_0, v_1, v_2, v_3) with lo <= v_0 < hi, as four index
+    arrays in no particular order.  x and y end in a zero row, the pad of
+    the candidate rows, and t holds the packed target dots.
+
+    The dot rows of v_0 give its candidates B, C, D for v_1, v_2, v_3 as
+    index rows padded with -1; candidate sets and Gram blocks that share
+    their dot with v_0 are computed once.  The (v_1, v_2) pairs are the
+    matches in B.C, and v_3 the set bits of the AND of their B.D and C.D
+    rows, packed in uint64 words: a pair has almost always one v_3."""
+    dots = x[lo:hi] @ y[:-1].T
+    cands = {v: _padded(dots == v) for v in set(t[0][1:])}
+    pairs = {(t[0][i], t[0][j]) for i, j in ((1, 2), (1, 3), (2, 3))}
+    grams = {(p, q): x[cands[p]] @ y[cands[q]].transpose(0, 2, 1) for p, q in pairs}
+    b, c, d = (cands[v] for v in t[0][1:])
+    bc = (grams[t[0][1], t[0][2]] == t[1][2]) & (b >= 0)[:, :, None] & (c >= 0)[:, None, :]
+    pa, pb, pc = np.unravel_index(np.flatnonzero(bc), bc.shape)
+    bd = _words((grams[t[0][1], t[0][3]] == t[1][3]) & (d >= 0)[:, None, :])
+    cd = _words(grams[t[0][2], t[0][3]] == t[2][3])
+    pair_words = bd[pa, pb] & cd[pa, pc]
+    pair, word = np.unravel_index(np.flatnonzero(pair_words), pair_words.shape)
+    bits = pair_words[pair, word]
+    hit, pos = [], []
+    while True:
+        below = bits - np.uint64(1)
+        hit.append(pair)
+        pos.append(64 * word + np.bitwise_count(bits ^ below) - 1)  # the lowest set bit
+        bits &= below
+        more = bits != 0
+        if not more.any():
+            break
+        pair, word, bits = pair[more], word[more], bits[more]
+    hit, pos = np.concatenate(hit), np.concatenate(pos)
+    pa = pa[hit]
+    return lo + pa, b[pa, pb[hit]], c[pa, pc[hit]], d[pa, pos]
+
+
 @lru_cache(maxsize=128)
 def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
     """Count the frames with Gram lam * Gram(u) and key the SSMs they span.
 
-    One pass per v_0: its dot row gives the candidates B, C, D for v_1, v_2,
-    v_3; the (v_1, v_2) pairs come from one |B| x |C| block and v_3 from
-    `bd[b] & cd[c]`, so no n x n matrix is held.  A dot a + b w is packed as
-    a * S + b.  Each embedding of a dot of norm-lam vectors is at most 4T in
-    absolute value (Cauchy-Schwarz, T = lam + lam'), so |b| < 4T, |a| < 11T
-    and S = 8T + 1 packs injectively; coordinates are below 6 sqrt(T), so
-    every partial sum stays below 2^57 for T < 2^20 (which `_norm_vectors`
-    enforces) and int64 is exact.
+    The v_0 are taken in blocks (`_block_frames`), so no n x n matrix is
+    held.
+    A dot a + b w is packed as a * S + b.  Each embedding of a dot of
+    norm-lam vectors is at most 4T in absolute value (Cauchy-Schwarz,
+    T = lam + lam'), so |b| < 4T, |a| < 11T and S = 8T + 1 packs
+    injectively; coordinates are below 6 sqrt(T), so every partial sum
+    stays below 2^57 for T < 2^20 (which `_norm_vectors` enforces) and
+    int64 is exact.
 
-    Each SSM found gets a shell, the mask of the norm-lam vectors inside it.
-    A frame inside one shell spans that SSM (same index), so only frames no
-    shell covers get a `lattice_key`, of v_i (and w v_i) in key coordinates.
+    Each SSM found gets a shell bit, set in the words of the norm-lam
+    vectors inside it.  A frame whose four vectors share a shell bit spans
+    that SSM (same index), so only frames no shell covers get a
+    `lattice_key`, of v_i (and w v_i) in key coordinates.
     """
     ring = lattice.ring
     x, coords = _norm_vectors(lattice, lam)
+    n = len(x)
+    x = np.vstack([x, np.zeros_like(x[:1])])
     big_t = (lam + lam.conjugate()).a
     form = _form(ring, 8 * big_t + 1)
     u = np.array(lattice.units, dtype=np.int64)
     t = (u @ form @ (lam.a * u + (lam.b * _omega_times(u, ring) if lam.b else 0)).T).tolist()
     y = x @ form
+    k = int(max((x[:1] @ y[:n].T == v).sum() for v in t[0][1:]))
     frames, keys = 0, set()
-    shells = np.zeros((0, len(x)), dtype=bool)
-    for a in range(len(x)):
-        row = y @ x[a]
-        b_set, c_set, d_set = (np.flatnonzero(row == t[0][k]) for k in (1, 2, 3))
-        bi, ci = np.nonzero(x[b_set] @ y[c_set].T == t[1][2])
-        if not len(bi) or not len(d_set):
-            continue
-        bd = x[b_set] @ y[d_set].T == t[1][3]
-        cd = x[c_set] @ y[d_set].T == t[2][3]
-        pi, di = np.nonzero(bd[bi] & cd[ci])
-        fb, fc, fd = b_set[bi[pi]], c_set[ci[pi]], d_set[di]
+    shells = np.zeros((1, n), dtype=np.uint64)  # bit i of word i // 64: inside SSM i
+    lo, step = 0, 1
+    while lo < n:
+        hi = min(lo + step, n)
+        fa, fb, fc, fd = _block_frames(x, y, t, lo, hi)
+        step = max(1, _BLOCK_ENTRIES * (hi - lo) // ((hi - lo) * (n + k * k) + 10 * len(fd)))
+        lo = hi
         frames += len(fd)
-        own = shells[shells[:, a]]
-        todo = ~(own[:, fb] & own[:, fc] & own[:, fd]).any(axis=0)
+        todo = np.ones(len(fd), dtype=bool)
+        for w in shells:
+            todo &= (w[fa] & w[fb] & w[fc] & w[fd]) == 0
         while todo.any():
             f = np.flatnonzero(todo)[0]
-            quad = [a, fb[f], fc[f], fd[f]]
+            quad = [fa[f], fb[f], fc[f], fd[f]]
             rows = coords[quad]
             if ring is not Ring.RATIONAL:
                 rows = np.concatenate([rows, _omega_times(rows, ring)])
@@ -231,10 +298,12 @@ def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
             shell = _contains(key.hnf, coords)
             if not shell[quad].all() or key in keys:
                 raise AssertionError(f"{lattice.name} lambda={lam}: a frame escaped its shell")
+            if len(keys) == 64 * len(shells):
+                shells = np.vstack([shells, np.zeros_like(shells)])
+            shells[len(keys) // 64, shell] |= np.uint64(1 << len(keys) % 64)
             keys.add(key)
-            shells = np.vstack([shells, shell])
-            todo &= ~(shell[fb] & shell[fc] & shell[fd])
-    return LambdaClass(lam, len(x), frames, frozenset(keys))
+            todo &= ~(shell[fa] & shell[fb] & shell[fc] & shell[fd])
+    return LambdaClass(lam, n, frames, frozenset(keys))
 
 
 @lru_cache(maxsize=64)
@@ -294,9 +363,9 @@ class SSM:
 
 
 @lru_cache(maxsize=None)
-def _mult_matrices(lattice: AmbientLattice) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Integer matrices of x -> x u and of x -> u x on key coordinates (row
-    vectors), one pair per unit basis element u."""
+def _mult_matrices(lattice: AmbientLattice) -> np.ndarray:
+    """Integer matrices on key coordinates (row vectors), [0, i] of x -> x u
+    and [1, i] of x -> u x for the i-th unit basis element u."""
     ring, order = lattice.ring, lattice.order
     zbasis = _data(order).basis + tuple(e * omega(ring) for e in _data(order).basis)
 
@@ -306,7 +375,10 @@ def _mult_matrices(lattice: AmbientLattice) -> tuple[tuple[np.ndarray, np.ndarra
 
     units = [Quat(ring, [QuadInt(ring, a, b) for a, b in zip(u[:4], u[4:])], 2)
              for u in lattice.units]
-    return tuple((matrix(z * u for z in zbasis), matrix(u * z for z in zbasis)) for u in units)
+    out = np.array([[matrix(z * u for z in zbasis) for u in units],
+                    [matrix(u * z for z in zbasis) for u in units]])
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
 
 
 def enumerate_ssm(lattice: AmbientLattice, m: int, bound: int) -> list[SSM]:
@@ -322,8 +394,8 @@ def enumerate_ssm(lattice: AmbientLattice, m: int, bound: int) -> list[SSM]:
     out = []
     for key in _frames(lattice, m)[1]:
         h = np.array(key.hnf, dtype=np.int64)
-        r, l = (all(_contains(key.hnf, h @ mats[side]).all() for mats in _mult_matrices(lattice))
-                for side in (0, 1))
+        products = (h @ _mult_matrices(lattice)).reshape(-1, h.shape[1])
+        r, l = _contains(key.hnf, products).reshape(2, -1).all(axis=1)
         out.append(SSM(key, ("product", "left-ideal", "right-ideal", "two-sided")[2 * r + l]))
     out.sort(key=lambda s: s.key.hnf)
     return out

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from similitude import cli
 from similitude.cli import main
+from similitude.counting import Target, series
 
 
 def run(capsys, *argv):
@@ -23,6 +25,20 @@ def test_series_csv_header_and_rows(capsys):
     assert out == "m,index,count\n1,1,1\n2,2,1\n3,3,1\n"
     code, out, _ = run(capsys, "series", "--target", "zeta_j", "--terms", "3", "--format", "csv")
     assert out == "m,index,count\n1,1,1\n2,4,1\n3,9,4\n"
+
+
+@pytest.mark.parametrize("fmt,sep", [("plain", " "), ("csv", ",")], ids=["plain", "csv"])
+@pytest.mark.parametrize("target", [Target.F_J, Target.RIEMANN], ids=["square", "plain_index"])
+def test_series_chunks_equal_row_by_row(capsys, fmt, sep, target):
+    chunk = cli._SERIES_CHUNK
+    for terms in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        code, out, _ = run(capsys, "series", "--target", target.value, "--terms", str(terms),
+                           "--format", fmt)
+        square = target.index_kind == "square"
+        rows = "".join(f"{m}{sep}{m * m if square else m}{sep}{c}\n"
+                       for m, c in enumerate(series(target, terms).values, 1))
+        assert code == 0
+        assert out == ("m,index,count\n" if fmt == "csv" else "") + rows, terms
 
 
 def test_series_json_roundtrip(capsys):
@@ -127,6 +143,15 @@ def test_oracle_module_requires_m(capsys):
     code, _, err = run(capsys, "oracle", "--module", "icosian")
     assert code == 2
     assert "--m" in err
+
+
+def test_oracle_rejects_a_flag_that_does_not_apply(capsys):
+    code, out, err = run(capsys, "oracle", "--lattice", "z4", "--m", "4")
+    assert (code, out) == (2, "")
+    assert "--m does not apply to --lattice" in err
+    code, out, err = run(capsys, "oracle", "--module", "icosian", "--m", "4", "--max-m", "9")
+    assert (code, out) == (2, "")
+    assert "--max-m does not apply to --module" in err
 
 
 def test_constants_rows(capsys):

@@ -34,6 +34,46 @@ def enumerate_sublattices(index):
     return keys
 
 
+def reference_search(lattice, lam):
+    """(vectors, frames, SSM keys) of one lambda class, one v_0 at a time with
+    a bool shell matrix: the reference for the blocked `oracle._search`."""
+    ring = lattice.ring
+    x, coords = _norm_vectors(lattice, lam)
+    big_t = (lam + lam.conjugate()).a
+    form = oracle._form(ring, 8 * big_t + 1)
+    u = np.array(lattice.units, dtype=np.int64)
+    t = (u @ form @ (lam.a * u + (lam.b * oracle._omega_times(u, ring) if lam.b else 0)).T).tolist()
+    y = x @ form
+    frames, keys = 0, set()
+    shells = np.zeros((0, len(x)), dtype=bool)
+    for a in range(len(x)):
+        row = y @ x[a]
+        b_set, c_set, d_set = (np.flatnonzero(row == t[0][k]) for k in (1, 2, 3))
+        bi, ci = np.nonzero(x[b_set] @ y[c_set].T == t[1][2])
+        if not len(bi) or not len(d_set):
+            continue
+        bd = x[b_set] @ y[d_set].T == t[1][3]
+        cd = x[c_set] @ y[d_set].T == t[2][3]
+        pi, di = np.nonzero(bd[bi] & cd[ci])
+        fb, fc, fd = b_set[bi[pi]], c_set[ci[pi]], d_set[di]
+        frames += len(fd)
+        own = shells[shells[:, a]]
+        todo = ~(own[:, fb] & own[:, fc] & own[:, fd]).any(axis=0)
+        while todo.any():
+            f = np.flatnonzero(todo)[0]
+            quad = [a, fb[f], fc[f], fd[f]]
+            rows = coords[quad]
+            if ring is not Ring.RATIONAL:
+                rows = np.concatenate([rows, oracle._omega_times(rows, ring)])
+            key = lattice_key(rows.tolist(), coords.shape[1])
+            shell = oracle._contains(key.hnf, coords)
+            assert shell[quad].all() and key not in keys
+            keys.add(key)
+            shells = np.vstack([shells, shell])
+            todo &= ~(shell[fb] & shell[fc] & shell[fd])
+    return len(x), frames, frozenset(keys)
+
+
 def subgroup_count_formula(index):
     """Independent count of index-n subgroups of Z^4: sum over HNF diagonals
     (d1, d2, d3, d4) with product n of d1^3 d2^2 d3."""
@@ -224,3 +264,38 @@ def test_bad_key_rejected():
     unreduced = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # spans Z^4, 1 not reduced mod 1
     with pytest.raises(ValueError, match="Hermite"):
         is_similar_sublattice(LatticeKey(4, unreduced, 1), Z4)
+
+
+@pytest.mark.parametrize("lattice,ms", [
+    (Z4, range(1, 13)), (D4STAR, range(1, 13)),
+    (ICOSIAN, (1, 4, 5, 9, 11, 16)), (CUBIAN, (1, 2, 4, 7, 8, 9, 14))],
+    ids=["z4", "d4star", "icosian", "cubian"])
+def test_blocked_search_equals_reference(lattice, ms):
+    for m in ms:
+        for lam in _lambdas(lattice.ring, m):
+            c = oracle._search(lattice, lam)
+            assert (c.vectors, c.frames, c.keys) == reference_search(lattice, lam), (m, lam)
+
+
+@pytest.mark.parametrize("budget", [1, 4000])
+def test_blocked_search_equals_reference_at_any_block_size(monkeypatch, budget):
+    # budget 1 gives one v_0 per block; 4000 gives blocks of several v_0
+    # that do not divide the class, so the last block is short
+    real, sizes = oracle._block_frames, []
+
+    def spy(x, y, t, lo, hi):
+        sizes.append(hi - lo)
+        return real(x, y, t, lo, hi)
+
+    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(oracle, "_block_frames", spy)
+    for lattice, m in ((Z4, 5), (D4STAR, 3), (ICOSIAN, 1), (CUBIAN, 7)):
+        for lam in _lambdas(lattice.ring, m):
+            sizes.clear()
+            c = oracle._search.__wrapped__(lattice, lam)
+            assert (c.vectors, c.frames, c.keys) == reference_search(lattice, lam), (m, lam)
+            assert sum(sizes) == c.vectors
+            if budget == 1:
+                assert set(sizes) == {1}
+            else:
+                assert max(sizes) > 1 and sizes[-1] < max(sizes)
