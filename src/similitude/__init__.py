@@ -11,7 +11,7 @@ from .dirichlet import (CoeffSeq, coeff_seq, convolve, dilate,
                         dirichlet_inverse, from_multiplicative,
                         is_multiplicative, ones, partial_sum, shift)
 from .lattice import LatticeKey
-from .oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, AmbientLattice, count_ssl_bruteforce,
+from .oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, count_ssl_bruteforce,
                      enumerate_ssm_cubian, enumerate_ssm_icosian, is_similar_sublattice)
 from .orders import Order, OrderElement, element, module_lattice
 from .quadfield import (PrimeClass, QuadInt, QuadRat, Ring, is_representable_index,
@@ -19,7 +19,7 @@ from .quadfield import (PrimeClass, QuadInt, QuadRat, Ring, is_representable_ind
 from .quat import Quat
 
 __all__ = [
-    "AmbientLattice", "CUBIAN", "CoeffSeq", "CrossCheckFailure", "D4STAR", "GrowthModel",
+    "CUBIAN", "CoeffSeq", "CrossCheckFailure", "D4STAR", "GrowthModel",
     "ICOSIAN", "LatticeKey", "Order", "OrderElement", "PrimeClass", "Quat", "QuadInt",
     "QuadRat", "Ring", "Target", "Z4", "coeff", "coeff_seq", "convolve",
     "count_ssl_bruteforce", "dilate", "dirichlet_inverse",

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LatticeKey:
@@ -58,17 +60,13 @@ def lattice_key(rows, dim: int) -> LatticeKey:
     return LatticeKey(dim, h, index)
 
 
-def hnf_contains(hnf: tuple[tuple[int, ...], ...], vector) -> bool:
-    """Membership of an integer vector in the lattice with row basis `hnf`."""
-    dim = len(hnf)
-    v = list(vector)
-    for i in range(dim - 1, -1, -1):
-        q, r = divmod(v[i], hnf[i][i])
-        if r:
-            return False
-        if q:
-            row = hnf[i]
-            for k in range(i + 1):
-                v[k] -= q * row[k]
-    return True
-
+def hnf_contains(hnf: tuple[tuple[int, ...], ...], vecs) -> np.ndarray:
+    """Row mask of the integer rows of `vecs` (int64) that lie in the lattice
+    with row basis `hnf`."""
+    v = np.array(vecs, dtype=np.int64)
+    ok = np.ones(len(v), dtype=bool)
+    for i in range(len(hnf) - 1, -1, -1):
+        q, rem = np.divmod(v[:, i], hnf[i][i])
+        ok &= rem == 0
+        v -= np.outer(q, hnf[i])
+    return ok

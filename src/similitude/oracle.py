@@ -4,7 +4,8 @@ the closed-form rules.
 Every oracle reads one frame census.  A similarity submodule (SSM) of an order
 O over Z[w] (w = tau or sqrt2; Z for the lattices Z^4 and D4*) is R(O) inside O
 for a similarity R.  R is real-linear, so R(O) is the Z[w]-span of a *frame*:
-the images of a Z[w]-basis u of O made of units, with Gram matrix lam*Gram(u)
+the images of the Z[w]-basis u of units that `orders` holds for O (Z4,
+D4STAR, ICOSIAN, CUBIAN; `ambient` looks them up), with Gram matrix lam*Gram(u)
 for a totally positive lam of norm m (index m^2).  lam runs over one generator
 per ideal of norm m, modulo the totally positive units eps^2.  The census
 finds every frame among the elements of norm lam, keys each spanned module
@@ -22,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeKey, lattice_key
-from .orders import Order, _data, element
-from .quadfield import QuadInt, Ring, fundamental_unit, is_representable_index, omega
-from .quat import Quat
+from .lattice import LatticeKey, hnf_contains, lattice_key
+from .orders import CUBIAN, ICOSIAN, ORDERS, Order, _data, _omega_times, coordinates
+from .orders import D4STAR, Z4  # noqa: F401  (re-exported: the oracle's public names)
+from .quadfield import QuadInt, Ring, fundamental_unit, is_representable_index
 
 DEFAULT_INDEX_BOUND = 49
 DEFAULT_ICOSIAN_BOUND = 25
@@ -33,43 +34,10 @@ DEFAULT_ICOSIAN_BOUND = 25
 DEFAULT_CUBIAN_BOUND = 25
 
 
-@dataclass(frozen=True)
-class AmbientLattice:
-    """An order O over `ring`, given by a Z[w]-basis of units in doubled
-    coordinates: 2x the 1,i,j,k coordinates, and over Z[w] the rational
-    parts followed by the w parts.  Keys are taken in the fixed Z-basis of
-    `order` (the coordinates of `orders.module_lattice`); Z^4, the Lipschitz
-    order, which `orders` does not model, is keyed in its unit basis."""
-
-    name: str
-    ring: Ring
-    units: tuple[tuple[int, ...], ...]
-    order: Order | None = None
-
-
-Z4 = AmbientLattice("z4", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)))
-
-# The Hurwitz order, basis {1, i, j, (1+i+j+k)/2}.
-D4STAR = AmbientLattice("d4star", Ring.RATIONAL,
-                        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)), Order.HURWITZ)
-
-# 1, -(1+i+j+k)/2, (-1-i-j+k)/2, (-1+(tau-1)i+tau j)/2
-ICOSIAN = AmbientLattice("icosian", Ring.GOLDEN, (
-    (2, 0, 0, 0, 0, 0, 0, 0), (-1, -1, -1, -1, 0, 0, 0, 0),
-    (-1, -1, -1, 1, 0, 0, 0, 0), (-1, -1, 0, 0, 0, 1, 1, 0)), Order.ICOSIAN)
-
-# 1, (1+i)/sqrt2, (1+j)/sqrt2, (1+i+j+k)/2
-CUBIAN = AmbientLattice("cubian", Ring.SQRT2, (
-    (2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0, 0),
-    (0, 0, 0, 0, 1, 0, 1, 0), (1, 1, 1, 1, 0, 0, 0, 0)), Order.CUBIAN)
-
-_LATTICES = {lat.name: lat for lat in (Z4, D4STAR, ICOSIAN, CUBIAN)}
-
-
-def ambient(name: str) -> AmbientLattice:
-    if name not in _LATTICES:
+def ambient(name: str) -> Order:
+    if name not in ORDERS:
         raise ValueError(f"unknown lattice {name!r}")
-    return _LATTICES[name]
+    return ORDERS[name]
 
 
 def _lambdas(ring: Ring, m: int) -> list[QuadInt]:
@@ -93,13 +61,6 @@ def _lambdas(ring: Ring, m: int) -> list[QuadInt]:
     return out
 
 
-def _omega_times(x: np.ndarray, ring: Ring) -> np.ndarray:
-    """Rows of Z[w]-coordinates (rational parts, then w parts) times w:
-    tau (a + b tau) = b + (a + b) tau, sqrt2 (a + b sqrt2) = 2b + a sqrt2."""
-    a, b = x[:, :4], x[:, 4:]
-    return np.hstack([b, a + b] if ring is Ring.GOLDEN else [2 * b, a])
-
-
 def _form(ring: Ring, s: int) -> np.ndarray:
     """L with X @ L @ Y.T = a * s + b for the dot product 4 Re(x y-bar) =
     a + b w of doubled coordinates X, Y (tau^2 = tau + 1, sqrt2^2 = 2)."""
@@ -109,7 +70,7 @@ def _form(ring: Ring, s: int) -> np.ndarray:
     return np.block([[s * i, i], [i, (s + 1 if ring is Ring.GOLDEN else 2 * s) * i]])
 
 
-def _norm_vectors(lattice: AmbientLattice, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]:
+def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]:
     """Doubled coordinates X of the elements of norm lam, and their key
     coordinates: sum X_i^2 = 4 lam with X/2 in the order, by a
     meet-in-the-middle join of pairs of coordinate squares a + b w, packed
@@ -156,22 +117,10 @@ def _norm_vectors(lattice: AmbientLattice, lam: QuadInt) -> tuple[np.ndarray, np
     right = order[start + np.arange(len(left))]
     idx = np.stack([i[left], j[left], i[right], j[right]], axis=1)
     x = np.hstack([cands[idx, 0], cands[idx, 1]])[:, :4 if ring is Ring.RATIONAL else 8]
-    data = _data(lattice.order) if lattice.order else None  # Z^4 is keyed as X/2
-    adj, det = (data.adj, data.det) if data else (np.eye(4, dtype=np.int64), 2)
-    c = x @ np.array(adj, dtype=np.int64).T
-    inside = (c % det == 0).all(axis=1)
-    return x[inside], c[inside] // det
-
-
-def _contains(hnf, vecs: np.ndarray) -> np.ndarray:
-    """Row mask of the integer rows of `vecs` that lie in the lattice with
-    row basis `hnf` (vectorised `lattice.hnf_contains`)."""
-    v, ok = vecs.copy(), np.ones(len(vecs), dtype=bool)
-    for i in range(len(hnf) - 1, -1, -1):
-        q, rem = np.divmod(v[:, i], hnf[i][i])
-        ok &= rem == 0
-        v -= np.outer(q, hnf[i])
-    return ok
+    data = _data(lattice)
+    c = x @ np.array(data.adj, dtype=np.int64).T
+    inside = (c % data.det == 0).all(axis=1)
+    return x[inside], c[inside] // data.det
 
 
 @dataclass(frozen=True)
@@ -249,7 +198,7 @@ def _block_frames(x: np.ndarray, y: np.ndarray, t: list[list[int]],
 
 
 @lru_cache(maxsize=128)
-def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
+def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     """Count the frames with Gram lam * Gram(u) and key the SSMs they span.
 
     The v_0 are taken in blocks (`_block_frames`), so no n x n matrix is
@@ -295,7 +244,7 @@ def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
             if ring is not Ring.RATIONAL:
                 rows = np.concatenate([rows, _omega_times(rows, ring)])
             key = lattice_key(rows.tolist(), coords.shape[1])
-            shell = _contains(key.hnf, coords)
+            shell = hnf_contains(key.hnf, coords)
             if not shell[quad].all() or key in keys:
                 raise AssertionError(f"{lattice.name} lambda={lam}: a frame escaped its shell")
             if len(keys) == 64 * len(shells):
@@ -307,7 +256,7 @@ def _search(lattice: AmbientLattice, lam: QuadInt) -> LambdaClass:
 
 
 @lru_cache(maxsize=64)
-def census(lattice: AmbientLattice, m: int) -> tuple[LambdaClass, ...]:
+def census(lattice: Order, m: int) -> tuple[LambdaClass, ...]:
     """The SSMs of index m^2, one LambdaClass per lam, checked complete:
     each lam has |Aut| frames per SSM (|Aut| is the frame count at m = 1),
     and no SSM appears under two lam."""
@@ -325,13 +274,13 @@ def census(lattice: AmbientLattice, m: int) -> tuple[LambdaClass, ...]:
     return tuple(classes)
 
 
-def _frames(lattice: AmbientLattice, m: int) -> tuple[int, frozenset[LatticeKey]]:
+def _frames(lattice: Order, m: int) -> tuple[int, frozenset[LatticeKey]]:
     """(frames, SSM keys) of index m^2, summed over the lam classes."""
     classes = census(lattice, m)
     return sum(c.frames for c in classes), frozenset().union(*(c.keys for c in classes))
 
 
-def is_similar_sublattice(key: LatticeKey, lattice: AmbientLattice) -> bool:
+def is_similar_sublattice(key: LatticeKey, lattice: Order) -> bool:
     """True iff the sublattice is an inflated isometric image of the ambient one,
     i.e. one spanned by a frame; a non-square index has no frames."""
     if key.rank != 4:
@@ -345,7 +294,7 @@ def is_similar_sublattice(key: LatticeKey, lattice: AmbientLattice) -> bool:
     return m * m == key.index and key in _frames(lattice, m)[1]
 
 
-def count_ssl_bruteforce(lattice: AmbientLattice, m: int,
+def count_ssl_bruteforce(lattice: Order, m: int,
                          bound: int = DEFAULT_INDEX_BOUND) -> int:
     """Number of index-m^2 sublattices that are similar images of the ambient
     lattice, by exhaustive frame enumeration."""
@@ -363,28 +312,21 @@ class SSM:
 
 
 @lru_cache(maxsize=None)
-def _mult_matrices(lattice: AmbientLattice) -> np.ndarray:
+def _mult_matrices(lattice: Order) -> np.ndarray:
     """Integer matrices on key coordinates (row vectors), [0, i] of x -> x u
     and [1, i] of x -> u x for the i-th unit basis element u."""
-    ring, order = lattice.ring, lattice.order
-    zbasis = _data(order).basis + tuple(e * omega(ring) for e in _data(order).basis)
-
-    def matrix(products) -> np.ndarray:
-        rows = [element(order, q).basis_coords for q in products]
-        return np.array([[c.a for c in r] + [c.b for c in r] for r in rows], dtype=np.int64)
-
-    units = [Quat(ring, [QuadInt(ring, a, b) for a, b in zip(u[:4], u[4:])], 2)
-             for u in lattice.units]
-    out = np.array([[matrix(z * u for z in zbasis) for u in units],
-                    [matrix(u * z for z in zbasis) for u in units]])
+    data = _data(lattice)
+    out = np.array([[[coordinates(lattice, z * u) for z in data.zbasis] for u in data.basis],
+                    [[coordinates(lattice, u * z) for z in data.zbasis] for u in data.basis]],
+                   dtype=np.int64)
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 
-def enumerate_ssm(lattice: AmbientLattice, m: int, bound: int) -> list[SSM]:
-    """All SSMs of index m^2 of the icosian or cubian order, each with its
-    kind: a right ideal is stable under right multiplication by the order,
-    a left ideal under left multiplication, a two-sided ideal under both."""
+def enumerate_ssm(lattice: Order, m: int, bound: int) -> list[SSM]:
+    """All SSMs of index m^2 of any of the four orders, each with its kind:
+    a right ideal is stable under right multiplication by the order, a left
+    ideal under left multiplication, a two-sided ideal under both."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > bound:
@@ -395,7 +337,7 @@ def enumerate_ssm(lattice: AmbientLattice, m: int, bound: int) -> list[SSM]:
     for key in _frames(lattice, m)[1]:
         h = np.array(key.hnf, dtype=np.int64)
         products = (h @ _mult_matrices(lattice)).reshape(-1, h.shape[1])
-        r, l = _contains(key.hnf, products).reshape(2, -1).all(axis=1)
+        r, l = hnf_contains(key.hnf, products).reshape(2, -1).all(axis=1)
         out.append(SSM(key, ("product", "left-ideal", "right-ideal", "two-sided")[2 * r + l]))
     out.sort(key=lambda s: s.key.hnf)
     return out

@@ -1,66 +1,60 @@
-"""The maximal quaternion orders: Hurwitz (over Z), icosian (over Z[tau]),
-cubian (over Z[sqrt2]).
+"""The four orders of the census: Z^4 (the Lipschitz order) and D4* (the
+Hurwitz order) over Z, the icosian order over Z[tau] and the cubian order
+over Z[sqrt2].
 
-Provides membership, integral coordinates in a fixed basis, and the
+Each order is one table row: its name, its base ring and one Z[w]-basis of
+units.  Provides membership, integral coordinates in that basis, and the
 integer-lattice key of a two-sided product a*O*b.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import quadfield as qf
-from .lattice import LatticeKey, hnf_contains, hnf_rows, lattice_key
+import numpy as np
+
+from .lattice import LatticeKey, lattice_key
 from .quadfield import QuadInt, Ring
 from .quat import Quat
 
 
-class Order(enum.Enum):
-    HURWITZ = "hurwitz"
-    ICOSIAN = "icosian"
-    CUBIAN = "cubian"
+@dataclass(frozen=True)
+class Order:
+    """An order O over `ring`, given by a Z[w]-basis of units in doubled
+    coordinates: 2x the 1,i,j,k coordinates, and over Z[w] the rational
+    parts followed by the w parts.  Key coordinates are coordinates in the
+    Z-basis made of the units and, over Z[w], w times the units."""
 
-    @property
-    def ring(self) -> Ring:
-        return _ORDER_RING[self]
-
-
-_ORDER_RING = {
-    Order.HURWITZ: Ring.RATIONAL,
-    Order.ICOSIAN: Ring.GOLDEN,
-    Order.CUBIAN: Ring.SQRT2,
-}
+    name: str
+    ring: Ring
+    units: tuple[tuple[int, ...], ...]
 
 
-def _q(ring: Ring, doubled) -> Quat:
-    """Quaternion from doubled coordinates: entries are 2x the 1,i,j,k coords."""
-    nums = tuple(QuadInt(ring, *v) if isinstance(v, tuple) else QuadInt(ring, v) for v in doubled)
-    return Quat(ring, nums, 2)
+Z4 = Order("z4", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)))
+
+# The Hurwitz order, basis {1, i, j, (1+i+j+k)/2}.
+D4STAR = Order("d4star", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)))
+
+# 1, -(1+i+j+k)/2, (-1-i-j+k)/2, (-1+(tau-1)i+tau j)/2
+ICOSIAN = Order("icosian", Ring.GOLDEN, (
+    (2, 0, 0, 0, 0, 0, 0, 0), (-1, -1, -1, -1, 0, 0, 0, 0),
+    (-1, -1, -1, 1, 0, 0, 0, 0), (-1, -1, 0, 0, 0, 1, 1, 0)))
+
+# 1, (1+i)/sqrt2, (1+j)/sqrt2, (1+i+j+k)/2
+CUBIAN = Order("cubian", Ring.SQRT2, (
+    (2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0, 1, 0), (1, 1, 1, 1, 0, 0, 0, 0)))
+
+ORDERS = {order.name: order for order in (Z4, D4STAR, ICOSIAN, CUBIAN)}
 
 
-# Fixed integral bases (rows of doubled coordinates).  The Hurwitz basis is
-# {1, i, j, (1+i+j+k)/2}; the cubian basis is the Z[sqrt2]-span generators
-# {1, (1+i)/sqrt2, (1+j)/sqrt2, (1+i+j+k)/2}; the icosian basis is the frozen
-# result of reducing the Z[tau]-span of the 120 icosian units to a triangular
-# Z[tau]-basis (see tests for the re-derivation from the units).
-_BASIS_DOUBLED = {
-    Order.HURWITZ: ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)),
-    Order.ICOSIAN: (
-        ((1, 0), (0, 0), (-1, -1), (-2, 1)),
-        ((0, 0), (1, 0), (0, -1), (-1, -1)),
-        ((0, 0), (0, 0), (2, 0), (0, 0)),
-        ((0, 0), (0, 0), (0, 0), (2, 0)),
-    ),
-    Order.CUBIAN: (
-        ((2, 0), (0, 0), (0, 0), (0, 0)),
-        ((0, 1), (0, 1), (0, 0), (0, 0)),
-        ((0, 1), (0, 0), (0, 1), (0, 0)),
-        ((1, 0), (1, 0), (1, 0), (1, 0)),
-    ),
-}
+def _omega_times(x: np.ndarray, ring: Ring) -> np.ndarray:
+    """Rows of Z[w]-coordinates (rational parts, then w parts) times w:
+    tau (a + b tau) = b + (a + b) tau, sqrt2 (a + b sqrt2) = 2b + a sqrt2."""
+    a, b = x[:, :4], x[:, 4:]
+    return np.hstack([b, a + b] if ring is Ring.GOLDEN else [2 * b, a])
 
 
 def _doubled_coords(quat: Quat):
@@ -106,10 +100,8 @@ def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[list[list[int]], in
 
 @dataclass(frozen=True)
 class _OrderData:
-    order: Order
-    basis: tuple[Quat, ...]
-    dim: int
-    hnf: tuple[tuple[int, ...], ...]  # HNF of the doubled-coordinate lattice
+    basis: tuple[Quat, ...]  # the units
+    zbasis: tuple[Quat, ...]  # the basis, then w times the basis over Z[w]
     adj: tuple[tuple[int, ...], ...]
     det: int
 
@@ -117,26 +109,33 @@ class _OrderData:
 @lru_cache(maxsize=None)
 def _data(order: Order) -> _OrderData:
     ring = order.ring
-    basis = tuple(_q(ring, row) for row in _BASIS_DOUBLED[order])
-    dim = 4 if ring is Ring.RATIONAL else 8
-    if ring is Ring.RATIONAL:
-        zbasis = basis
-    else:
-        w = qf.omega(ring)
-        zbasis = basis + tuple(e * w for e in basis)
-    cols = [_doubled_coords(e) for e in zbasis]
-    hnf = hnf_rows(cols, dim)
-    adj, det = _inverse_scaled(cols)
-    return _OrderData(order, basis, dim,
-                      tuple(tuple(r) for r in hnf),
-                      tuple(tuple(r) for r in adj), det)
+    units = np.array(order.units, dtype=np.int64)
+    zrows = units if ring is Ring.RATIONAL else np.vstack([units, _omega_times(units, ring)])
+    zrows = zrows.tolist()
+    zbasis = tuple(Quat(ring, [QuadInt(ring, *z[i::4]) for i in range(4)], 2) for z in zrows)
+    adj, det = _inverse_scaled(zrows)
+    return _OrderData(zbasis[:4], zbasis, tuple(tuple(r) for r in adj), det)
+
+
+def coordinates(order: Order, quat: Quat) -> tuple[int, ...]:
+    """Integer key coordinates of quat; ValueError if it is not in the order."""
+    if quat.ring is not order.ring:
+        raise ValueError(f"{quat!r} is over {quat.ring}, not {order.ring}")
+    data = _data(order)
+    v = _doubled_coords(quat)
+    if v is not None:
+        sol = [divmod(sum(r * x for r, x in zip(row, v)), data.det) for row in data.adj]
+        if not any(rem for _, rem in sol):
+            return tuple(c for c, _ in sol)
+    raise ValueError(f"{quat!r} is not in the {order.name} order")
 
 
 def is_member(order: Order, quat: Quat) -> bool:
-    if quat.ring is not order.ring:
+    try:
+        coordinates(order, quat)
+    except ValueError:
         return False
-    v = _doubled_coords(quat)
-    return v is not None and hnf_contains(_data(order).hnf, v)
+    return True
 
 
 @dataclass(frozen=True)
@@ -154,34 +153,12 @@ class OrderElement:
 
 def element(order: Order, quat: Quat) -> OrderElement:
     """Certify membership and compute basis coordinates; ValueError if outside."""
-    if quat.ring is not order.ring:
-        raise ValueError(f"{quat!r} is over {quat.ring}, not {order.ring}")
-    data = _data(order)
-    v = _doubled_coords(quat)
-    if v is None:
-        raise ValueError(f"{quat!r} is not in the {order.value} order")
-    sol = []
-    for row in data.adj:
-        s = sum(r * x for r, x in zip(row, v))
-        c, rem = divmod(s, data.det)
-        if rem:
-            raise ValueError(f"{quat!r} is not in the {order.value} order")
-        sol.append(c)
-    ring = order.ring
-    if ring is Ring.RATIONAL:
-        coords = tuple(QuadInt(ring, c) for c in sol)
-    else:
-        coords = tuple(QuadInt(ring, sol[i], sol[4 + i]) for i in range(4))
-    return OrderElement(order, quat, coords)
-
-
-def _omega_coords(coords: tuple[QuadInt, ...]) -> tuple[QuadInt, ...]:
-    w = qf.omega(coords[0].ring)
-    return tuple(c * w for c in coords)
+    c = coordinates(order, quat)
+    return OrderElement(order, quat, tuple(QuadInt(order.ring, *c[i::4]) for i in range(4)))
 
 
 def module_lattice(a: OrderElement, b: OrderElement) -> LatticeKey:
-    """HNF key of the Z-module a * O * b inside the order's fixed Z-basis.
+    """HNF key of the Z-module a * O * b in the order's key coordinates.
 
     The index equals N(|a|^2 |b|^2)^2 with N the field norm (checked)."""
     if a.order is not b.order:
@@ -189,18 +166,8 @@ def module_lattice(a: OrderElement, b: OrderElement) -> LatticeKey:
     if not a or not b:
         raise ZeroDivisionError("zero factor spans no finite-index module")
     order = a.order
-    data = _data(order)
-    rows = []
-    for e in data.basis:
-        img = element(order, a.q * e * b.q)
-        rows.append(img.basis_coords)
-    dim = data.dim
-    if order.ring is Ring.RATIONAL:
-        int_rows = [tuple(c.a for c in row) for row in rows]
-    else:
-        rows = rows + [_omega_coords(row) for row in rows]
-        int_rows = [tuple(c.a for c in row) + tuple(c.b for c in row) for row in rows]
-    key = lattice_key(int_rows, dim)
+    zbasis = _data(order).zbasis
+    key = lattice_key([coordinates(order, a.q * z * b.q) for z in zbasis], len(zbasis))
     nrd = (a.q.reduced_norm() * b.q.reduced_norm()).to_quadint().norm()
     if key.index != nrd * nrd:
         raise AssertionError(f"index {key.index} != N(|a|^2|b|^2)^2 = {nrd * nrd}")

@@ -206,6 +206,23 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL engine-vs-closed-form" in out
 
 
+def test_verify_multiplicativity_checks_the_engine(capsys, monkeypatch):
+    import similitude.cli as cli_mod
+    from similitude.dirichlet import coeff_seq
+
+    real = cli_mod.engine_sequence
+
+    def broken(target, n):
+        values = list(real(target, n).values)
+        values[5] += 1  # a(6) != a(2) a(3): not multiplicative
+        return coeff_seq(values)
+
+    monkeypatch.setattr(cli_mod, "engine_sequence", broken)
+    code, out, _ = run(capsys, "verify", "--target", "riemann", "--terms", "50")
+    assert code == 1
+    assert "FAIL multiplicativity target=riemann terms=50" in out
+
+
 def test_series_cross_check_failure_exits_one(capsys, monkeypatch):
     import similitude.cli as cli_mod
     from similitude.counting import CrossCheckFailure, Target

@@ -76,12 +76,10 @@ def test_rank_deficient_rejected():
 
 def test_membership():
     h = hnf_rows([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)], 4)
-    assert hnf_contains(h, (1, 1, 1, 1))
-    assert hnf_contains(h, (2, 0, 0, 0))
-    assert not hnf_contains(h, (1, 0, 0, 0))
+    assert hnf_contains(h, [(1, 1, 1, 1), (2, 0, 0, 0), (1, 0, 0, 0)]).tolist() == [True, True, False]
     sub = hnf_rows([(4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)], 4)
-    assert all(hnf_contains(h, row) for row in sub)
-    assert not all(hnf_contains(sub, row) for row in h)
+    assert hnf_contains(h, sub).all()
+    assert not hnf_contains(sub, h).all()
 
 
 def test_key_shape_validation():

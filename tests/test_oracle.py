@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -7,11 +8,10 @@ import pytest
 
 import similitude.oracle as oracle
 from similitude.counting import Target, coeff, ssm_count
-from similitude.lattice import LatticeKey, hnf_rows, lattice_key
+from similitude.lattice import LatticeKey, hnf_contains, lattice_key
 from similitude.oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, _frames, _lambdas, _norm_vectors,
                                ambient, count_ssl_bruteforce, enumerate_ssm_cubian,
                                enumerate_ssm_icosian, is_similar_sublattice)
-from similitude.orders import _data
 from similitude.quadfield import QuadInt, Ring
 
 
@@ -66,7 +66,7 @@ def reference_search(lattice, lam):
             if ring is not Ring.RATIONAL:
                 rows = np.concatenate([rows, oracle._omega_times(rows, ring)])
             key = lattice_key(rows.tolist(), coords.shape[1])
-            shell = oracle._contains(key.hnf, coords)
+            shell = hnf_contains(key.hnf, coords)
             assert shell[quad].all() and key not in keys
             keys.add(key)
             shells = np.vstack([shells, shell])
@@ -130,14 +130,6 @@ def test_frame_count_at_one_is_the_automorphism_group_order():
         assert frames == aut and [k.index for k in keys] == [1]
 
 
-def test_unit_bases_span_their_orders():
-    # the Z[w]-span of each frozen unit basis is the whole order
-    for lattice in (ICOSIAN, CUBIAN):
-        units = [tuple(u) for u in lattice.units]
-        w_units = [tuple(oracle._omega_times(np.array([u]), lattice.ring)[0]) for u in units]
-        assert hnf_rows(units + w_units, 8) == _data(lattice.order).hnf
-
-
 def test_lambda_classes_count_the_ideals_of_norm_m():
     # one lambda per ideal of norm m: the Dedekind zeta coefficients
     for ring, target in ((Ring.GOLDEN, Target.DEDEKIND_TAU), (Ring.SQRT2, Target.DEDEKIND_SQRT2)):
@@ -148,12 +140,20 @@ def test_lambda_classes_count_the_ideals_of_norm_m():
                        for lam in lams)
 
 
+def central_ideals(target, m):
+    """Two-sided ideals of index m^2 in a maximal order whose algebra ramifies
+    at no finite prime: the ideals of the centre of norm sqrt(m), times O."""
+    k = math.isqrt(m)
+    return coeff(target, k) if k * k == m else 0
+
+
 def test_cubian_census_matches_formulas():
     for m in (2, 4, 7, 8, 9):
         ssms = enumerate_ssm_cubian(m)
+        kinds = Counter(s.kind for s in ssms)
         assert len(ssms) == ssm_count(Target.F_K, m), m
+        assert kinds["two-sided"] == central_ideals(Target.DEDEKIND_SQRT2, m), m
         if m in (2, 4, 7):
-            kinds = Counter(s.kind for s in ssms)
             assert kinds["left-ideal"] + kinds["two-sided"] == coeff(Target.ZETA_K, m), m
     with pytest.raises(ValueError, match="not attainable"):
         enumerate_ssm_cubian(3)  # 3 is inert over Z[sqrt2]
@@ -165,6 +165,20 @@ def test_icosian_left_ideals_match_zeta_i():
     for m in (4, 5, 9, 16):
         kinds = Counter(s.kind for s in enumerate_ssm_icosian(m))
         assert kinds["left-ideal"] + kinds["two-sided"] == coeff(Target.ZETA_I, m), m
+        assert kinds["two-sided"] == central_ideals(Target.DEDEKIND_TAU, m), m
+
+
+def test_hurwitz_census_is_a_route_to_zeta_j():
+    # the one-sided ideals among the D4* SSMs are counted by zeta_j; the
+    # Hurwitz algebra ramifies at 2, so besides the central ideals k*O the
+    # ideals (1+i)*k*O are two-sided too, and m = k^2 or 2k^2 has exactly one
+    for m in range(1, 31):
+        kinds = Counter(s.kind for s in oracle.enumerate_ssm(D4STAR, m, 30))
+        assert sum(kinds.values()) == ssm_count(Target.F_J, m), m
+        assert (kinds["left-ideal"] + kinds["two-sided"] == kinds["right-ideal"] + kinds["two-sided"]
+                == coeff(Target.ZETA_J, m)), m
+        two_sided = any(m in (k * k, 2 * k * k) for k in range(1, m + 1))
+        assert kinds["two-sided"] == two_sided, m
 
 
 def test_census_failure_names_the_class(monkeypatch):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from similitude.lattice import hnf_contains, hnf_rows, lattice_key
-from similitude.oracle import CUBIAN, D4STAR, ICOSIAN, Z4, _norm_vectors
-from similitude.orders import Order, _data, element, is_member, module_lattice
+from similitude.oracle import _norm_vectors
+from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _omega_times, element,
+                               is_member, module_lattice)
 from similitude.quadfield import QuadInt, QuadRat, Ring
 from similitude.quat import Quat
 
@@ -15,8 +16,6 @@ GOLD = Ring.GOLDEN
 
 ONE_J = Quat(RAT, (1, 0, 0, 0))
 ONE_I = Quat(GOLD, (1, 0, 0, 0))
-
-LATTICE = {Order.HURWITZ: D4STAR, Order.ICOSIAN: ICOSIAN, Order.CUBIAN: CUBIAN}
 
 
 def as_quat(ring, doubled):
@@ -27,15 +26,14 @@ def as_quat(ring, doubled):
     return Quat(ring, [QuadInt(ring, a, b) for a, b in zip(doubled[:4], doubled[4:])], 2)
 
 
-def norm_vectors(lattice, n):
+def norm_vectors(order, n):
     """Doubled coordinates of the elements of norm n, from the census."""
-    return _norm_vectors(lattice, QuadInt(lattice.ring, n))[0]
+    return _norm_vectors(order, QuadInt(order.ring, n))[0]
 
 
 def units(order):
     """The unit group of the order: its census vectors of norm 1."""
-    lattice = LATTICE[order]
-    return [as_quat(lattice.ring, v) for v in norm_vectors(lattice, 1).tolist()]
+    return [as_quat(order.ring, v) for v in norm_vectors(order, 1).tolist()]
 
 
 def icosian_unit_coords():
@@ -72,7 +70,7 @@ def test_unit_group_sizes_and_closure():
     # 24, 120 and 48 in the Hurwitz, icosian and cubian orders
     for lattice, size in ((Z4, 8), (D4STAR, 24), (ICOSIAN, 120), (CUBIAN, 48)):
         assert len(norm_vectors(lattice, 1)) == size
-    for order in Order:
+    for order in ORDERS.values():
         group = units(order)
         quats = set(group)
         assert len(quats) == len(group)
@@ -87,22 +85,26 @@ def test_unit_group_sizes_and_closure():
 
 def test_icosian_basis_spans_the_unit_span():
     # the units built from their seeds are exactly the census's norm-1
-    # vectors, and the frozen basis generates exactly their Z-span
+    # vectors, the frozen basis is four of them, and its Z[tau]-span is
+    # exactly their Z-span
     units_120 = icosian_unit_coords()
     assert len(units_120) == 120
     assert units_120 == {tuple(v) for v in norm_vectors(ICOSIAN, 1).tolist()}
-    assert hnf_rows(sorted(units_120), 8) == _data(Order.ICOSIAN).hnf
+    assert set(ICOSIAN.units) <= units_120
+    basis = np.array(ICOSIAN.units)
+    zbasis = np.vstack([basis, _omega_times(basis, GOLD)]).tolist()
+    assert hnf_rows(sorted(units_120), 8) == hnf_rows(zbasis, 8)
 
 
 def test_membership_and_coords():
-    e = element(Order.HURWITZ, Quat(RAT, (1, 1, 1, 1), 2))
+    e = element(D4STAR, Quat(RAT, (1, 1, 1, 1), 2))
     assert [c.a for c in e.basis_coords] == [0, 0, 0, 1]
-    assert not is_member(Order.HURWITZ, Quat(RAT, (1, 1, 0, 0), 2))
+    assert not is_member(D4STAR, Quat(RAT, (1, 1, 0, 0), 2))
     with pytest.raises(ValueError, match="not in the"):
-        element(Order.HURWITZ, Quat(RAT, (1, 0, 0, 0), 3))
-    # order closure under multiplication, all three orders
+        element(D4STAR, Quat(RAT, (1, 0, 0, 0), 3))
+    # order closure under multiplication, all four orders
     rng = random.Random(5)
-    for order in Order:
+    for order in ORDERS.values():
         members = rng.sample(units(order), 8)
         basis = _data(order).basis
         members += [b1 + b2 for b1 in basis for b2 in basis[:2]]
@@ -112,27 +114,27 @@ def test_membership_and_coords():
 
 
 def test_module_lattice_examples():
-    one = element(Order.HURWITZ, ONE_J)
+    one = element(D4STAR, ONE_J)
     k = module_lattice(one, one)
     assert k.index == 1
     assert k.hnf == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    x = element(Order.HURWITZ, Quat(RAT, (1, 1, 0, 0)))
+    x = element(D4STAR, Quat(RAT, (1, 1, 0, 0)))
     assert module_lattice(x, one).index == 4
-    one_i = element(Order.ICOSIAN, ONE_I)
-    a = element(Order.ICOSIAN, Quat(GOLD, (1, 1, 0, 0)))  # reduced norm 2
+    one_i = element(ICOSIAN, ONE_I)
+    a = element(ICOSIAN, Quat(GOLD, (1, 1, 0, 0)))  # reduced norm 2
     assert module_lattice(a, one_i).index == 16
     # cubian: 1 + (1+i)/sqrt2 has reduced norm 2 + sqrt2 of field norm 2
-    b1, b2 = _data(Order.CUBIAN).basis[:2]
-    e = element(Order.CUBIAN, b1 + b2)
+    b1, b2 = _data(CUBIAN).basis[:2]
+    e = element(CUBIAN, b1 + b2)
     nrd = e.q.reduced_norm().to_quadint()
     assert (nrd.a, nrd.b) == (2, 1)
-    one_k = element(Order.CUBIAN, Quat(Ring.SQRT2, (1, 0, 0, 0)))
+    one_k = element(CUBIAN, Quat(Ring.SQRT2, (1, 0, 0, 0)))
     assert module_lattice(e, one_k).index == 4
 
 
 def test_module_lattice_unit_invariance():
     rng = random.Random(7)
-    for order in (Order.HURWITZ, Order.ICOSIAN):
+    for order in (D4STAR, ICOSIAN):
         group = units(order)
         basis = _data(order).basis
         a = element(order, basis[1] + basis[3] + basis[0])
@@ -153,7 +155,7 @@ def test_canonical_form_unique_up_to_units_at_small_norm():
     all_elems = {n: hurwitz_by_norm(n) for n in (1, 2, 3, 4, 5)}
 
     def coords(q):
-        return tuple(c.a for c in element(Order.HURWITZ, q).basis_coords)
+        return tuple(c.a for c in element(D4STAR, q).basis_coords)
 
     rcls = {a: min(coords(a * u) for u in units_24) for a in odd_elems}
     lcls = {b: min(coords(u * b) for u in units_24) for elems in all_elems.values() for b in elems}
@@ -163,7 +165,7 @@ def test_canonical_form_unique_up_to_units_at_small_norm():
         na = int(a.reduced_norm().num.a)
         for nb in range(1, 5 // na + 1):
             for b in all_elems[nb]:
-                key = module_lattice(element(Order.HURWITZ, a), element(Order.HURWITZ, b))
+                key = module_lattice(element(D4STAR, a), element(D4STAR, b))
                 cls = (rcls[a], lcls[b])
                 assert key_to_cls.setdefault(key, cls) == cls
                 assert cls_to_key.setdefault(cls, key) == key
@@ -186,10 +188,10 @@ def test_f4_root_count():
 
 def test_inclusion_chain_indices():
     # (1+i) O  c  L  c  O with index 2 at each step
-    one = element(Order.HURWITZ, ONE_J)
-    x_key = module_lattice(element(Order.HURWITZ, Quat(RAT, (1, 1, 0, 0))), one)
+    one = element(D4STAR, ONE_J)
+    x_key = module_lattice(element(D4STAR, Quat(RAT, (1, 1, 0, 0))), one)
     k_coords = (-1, -1, -1, 2)  # k in the order basis
     l_key = lattice_key([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), k_coords], 4)
     assert l_key.index == 2
     assert x_key.index == 4
-    assert all(hnf_contains(l_key.hnf, row) for row in x_key.hnf)
+    assert hnf_contains(l_key.hnf, x_key.hnf).all()
