@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .counting import Target, closed_sequence
 from .dirichlet import CoeffSeq, partial_sum
 
@@ -148,7 +150,8 @@ def zeta_special_value_check(name: str, n_terms: int = 1_000_000,
         )
     seq = closed_sequence(target_id, n_terms) if coeffs is None else coeffs
     n = seq.n_terms
-    head = math.fsum(a / m**s for m, a in enumerate(seq.values, start=1) if a)
+    nonzero = np.flatnonzero(seq.array)
+    head = math.fsum(a / m**s for m, a in zip((nonzero + 1).tolist(), seq.array[nonzero].tolist()))
     tail = rho * n ** (1 - s) / (s - 1)
     computed = head + tail
     target = target_constant(name)

@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from .arith import chi5, chi8, factorize
-from .dirichlet import (CoeffSeq, as_array, coeff_seq, convolve, dilate,
-                        dirichlet_inverse, from_multiplicative, shift)
+from .dirichlet import (CoeffSeq, convolve, dilate, dirichlet_inverse,
+                        from_multiplicative, shift)
 from .quadfield import Ring, splitting_sign
 
 
@@ -53,12 +53,14 @@ class Target(enum.Enum):
 
 def g(n, r: int):
     """(r+1) n^r + 2 (1 - (r+1) n^r + r n^(r+1)) / (n-1)^2, always an integer.
-    n may also be an int64 array whose n^(r+1) stays within int64."""
-    if np.any(n <= 1) or r < 0:
+    n may also be an int64 array whose n^(r+1) stays within int64; a Python
+    int takes plain comparisons, which are much cheaper than NumPy reductions."""
+    array = isinstance(n, np.ndarray)
+    if (np.any(n <= 1) if array else n <= 1) or r < 0:
         raise ValueError("g(n, r) needs n >= 2 and r >= 0")
     num = 2 * (1 - (r + 1) * n**r + r * n ** (r + 1))
     q, rem = divmod(num, (n - 1) ** 2)
-    if np.any(rem):
+    if np.any(rem) if array else rem:
         raise AssertionError("g(n, r) numerator must be divisible by (n-1)^2")
     return (r + 1) * n**r + q
 
@@ -166,8 +168,10 @@ def _dilated_inverse(x: np.ndarray, n: int) -> np.ndarray:
     """The inverse of dilate(x, 2) at n terms.  Inverting commutes with
     s -> 2s, so it is dilate(inverse(x), 2), which reads only x(1..isqrt(n))."""
     r = math.isqrt(n)
-    inv = dirichlet_inverse(coeff_seq(x[:r].tolist())).values
-    return dilate(as_array(inv + (0,) * (n - r)), 2)
+    inv = dirichlet_inverse(CoeffSeq(x[:r])).array
+    padded = np.zeros(n, inv.dtype)
+    padded[:r] = inv
+    return dilate(padded, 2)
 
 
 _BASE_FIELD = {
@@ -210,7 +214,7 @@ def engine_sequence(target: Target, n: int) -> CoeffSeq:
     (1 + 4^(-s)), (1 + 2/4^s) live at m = 2.  The work is done on arrays,
     and no inverse is taken of more than isqrt(n) terms.
     """
-    return CoeffSeq(tuple(_engine(target, n).tolist()))
+    return CoeffSeq(_engine(target, n))
 
 
 def series(target: Target, n: int) -> CoeffSeq:
@@ -219,7 +223,7 @@ def series(target: Target, n: int) -> CoeffSeq:
         raise ValueError("n must be >= 1")
     closed = closed_sequence(target, n)
     engine = engine_sequence(target, n)
-    if closed.values != engine.values:
-        bad = next(m for m in range(1, n + 1) if closed[m] != engine[m])
+    if closed != engine:
+        bad = int(np.flatnonzero(closed.array != engine.array)[0]) + 1
         raise CrossCheckFailure(target, bad, closed[bad], engine[bad])
     return closed

@@ -1,15 +1,15 @@
 """Coefficient algebra for Dirichlet series truncated at N terms.
 
-A CoeffSeq holds a(1..N).  Convolution, inverse, dilation (s -> k*s), and
-shift (s -> s-1) act on coefficients; multiplicative sequences are assembled
-from prime-power data by one array kernel over a prime sieve, which also
-decides multiplicativity.
+A CoeffSeq holds a(1..N) as one read-only 1-D NumPy array.  Convolution,
+inverse, dilation (s -> k*s), and shift (s -> s-1) act on coefficients;
+multiplicative sequences are assembled from prime-power data by one array
+kernel over a prime sieve, which also decides multiplicativity.
 
 Convolution, dilation and shift also take 1-D NumPy arrays and then return
 one, which is how the generating-function engine keeps its intermediates.
 An array is int64 only while an a-priori bound shows that no value or
 partial sum can leave int64; otherwise it holds exact Python ints
-(dtype=object), so nothing ever wraps.
+(dtype=object), so nothing ever wraps.  A CoeffSeq's array is either kind.
 """
 
 from __future__ import annotations
@@ -25,31 +25,56 @@ from .arith import primes_up_to, smallest_prime_factor_sieve
 _INT64_LIMIT = 1 << 63
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffSeq:
-    """values[i] is the coefficient a(m) at m = i + 1."""
+    """array[i] is the coefficient a(m) at m = i + 1.
 
-    values: tuple[int, ...]
+    The array is 1-D, int64 or dtype=object (exact Python ints).  It is taken
+    over, not copied: the constructor makes it read-only in place.  Equality
+    is by value, so int64 and object arrays of the same integers are equal.
+    A CoeffSeq is not hashable."""
+
+    array: np.ndarray
+
+    __hash__ = None
+
+    def __post_init__(self):
+        x = self.array
+        if not isinstance(x, np.ndarray) or x.ndim != 1 or x.dtype not in (np.int64, object):
+            raise TypeError("CoeffSeq needs a 1-D int64 or object array")
+        x.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, CoeffSeq):
+            return NotImplemented
+        return len(self) == len(other) and np.array_equal(self.array, other.array)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The coefficients as a tuple of Python ints, built anew on each access;
+        the package itself reads only `array`."""
+        return tuple(self.array.tolist())
 
     @property
     def n_terms(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
     def __getitem__(self, m: int) -> int:
-        if not 1 <= m <= len(self.values):
-            raise IndexError(f"m = {m} outside 1..{len(self.values)}")
-        return self.values[m - 1]
+        if not 1 <= m <= len(self.array):
+            raise IndexError(f"m = {m} outside 1..{len(self.array)}")
+        return int(self.array[m - 1])
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
 
 def coeff_seq(values) -> CoeffSeq:
-    return CoeffSeq(tuple(values))
+    """A CoeffSeq of the integers in an iterable, copied into a new array."""
+    return CoeffSeq(as_array(list(values)))
 
 
 def ones(n: int) -> CoeffSeq:
-    return CoeffSeq((1,) * n)
+    return CoeffSeq(np.ones(n, np.int64))
 
 
 def as_array(values) -> np.ndarray:
@@ -60,12 +85,12 @@ def as_array(values) -> np.ndarray:
 
 
 def _array(a) -> np.ndarray:
-    return a if isinstance(a, np.ndarray) else as_array(a.values)
+    return a if isinstance(a, np.ndarray) else a.array
 
 
 def _like(a, out: np.ndarray):
     """out in the kind of the operand a: an array for an array, else a CoeffSeq."""
-    return out if isinstance(a, np.ndarray) else CoeffSeq(tuple(out.tolist()))
+    return out if isinstance(a, np.ndarray) else CoeffSeq(out)
 
 
 def _magnitude(x: np.ndarray) -> int:
@@ -117,7 +142,7 @@ def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
         raise ValueError("not invertible: leading coefficient must be +-1")
     n = a.n_terms
     spf = smallest_prime_factor_sieve(n)
-    va = a.values
+    va = a.array.tolist()
     inv = [0] * (n + 1)
     inv[1] = lead
     for m in range(2, n + 1):
@@ -136,7 +161,7 @@ def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
             if d > 1:
                 s += va[d - 1] * inv[m // d]
         inv[m] = -lead * s
-    return CoeffSeq(tuple(inv[1:]))
+    return CoeffSeq(as_array(inv[1:]))
 
 
 def dilate(a, k: int):
@@ -214,19 +239,25 @@ def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
     for k, c in enumerate(counts.tolist(), 1):
         if vals[k]:  # else a(k P) = 0 already, from the small primes of k
             vals[k * large[:c]] = vals[k] * big[:c]
-    return CoeffSeq(tuple(vals[1:].tolist()))
+    return CoeffSeq(vals[1:])
 
 
 def is_multiplicative(a: CoeffSeq) -> bool:
     """a(1) = 1 and a = the kernel's rebuild of a from its prime powers.  That
     is a(mk) = a(m) a(k) for all coprime m, k with mk <= N: the product rule
     gives every such pair, and the pairs give it one prime power at a time."""
-    n, x = a.n_terms, _array(a)
-    return n == 0 or (a[1] == 1 and from_multiplicative(lambda p, e: x[p**e - 1], n).values == a.values)
+    n, x = a.n_terms, a.array
+    return n == 0 or (a[1] == 1 and from_multiplicative(lambda p, e: x[p**e - 1], n) == a)
 
 
 def partial_sum(a: CoeffSeq, x: int) -> int:
-    """Exact sum of a(m) for m <= x (x may not exceed the truncation)."""
+    """Exact sum of a(m) for m <= x (x may not exceed the truncation).
+
+    An int64 array is summed in int64 when x * max|a(m)| < 2^63, which bounds
+    every partial sum; above that, and for object arrays, in Python ints."""
     if x > a.n_terms:
         raise ValueError(f"partial sum to {x} exceeds truncation {a.n_terms}")
-    return sum(a.values[: max(x, 0)])
+    head = a.array[: max(x, 0)]
+    if head.dtype == object or len(head) * _magnitude(head) >= _INT64_LIMIT:
+        return sum(head.tolist())
+    return int(head.sum())

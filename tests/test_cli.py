@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import similitude
 from similitude import cli
 from similitude.cli import main
 from similitude.counting import Target, series
+from similitude.dirichlet import coeff_seq
 
 
 def run(capsys, *argv):
@@ -27,18 +33,38 @@ def test_series_csv_header_and_rows(capsys):
     assert out == "m,index,count\n1,1,1\n2,4,1\n3,9,4\n"
 
 
-@pytest.mark.parametrize("fmt,sep", [("plain", " "), ("csv", ",")], ids=["plain", "csv"])
+def _expected_series(target, fmt, counts):
+    """The series output built one row (or one json.dumps) at a time."""
+    if fmt == "json":
+        obj = {"target": target.value, "index_kind": target.index_kind, "terms": list(counts)}
+        return json.dumps(obj) + "\n"
+    sep = "," if fmt == "csv" else " "
+    square = target.index_kind == "square"
+    rows = "".join(f"{m}{sep}{m * m if square else m}{sep}{c}\n" for m, c in enumerate(counts, 1))
+    return ("m,index,count\n" if fmt == "csv" else "") + rows
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 @pytest.mark.parametrize("target", [Target.F_J, Target.RIEMANN], ids=["square", "plain_index"])
-def test_series_chunks_equal_row_by_row(capsys, fmt, sep, target):
+def test_series_chunks_equal_row_by_row(capsys, fmt, target):
     chunk = cli._SERIES_CHUNK
     for terms in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         code, out, _ = run(capsys, "series", "--target", target.value, "--terms", str(terms),
                            "--format", fmt)
-        square = target.index_kind == "square"
-        rows = "".join(f"{m}{sep}{m * m if square else m}{sep}{c}\n"
-                       for m, c in enumerate(series(target, terms).values, 1))
         assert code == 0
-        assert out == ("m,index,count\n" if fmt == "csv" else "") + rows, terms
+        assert out == _expected_series(target, fmt, series(target, terms).values), terms
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_series_prints_counts_beyond_int64(capsys, monkeypatch, fmt):
+    terms = cli._SERIES_CHUNK + 2
+    counts = [(-1) ** m * (2**64 + m) if m % 3 else m for m in range(1, terms + 1)]
+    seq = coeff_seq(counts)
+    assert seq.array.dtype == object
+    monkeypatch.setattr(cli, "series", lambda target, n: seq)
+    code, out, _ = run(capsys, "series", "--target", "f_k", "--terms", str(terms), "--format", fmt)
+    assert code == 0
+    assert out == _expected_series(Target.F_K, fmt, counts)
 
 
 def test_series_json_roundtrip(capsys):
@@ -235,3 +261,25 @@ def test_series_cross_check_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "FAIL" in err and "m = 3" in err
+
+
+def _peak_rss_mb(*args: str) -> float:
+    """Peak RSS of a fresh `python args` process, read from its own rusage."""
+    src = str(Path(similitude.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, args
+    return usage.ru_maxrss / 1024  # kB on Linux
+
+
+# Measured at 55.4-55.6 MB over the import on a 2-core x86 VM (CPython 3.11,
+# NumPy 2.4); a CoeffSeq of Python ints made it 93.8 MB.
+SERIES_1E6_RSS_BOUND_MB = 70
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB, as Linux reports it")
+def test_series_memory_at_a_million_terms():
+    base = _peak_rss_mb("-c", "import similitude.cli")
+    run = _peak_rss_mb("-m", "similitude.cli", "series", "--target", "f_j", "--terms", "1000000")
+    assert run - base < SERIES_1E6_RSS_BOUND_MB, (run, base)

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from similitude import counting
 from similitude.counting import (CrossCheckFailure, Target, _dilated_inverse,
                                  _index2, _index2_inverse, closed_sequence,
                                  coeff, engine_sequence, g, series, ssm_count)
-from similitude.dirichlet import (as_array, coeff_seq, convolve, dilate,
-                                  dirichlet_inverse, is_multiplicative, shift)
+from similitude.dirichlet import (CoeffSeq, as_array, coeff_seq, convolve,
+                                  dilate, dirichlet_inverse, is_multiplicative,
+                                  shift)
 from similitude.quadfield import Ring, is_representable_index
 
 
@@ -19,6 +22,19 @@ def test_g_examples():
         g(1, 2)
     with pytest.raises(ValueError):
         g(3, -1)
+
+
+def test_g_scalar_and_array_branches_agree():
+    ns = [2, 3, 5, 7, 11, 13, 97, 1009]
+    for r in range(5):  # 1009^(r+1) and the numerator stay within int64
+        out = g(np.array(ns, np.int64), r)
+        assert out.tolist() == [g(n, r) for n in ns], r
+        assert all(type(g(n, r)) is int for n in ns)
+    for bad_n, r in ((1, 2), (0, 1), (3, -1)):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            g(bad_n, r)
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            g(np.array([5, bad_n, 7], np.int64), r)
 
 
 def test_dedekind_coeff_examples():
@@ -138,11 +154,21 @@ def test_multiplicativity_of_all_closed_forms():
         assert is_multiplicative(closed_sequence(target, n)), target
 
 
-def test_cross_check_failure_reports_index():
+def test_cross_check_failure_reports_index(monkeypatch):
+    real = counting.engine_sequence
+
+    def broken(target, n):  # wrong at m = 9 and, first, at m = 5
+        x = real(target, n).array.copy()
+        x[8] -= 1
+        x[4] += 1
+        return CoeffSeq(x)
+
+    monkeypatch.setattr(counting, "engine_sequence", broken)
     with pytest.raises(CrossCheckFailure) as info:
-        raise CrossCheckFailure(Target.F_J, 9, 41, 40)
-    assert info.value.index == 9
-    assert "f_j" in str(info.value)
+        series(Target.F_J, 12)
+    assert info.value.index == 5
+    assert info.value.target is Target.F_J
+    assert str(info.value) == "f_j: closed form 12 != engine 13 at m = 5"
 
 
 @settings(max_examples=15, deadline=None)

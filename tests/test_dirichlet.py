@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from similitude.arith import factorize, smallest_prime_factor_sieve
 from similitude.counting import Target, _ppower, closed_sequence
-from similitude.dirichlet import (_convolve, as_array, coeff_seq, convolve,
-                                  dilate, dirichlet_inverse,
+from similitude.dirichlet import (CoeffSeq, _convolve, as_array, coeff_seq,
+                                  convolve, dilate, dirichlet_inverse,
                                   from_multiplicative, is_multiplicative, ones,
                                   partial_sum, shift)
 
@@ -148,6 +148,54 @@ def test_partial_sum():
     assert partial_sum(a, 10) == 45
     with pytest.raises(ValueError, match="exceeds"):
         partial_sum(a, 11)
+
+
+def test_coeff_seq_equality_is_by_value_across_dtypes():
+    small = CoeffSeq(np.array([1, -2, 3], np.int64))
+    assert small == CoeffSeq(np.array([1, -2, 3], object))
+    assert small == coeff_seq([1, -2, 3])
+    assert small != CoeffSeq(np.array([1, -2], np.int64))  # length
+    assert small != CoeffSeq(np.array([1, -2, 4], object))  # values
+    assert small != CoeffSeq(np.array([1, -2, 3, 0], np.int64))  # a zero tail still differs
+    assert small != (1, -2, 3)
+    big = coeff_seq([1, 2**70])
+    assert big.array.dtype == object
+    assert big == CoeffSeq(np.array([1, 2**70], object))
+    assert big != coeff_seq([1, 2**70 + 1])
+    assert big[2] == 2**70 and type(small[1]) is int
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(small)
+
+
+def test_coeff_seq_array_is_read_only():
+    x = np.arange(1, 6, dtype=np.int64)
+    a = CoeffSeq(x)
+    assert a.array is x  # taken over, not copied
+    for seq in (a, coeff_seq([1, 2**70]), ones(4), closed_sequence(Target.F_J, 50)):
+        with pytest.raises(ValueError, match="read-only"):
+            seq.array[0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        x[1] = 0
+    assert a.values == (1, 2, 3, 4, 5)
+    with pytest.raises(TypeError):
+        CoeffSeq(np.ones(3, np.int32))
+    with pytest.raises(TypeError):
+        CoeffSeq(np.ones((2, 2), np.int64))
+
+
+def test_partial_sum_is_exact_at_and_beyond_the_int64_bound():
+    n = 1000
+    top = (2**63 - 1) // n  # the largest |a| that n terms sum in int64
+    # top + 1 takes the Python-int path; at 2^62 the sums themselves leave int64
+    for v in (top, top + 1, -top, -top - 1, 2**62):
+        vals = [v] * (n - 1) + [-v // 3]
+        a = coeff_seq(vals)
+        assert a.array.dtype == np.int64
+        for x in (0, 1, n // 2, n):
+            assert partial_sum(a, x) == sum(vals[:x]), (v, x)
+    huge = [(-1) ** m * 2**70 + m for m in range(n)]
+    assert partial_sum(coeff_seq(huge), n) == sum(huge)
+    assert partial_sum(CoeffSeq(np.array([5, 6], object)), 2) == 11
 
 
 def test_ring_laws_random():
