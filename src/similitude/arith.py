@@ -123,12 +123,21 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def odd_divisor_sums(n: int) -> list[int]:
-    """sums[m] = sum of the odd divisors of m, for 0 <= m <= n (sums[0] = 0), by an O(n log n) sieve."""
-    sums = [0] * (n + 1)
-    for d in range(1, n + 1, 2):
-        for m in range(d, n + 1, d):
-            sums[m] += d
+def odd_divisor_sums(n: int) -> np.ndarray:
+    """sums[m] = sum of the odd divisors of m, for 0 <= m <= n (sums[0] = 0),
+    as an int64 array.
+
+    Hyperbola split, s = isqrt(n): each divisor of m <= n is a d <= s, or an
+    e > s whose cofactor m / e <= n / (s + 1) < s + 1 is.  Each odd d <= s
+    adds d to its multiples in one strided update; each d <= s adds every
+    odd e > s to m = d e in one indexed update (the m are distinct)."""
+    s = math.isqrt(n)
+    sums = np.zeros(n + 1, np.int64)
+    for d in range(1, s + 1):
+        if d % 2:
+            sums[d::d] += d
+        e = np.arange((s + 1) | 1, n // d + 1, 2)
+        sums[d * e] += e
     return sums
 
 

@@ -117,8 +117,6 @@ def cmd_oracle(args) -> int:
         if args.max_m is not None:
             return _usage_error("--max-m does not apply to --module; use --m")
         m = args.m
-        if m < 1:
-            return _usage_error("m must be >= 1")
         try:
             if args.module == "icosian":
                 ssms, target = oracle.enumerate_ssm_icosian(m), Target.F_I
@@ -144,12 +142,9 @@ def cmd_oracle(args) -> int:
     lat = oracle.ambient(args.lattice)
     target = Target.F_Z4 if args.lattice == "z4" else Target.F_J
     max_m = args.max_m if args.max_m is not None else 3
-    if max_m < 1:
-        return _usage_error("max-m must be >= 1")
-    if max_m * max_m > oracle.DEFAULT_INDEX_BOUND:
-        return _usage_error(
-            f"index {max_m * max_m} exceeds the enumeration bound {oracle.DEFAULT_INDEX_BOUND}"
-        )
+    if not 1 <= max_m <= lat.max_m:  # before any line prints; the census checks each m
+        return _usage_error(f"max-m = {max_m} is outside the {lat.name} census bound "
+                            f"1 <= m <= {lat.max_m}")
     failed = False
     for m in range(1, max_m + 1):
         o = oracle.count_ssl_bruteforce(lat, m)

@@ -168,7 +168,7 @@ def _dilated_inverse(x: np.ndarray, n: int) -> np.ndarray:
     """The inverse of dilate(x, 2) at n terms.  Inverting commutes with
     s -> 2s, so it is dilate(inverse(x), 2), which reads only x(1..isqrt(n))."""
     r = math.isqrt(n)
-    inv = dirichlet_inverse(CoeffSeq(x[:r])).array
+    inv = dirichlet_inverse(x[:r])
     padded = np.zeros(n, inv.dtype)
     padded[:r] = inv
     return dilate(padded, 2)

@@ -5,8 +5,8 @@ inverse, dilation (s -> k*s), and shift (s -> s-1) act on coefficients;
 multiplicative sequences are assembled from prime-power data by one array
 kernel over a prime sieve, which also decides multiplicativity.
 
-Convolution, dilation and shift also take 1-D NumPy arrays and then return
-one, which is how the generating-function engine keeps its intermediates.
+Convolution, inverse, dilation and shift also take 1-D NumPy arrays and then
+return one, which is how the generating-function engine keeps its intermediates.
 An array is int64 only while an a-priori bound shows that no value or
 partial sum can leave int64; otherwise it holds exact Python ints
 (dtype=object), so nothing ever wraps.  A CoeffSeq's array is either kind.
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import primes_up_to, smallest_prime_factor_sieve
+from .arith import primes_up_to
 
 _INT64_LIMIT = 1 << 63
 
@@ -135,33 +135,26 @@ def convolve(a, b):
     return _like(a, _convolve(_array(a), _array(b)))
 
 
-def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
-    """b with convolve(a, b) the convolution identity (1, 0, 0, ...); needs a(1) in {1, -1}."""
-    lead = a[1]
+def dirichlet_inverse(a):
+    """b with convolve(a, b) the convolution identity (1, 0, 0, ...); needs a(1) in {1, -1}.
+
+    b(m) = -a(1) sum of a(d) b(m/d) over d | m, d > 1, in exact Python ints.
+    acc[m - 1] gathers -sum, and becomes b(m) once every e < m is done: each
+    final b(e) is subtracted times a(d) from m = d e, d >= 2, in one strided
+    update.  Takes a CoeffSeq and gives one, or a 1-D array and gives one."""
+    x = _array(a)
+    lead = int(x[0])
     if lead not in (1, -1):
         raise ValueError("not invertible: leading coefficient must be +-1")
-    n = a.n_terms
-    spf = smallest_prime_factor_sieve(n)
-    va = a.array.tolist()
-    inv = [0] * (n + 1)
-    inv[1] = lead
-    for m in range(2, n + 1):
-        # divisors of m from its factorization
-        divs = [1]
-        t = m
-        while t > 1:
-            p = spf[t]
-            e = 0
-            while t % p == 0:
-                t //= p
-                e += 1
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        s = 0
-        for d in divs:
-            if d > 1:
-                s += va[d - 1] * inv[m // d]
-        inv[m] = -lead * s
-    return CoeffSeq(as_array(inv[1:]))
+    n, x = len(x), x.astype(object)
+    acc = np.zeros(n, object)
+    acc[0] = 1
+    for e in range(1, n // 2 + 1):
+        b = acc[e - 1] = lead * acc[e - 1]
+        if b:
+            acc[2 * e - 1 :: e] -= b * x[1 : n // e]
+    acc[n // 2 :] *= lead  # these m have no multiple 2m <= n left to update
+    return _like(a, as_array(acc))
 
 
 def dilate(a, k: int):

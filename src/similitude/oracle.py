@@ -28,11 +28,6 @@ from .orders import CUBIAN, ICOSIAN, ORDERS, Order, _data, _omega_times, coordin
 from .orders import D4STAR, Z4  # noqa: F401  (re-exported: the oracle's public names)
 from .quadfield import QuadInt, Ring, fundamental_unit, is_representable_index
 
-DEFAULT_INDEX_BOUND = 49
-DEFAULT_ICOSIAN_BOUND = 25
-# Every cubian census up to m = 25 takes under a second (2-core x86 VM).
-DEFAULT_CUBIAN_BOUND = 25
-
 
 def ambient(name: str) -> Order:
     if name not in ORDERS:
@@ -259,7 +254,13 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
 def census(lattice: Order, m: int) -> tuple[LambdaClass, ...]:
     """The SSMs of index m^2, one LambdaClass per lam, checked complete:
     each lam has |Aut| frames per SSM (|Aut| is the frame count at m = 1),
-    and no SSM appears under two lam."""
+    and no SSM appears under two lam.  ValueError unless 1 <= m <= max_m
+    of the order and m^2 is the index of an SSM at all."""
+    if not 1 <= m <= lattice.max_m:
+        raise ValueError(f"m = {m} is outside the {lattice.name} census bound "
+                         f"1 <= m <= {lattice.max_m}")
+    if not is_representable_index(m, lattice.ring):
+        raise ValueError(f"index {m}^2 is not attainable for the {lattice.name} order")
     aut = _search(lattice, QuadInt(lattice.ring, 1)).frames
     classes, seen = [], set()
     for lam in _lambdas(lattice.ring, m):
@@ -282,7 +283,8 @@ def _frames(lattice: Order, m: int) -> tuple[int, frozenset[LatticeKey]]:
 
 def is_similar_sublattice(key: LatticeKey, lattice: Order) -> bool:
     """True iff the sublattice is an inflated isometric image of the ambient one,
-    i.e. one spanned by a frame; a non-square index has no frames."""
+    i.e. one spanned by a frame; a non-square index has no frames.  A square
+    index m^2 runs the census, which refuses m beyond the order's max_m."""
     if key.rank != 4:
         raise ValueError("ambient lattices here have rank 4")
     h = key.hnf
@@ -294,14 +296,9 @@ def is_similar_sublattice(key: LatticeKey, lattice: Order) -> bool:
     return m * m == key.index and key in _frames(lattice, m)[1]
 
 
-def count_ssl_bruteforce(lattice: Order, m: int,
-                         bound: int = DEFAULT_INDEX_BOUND) -> int:
+def count_ssl_bruteforce(lattice: Order, m: int) -> int:
     """Number of index-m^2 sublattices that are similar images of the ambient
     lattice, by exhaustive frame enumeration."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m * m > bound:
-        raise ValueError(f"index {m * m} exceeds the enumeration bound {bound}")
     return len(_frames(lattice, m)[1])
 
 
@@ -323,16 +320,10 @@ def _mult_matrices(lattice: Order) -> np.ndarray:
     return out
 
 
-def enumerate_ssm(lattice: Order, m: int, bound: int) -> list[SSM]:
+def enumerate_ssm(lattice: Order, m: int) -> list[SSM]:
     """All SSMs of index m^2 of any of the four orders, each with its kind:
     a right ideal is stable under right multiplication by the order, a left
     ideal under left multiplication, a two-sided ideal under both."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > bound:
-        raise ValueError(f"m = {m} exceeds the enumeration bound {bound}")
-    if not is_representable_index(m, lattice.ring):
-        raise ValueError(f"index {m}^2 is not attainable for the {lattice.name} order")
     out = []
     for key in _frames(lattice, m)[1]:
         h = np.array(key.hnf, dtype=np.int64)
@@ -343,11 +334,11 @@ def enumerate_ssm(lattice: Order, m: int, bound: int) -> list[SSM]:
     return out
 
 
-def enumerate_ssm_icosian(m: int, bound: int = DEFAULT_ICOSIAN_BOUND) -> list[SSM]:
+def enumerate_ssm_icosian(m: int) -> list[SSM]:
     """All similarity submodules of the icosian order of index m^2."""
-    return enumerate_ssm(ICOSIAN, m, bound)
+    return enumerate_ssm(ICOSIAN, m)
 
 
-def enumerate_ssm_cubian(m: int, bound: int = DEFAULT_CUBIAN_BOUND) -> list[SSM]:
+def enumerate_ssm_cubian(m: int) -> list[SSM]:
     """All similarity submodules of the cubian order of index m^2."""
-    return enumerate_ssm(CUBIAN, m, bound)
+    return enumerate_ssm(CUBIAN, m)

@@ -2,9 +2,10 @@
 Hurwitz order) over Z, the icosian order over Z[tau] and the cubian order
 over Z[sqrt2].
 
-Each order is one table row: its name, its base ring and one Z[w]-basis of
-units.  Provides membership, integral coordinates in that basis, and the
-integer-lattice key of a two-sided product a*O*b.
+Each order is one table row: its name, its base ring, one Z[w]-basis of
+units and the largest m its census runs.  Provides membership, integral
+coordinates in that basis, and the integer-lattice key of a two-sided
+product a*O*b.
 """
 
 from __future__ import annotations
@@ -25,27 +26,32 @@ class Order:
     """An order O over `ring`, given by a Z[w]-basis of units in doubled
     coordinates: 2x the 1,i,j,k coordinates, and over Z[w] the rational
     parts followed by the w parts.  Key coordinates are coordinates in the
-    Z-basis made of the units and, over Z[w], w times the units."""
+    Z-basis made of the units and, over Z[w], w times the units.  The
+    census of `oracle` runs for 1 <= m <= max_m (index m^2)."""
 
     name: str
     ring: Ring
     units: tuple[tuple[int, ...], ...]
+    max_m: int
 
 
-Z4 = Order("z4", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)))
+# max_m: every census up to it takes under a second (2-core x86 VM; the
+# slowest is icosian m = 20 at 0.74 s), and all of m = 1..30 take 0.4 s for
+# Z^4 and 0.5-0.8 s for D4*.
+Z4 = Order("z4", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 30)
 
 # The Hurwitz order, basis {1, i, j, (1+i+j+k)/2}.
-D4STAR = Order("d4star", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)))
+D4STAR = Order("d4star", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)), 30)
 
 # 1, -(1+i+j+k)/2, (-1-i-j+k)/2, (-1+(tau-1)i+tau j)/2
 ICOSIAN = Order("icosian", Ring.GOLDEN, (
     (2, 0, 0, 0, 0, 0, 0, 0), (-1, -1, -1, -1, 0, 0, 0, 0),
-    (-1, -1, -1, 1, 0, 0, 0, 0), (-1, -1, 0, 0, 0, 1, 1, 0)))
+    (-1, -1, -1, 1, 0, 0, 0, 0), (-1, -1, 0, 0, 0, 1, 1, 0)), 25)
 
 # 1, (1+i)/sqrt2, (1+j)/sqrt2, (1+i+j+k)/2
 CUBIAN = Order("cubian", Ring.SQRT2, (
     (2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0, 0),
-    (0, 0, 0, 0, 1, 0, 1, 0), (1, 1, 1, 1, 0, 0, 0, 0)))
+    (0, 0, 0, 0, 1, 0, 1, 0), (1, 1, 1, 1, 0, 0, 0, 0)), 25)
 
 ORDERS = {order.name: order for order in (Z4, D4STAR, ICOSIAN, CUBIAN)}
 

@@ -135,12 +135,6 @@ class QuadInt:
         return f"{self.a}{self.b:+d}{sym}"
 
 
-def omega(ring: Ring) -> QuadInt:
-    if ring is Ring.RATIONAL:
-        raise ValueError("Z has no omega")
-    return QuadInt(ring, 0, 1)
-
-
 def fundamental_unit(ring: Ring) -> QuadInt:
     """tau for Z[tau], 1 + sqrt2 for Z[sqrt2]."""
     if ring is Ring.GOLDEN:

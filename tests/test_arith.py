@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,7 +74,10 @@ def test_factorize_beyond_int64():
 
 
 def test_odd_divisor_sums():
-    sums = odd_divisor_sums(500)
-    assert sums[0] == 0
-    for m in range(1, 501):
-        assert sums[m] == sum(d for d in range(1, m + 1, 2) if m % d == 0)
+    # 24, 25 and 26 sit on the edges of the isqrt(n) split
+    for n in (1, 2, 3, 24, 25, 26, 500):
+        sums = odd_divisor_sums(n)
+        assert sums.dtype == np.int64 and len(sums) == n + 1
+        assert sums[0] == 0
+        for m in range(1, n + 1):
+            assert sums[m] == sum(d for d in range(1, m + 1, 2) if m % d == 0), (n, m)

@@ -158,11 +158,16 @@ def test_oracle_mismatch_prints_breakdown_to_stderr(capsys, monkeypatch):
 
 
 def test_oracle_bound_violation(capsys):
-    code, _, err = run(capsys, "oracle", "--lattice", "z4", "--max-m", "8")
-    assert code == 2
+    code, out, err = run(capsys, "oracle", "--lattice", "z4", "--max-m", "31")
+    assert (code, out) == (2, "")
     assert "bound" in err
-    code, _, err = run(capsys, "oracle", "--module", "icosian", "--m", "26")
-    assert code == 2
+    code, out, err = run(capsys, "oracle", "--module", "icosian", "--m", "26")
+    assert (code, out) == (2, "")
+    assert "bound" in err
+    for flags in (("--lattice", "z4", "--max-m", "0"), ("--module", "icosian", "--m", "0")):
+        code, out, err = run(capsys, "oracle", *flags)
+        assert (code, out) == (2, ""), flags
+        assert "bound" in err, flags
 
 
 def test_oracle_module_requires_m(capsys):

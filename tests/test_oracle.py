@@ -117,8 +117,10 @@ def test_non_square_index_never_similar():
 
 
 def test_counts_match_formulas_small():
+    # every m up to Z4.max_m; D4* to its max_m is test_hurwitz_census_is_a_route_to_zeta_j
+    for m in range(1, Z4.max_m + 1):
+        assert count_ssl_bruteforce(Z4, m) == ssm_count(Target.F_Z4, m), m
     for m in (1, 2, 3, 7):
-        assert count_ssl_bruteforce(Z4, m) == ssm_count(Target.F_Z4, m)
         assert count_ssl_bruteforce(D4STAR, m) == ssm_count(Target.F_J, m)
 
 
@@ -172,8 +174,9 @@ def test_hurwitz_census_is_a_route_to_zeta_j():
     # the one-sided ideals among the D4* SSMs are counted by zeta_j; the
     # Hurwitz algebra ramifies at 2, so besides the central ideals k*O the
     # ideals (1+i)*k*O are two-sided too, and m = k^2 or 2k^2 has exactly one
-    for m in range(1, 31):
-        kinds = Counter(s.kind for s in oracle.enumerate_ssm(D4STAR, m, 30))
+    assert D4STAR.max_m == 30
+    for m in range(1, D4STAR.max_m + 1):
+        kinds = Counter(s.kind for s in oracle.enumerate_ssm(D4STAR, m))
         assert sum(kinds.values()) == ssm_count(Target.F_J, m), m
         assert (kinds["left-ideal"] + kinds["two-sided"] == kinds["right-ideal"] + kinds["two-sided"]
                 == coeff(Target.ZETA_J, m)), m
@@ -207,7 +210,15 @@ def test_norm_vectors_refuse_large_lambda_before_allocating():
 
 def test_count_bound_and_ambient_lookup():
     with pytest.raises(ValueError, match="bound"):
-        count_ssl_bruteforce(Z4, 8)
+        count_ssl_bruteforce(Z4, 31)
+    with pytest.raises(ValueError, match="bound"):
+        count_ssl_bruteforce(D4STAR, 0)
+    with pytest.raises(ValueError, match="not attainable"):
+        count_ssl_bruteforce(ICOSIAN, 2)  # 2 is inert over Z[tau]
+    key = lattice_key([(31, 0, 0, 0), (0, 31, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    assert key.index == 31**2
+    with pytest.raises(ValueError, match=r"m = 31 is outside the z4 census bound 1 <= m <= 30"):
+        is_similar_sublattice(key, Z4)
     assert ambient("z4") is Z4
     assert ambient("d4star") is D4STAR
     with pytest.raises(ValueError, match="unknown lattice"):
