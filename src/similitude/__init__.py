@@ -3,8 +3,8 @@ and similarity submodules of the Hurwitz, icosian, and cubian quaternion
 orders, with an independent brute-force oracle and numeric asymptotics checks.
 """
 
-from .asymptotics import (GrowthModel, estimate_constant, l_value_at_one,
-                          target_constant, zeta_special_value_check)
+from .asymptotics import (estimate_constant, l_value_at_one, target_constant,
+                          zeta_special_value_check)
 from .counting import (CrossCheckFailure, Target, coeff, g,
                        series, ssm_count)
 from .dirichlet import (CoeffSeq, coeff_seq, convolve, dilate,
@@ -14,18 +14,17 @@ from .lattice import LatticeKey
 from .oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, count_ssl_bruteforce,
                      enumerate_ssm_cubian, enumerate_ssm_icosian, is_similar_sublattice)
 from .orders import Order, OrderElement, element, module_lattice
-from .quadfield import (PrimeClass, QuadInt, QuadRat, Ring, is_representable_index,
-                        prime_class)
+from .quadfield import QuadInt, QuadRat, Ring, is_representable_index
 from .quat import Quat
 
 __all__ = [
-    "CUBIAN", "CoeffSeq", "CrossCheckFailure", "D4STAR", "GrowthModel",
-    "ICOSIAN", "LatticeKey", "Order", "OrderElement", "PrimeClass", "Quat", "QuadInt",
+    "CUBIAN", "CoeffSeq", "CrossCheckFailure", "D4STAR",
+    "ICOSIAN", "LatticeKey", "Order", "OrderElement", "Quat", "QuadInt",
     "QuadRat", "Ring", "Target", "Z4", "coeff", "coeff_seq", "convolve",
     "count_ssl_bruteforce", "dilate", "dirichlet_inverse",
     "element", "enumerate_ssm_cubian", "enumerate_ssm_icosian",
     "estimate_constant", "from_multiplicative", "g", "is_multiplicative",
     "is_representable_index", "is_similar_sublattice", "l_value_at_one", "module_lattice",
-    "ones", "partial_sum", "prime_class", "series", "shift",
+    "ones", "partial_sum", "series", "shift",
     "ssm_count", "target_constant", "zeta_special_value_check",
 ]

@@ -19,6 +19,7 @@ from . import asymptotics, oracle
 from .arith import odd_divisor_sums
 from .counting import CrossCheckFailure, Target, closed_sequence, engine_sequence, series, ssm_count
 from .dirichlet import is_multiplicative
+from .orders import ORDERS
 
 _SLUGS = {t.value: t for t in Target}
 
@@ -135,11 +136,11 @@ def cmd_oracle(args) -> int:
             f"formula={formula} {'MATCH' if ok else 'MISMATCH'}"
         )
         if not ok:
-            _breakdown(oracle.ambient(args.module), m)
+            _breakdown(ORDERS[args.module], m)
         return 0 if ok else 1
     if args.m is not None:
         return _usage_error("--m does not apply to --lattice; use --max-m")
-    lat = oracle.ambient(args.lattice)
+    lat = ORDERS[args.lattice]
     target = Target.F_Z4 if args.lattice == "z4" else Target.F_J
     max_m = args.max_m if args.max_m is not None else 3
     if not 1 <= max_m <= lat.max_m:  # before any line prints; the census checks each m
@@ -161,36 +162,16 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}".rstrip("0").rstrip(".")
 
 
-# constant -> (series target, growth exponent, log power) for --estimate
-_ESTIMATES = {
-    "residue_dedekind_tau": (Target.DEDEKIND_TAU, 1, 0),
-    "residue_dedekind_sqrt2": (Target.DEDEKIND_SQRT2, 1, 0),
-    "slope_a_j": (Target.ZETA_J, 2, 0),
-    "slope_a_i": (Target.ZETA_I, 2, 0),
-    "slope_a_k": (Target.ZETA_K, 2, 0),
-    "C_J": (Target.F_J, 2, 1),
-    "C_Z4": (Target.F_Z4, 2, 1),
-    "slope_f_i": (Target.F_I, 2, 1),
-    "slope_f_k": (Target.F_K, 2, 1),
-}
-
-
 def cmd_constants(args) -> int:
     if err := _terms_error(args.terms):
         return _usage_error(err)
     if args.estimate and args.terms < 16:
         return _usage_error("terms must be >= 16 for estimates")
-    for name in asymptotics.constant_names():
-        row = [name, asymptotics.closed_form(name), _fmt(asymptotics.target_constant(name))]
+    for name, (text, value, _) in asymptotics.CONSTANTS.items():
+        row = [name, text, _fmt(value)]
         if args.estimate:
-            rule = _ESTIMATES.get(name)
-            if rule is None:
-                row += ["-", str(args.terms)]
-            else:
-                target, alpha, logp = rule
-                seq = closed_sequence(target, args.terms)
-                est = asymptotics.estimate_constant(seq, asymptotics.GrowthModel(alpha, logp))
-                row += [_fmt(est.value), str(args.terms)]
+            est = asymptotics.estimate_constant(name, args.terms)
+            row += ["-" if est is None else _fmt(est), str(args.terms)]
         print(" ".join(row))
     return 0
 

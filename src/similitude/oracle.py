@@ -5,7 +5,7 @@ Every oracle reads one frame census.  A similarity submodule (SSM) of an order
 O over Z[w] (w = tau or sqrt2; Z for the lattices Z^4 and D4*) is R(O) inside O
 for a similarity R.  R is real-linear, so R(O) is the Z[w]-span of a *frame*:
 the images of the Z[w]-basis u of units that `orders` holds for O (Z4,
-D4STAR, ICOSIAN, CUBIAN; `ambient` looks them up), with Gram matrix lam*Gram(u)
+D4STAR, ICOSIAN, CUBIAN, and `ORDERS` by name), with Gram matrix lam*Gram(u)
 for a totally positive lam of norm m (index m^2).  lam runs over one generator
 per ideal of norm m, modulo the totally positive units eps^2.  The census
 finds every frame among the elements of norm lam, keys each spanned module
@@ -24,15 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import LatticeKey, hnf_contains, lattice_key
-from .orders import CUBIAN, ICOSIAN, ORDERS, Order, _data, _omega_times, coordinates
+from .orders import CUBIAN, ICOSIAN, Order, _data, _omega_times, coordinates
 from .orders import D4STAR, Z4  # noqa: F401  (re-exported: the oracle's public names)
 from .quadfield import QuadInt, Ring, fundamental_unit, is_representable_index
-
-
-def ambient(name: str) -> Order:
-    if name not in ORDERS:
-        raise ValueError(f"unknown lattice {name!r}")
-    return ORDERS[name]
 
 
 def _lambdas(ring: Ring, m: int) -> list[QuadInt]:
@@ -282,15 +276,17 @@ def _frames(lattice: Order, m: int) -> tuple[int, frozenset[LatticeKey]]:
 
 
 def is_similar_sublattice(key: LatticeKey, lattice: Order) -> bool:
-    """True iff the sublattice is an inflated isometric image of the ambient one,
-    i.e. one spanned by a frame; a non-square index has no frames.  A square
-    index m^2 runs the census, which refuses m beyond the order's max_m."""
-    if key.rank != 4:
-        raise ValueError("ambient lattices here have rank 4")
+    """True iff the key (in the order's key coordinates: rank 4 over Z, 8 over
+    Z[w]) is an inflated isometric image of the order, i.e. one spanned by a
+    frame; a non-square index has no frames.  A square index m^2 runs the
+    census, which refuses m beyond the order's max_m."""
+    dim = 4 if lattice.ring is Ring.RATIONAL else 8
+    if key.rank != dim:
+        raise ValueError(f"{lattice.name} keys have rank {dim}, not {key.rank}")
     h = key.hnf
-    if (any(h[i][i] <= 0 for i in range(4))
-            or any(h[i][j] != 0 for i in range(4) for j in range(i + 1, 4))
-            or any(not 0 <= h[i][j] < h[j][j] for i in range(4) for j in range(i))):
+    if (any(h[i][i] <= 0 for i in range(dim))
+            or any(h[i][j] != 0 for i in range(dim) for j in range(i + 1, dim))
+            or any(not 0 <= h[i][j] < h[j][j] for i in range(dim) for j in range(i))):
         raise ValueError("not a sublattice key: bad Hermite normal form")
     m = math.isqrt(key.index)
     return m * m == key.index and key in _frames(lattice, m)[1]

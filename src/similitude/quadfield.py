@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import chi5, chi8, factorize, is_prime
+from .arith import chi5, chi8, factorize
 
 
 class Ring(enum.Enum):
@@ -21,12 +21,6 @@ class Ring(enum.Enum):
     RATIONAL = "Z"
     GOLDEN = "Z[tau]"
     SQRT2 = "Z[sqrt2]"
-
-
-class PrimeClass(enum.Enum):
-    RAMIFIED = "ramified"
-    SPLIT = "split"
-    INERT = "inert"
 
 
 def _sign_with_root(p: int, q: int, d: int) -> int:
@@ -151,16 +145,6 @@ def splitting_sign(p, ring: Ring):
     if ring is Ring.RATIONAL:
         return 0
     return chi5(p) if ring is Ring.GOLDEN else chi8(p)
-
-
-def prime_class(p: int, ring: Ring) -> PrimeClass:
-    """Splitting type of the rational prime p in the quadratic ring."""
-    if ring is Ring.RATIONAL:
-        raise ValueError("prime splitting is undefined over Z")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    # the sign 0, +1 or -1 indexes the tuple; -1 is its last entry
-    return (PrimeClass.RAMIFIED, PrimeClass.SPLIT, PrimeClass.INERT)[splitting_sign(p, ring)]
 
 
 def is_representable_index(m: int, ring: Ring) -> bool:

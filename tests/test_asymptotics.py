@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from similitude.arith import chi5, chi8
-from similitude.asymptotics import (GrowthModel, closed_form, constant_names,
-                                    estimate_constant, l_value_at_one,
+from similitude.asymptotics import (CONSTANTS, estimate_constant, l_value_at_one,
                                     target_constant, zeta_special_value_check)
 from similitude.counting import Target, closed_sequence
-from similitude.dirichlet import coeff_seq, partial_sum
+from similitude.dirichlet import partial_sum
 
 
 def test_target_constant_values():
@@ -22,8 +21,8 @@ def test_target_constant_values():
     assert abs(target_constant("zeta_2") - math.pi**2 / 6) == 0
     with pytest.raises(ValueError, match="unknown constant"):
         target_constant("zeta_3")
-    for name in constant_names():
-        assert closed_form(name)
+    for name, (text, value, _) in CONSTANTS.items():
+        assert text and target_constant(name) == value
 
 
 def test_character_period_sums_to_zero():
@@ -48,20 +47,31 @@ def test_zeta_special_values_modest_truncation():
 
 def test_estimate_constant_trend():
     n = 20_000
-    seq = closed_sequence(Target.F_J, n)
-    est = estimate_constant(seq, GrowthModel(2, 1))
-    target = target_constant("C_J")
+    est = [estimate_constant("C_J", x) for x in (n, n // 2, n // 4)]
     # converges slowly from above
-    assert est.value > target
-    assert est.at_quarter > est.at_half > est.value
-    eps_est = estimate_constant(coeff_seq((1,) + (0,) * (n - 1)), GrowthModel(1, 0))
-    assert eps_est.value < eps_est.at_quarter < 1e-3
+    assert target_constant("C_J") < est[0] < est[1] < est[2]
+
+
+def test_every_growth_route_estimates_its_own_constant():
+    # a row whose route names the wrong target misses its value by far more
+    n = 20_000
+    routed = [(name, row[1], row[2]) for name, row in CONSTANTS.items() if row[2]]
+    assert len(routed) == 9
+    for name, value, (_, _, logpower) in routed:
+        ratio = estimate_constant(name, n) / value
+        if logpower == 0:
+            assert abs(ratio - 1) < 2e-3, (name, ratio)
+        else:  # x^2 log x: the second-order term x^2 keeps it above, converging slowly
+            assert 1 < ratio < 1.2, (name, ratio)
+    for name in ("l1_chi5", "zeta_2", "dedekind_sqrt2_4"):
+        assert estimate_constant(name, n) is None
+    with pytest.raises(ValueError, match="unknown constant"):
+        estimate_constant("zeta_3", n)
 
 
 def test_estimate_constant_degenerate():
-    seq = closed_sequence(Target.ZETA_J, 4)
     with pytest.raises(ValueError, match="degenerate"):
-        estimate_constant(seq, GrowthModel(1, 1))  # log(1) = 0 at N//4 = 1
+        estimate_constant("C_J", 1)  # log(1) = 0
 
 
 def test_mean_value_consistency_modest():

@@ -10,7 +10,7 @@ import similitude.oracle as oracle
 from similitude.counting import Target, coeff, ssm_count
 from similitude.lattice import LatticeKey, hnf_contains, lattice_key
 from similitude.oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, _frames, _lambdas, _norm_vectors,
-                               ambient, count_ssl_bruteforce, enumerate_ssm_cubian,
+                               count_ssl_bruteforce, enumerate_ssm_cubian,
                                enumerate_ssm_icosian, is_similar_sublattice)
 from similitude.quadfield import QuadInt, Ring
 
@@ -108,6 +108,23 @@ def test_is_similar_examples():
     assert is_similar_sublattice(rotated, Z4)
     stretched = lattice_key([(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)], 4)
     assert not is_similar_sublattice(stretched, Z4)
+
+
+def test_is_similar_over_the_quadratic_rings():
+    # keys of the icosian and cubian orders have rank 8
+    for lattice, ms in ((ICOSIAN, (4, 5)), (CUBIAN, (2,))):
+        for m in ms:
+            keys = _frames(lattice, m)[1]
+            assert keys and all(is_similar_sublattice(k, lattice) for k in keys)
+    for lattice, d in ((ICOSIAN, 4), (CUBIAN, 2)):
+        diag = (d, d) + (1,) * 6
+        key = LatticeKey(8, tuple(tuple(diag[i] * (i == j) for j in range(8)) for i in range(8)), d * d)
+        assert key not in _frames(lattice, d)[1]
+        assert not is_similar_sublattice(key, lattice)
+    rank4 = lattice_key([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    assert rank4.index == 16
+    with pytest.raises(ValueError, match="icosian keys have rank 8"):
+        is_similar_sublattice(rank4, ICOSIAN)
 
 
 def test_non_square_index_never_similar():
@@ -208,7 +225,7 @@ def test_norm_vectors_refuse_large_lambda_before_allocating():
             _norm_vectors(lattice, lam)
 
 
-def test_count_bound_and_ambient_lookup():
+def test_count_bound():
     with pytest.raises(ValueError, match="bound"):
         count_ssl_bruteforce(Z4, 31)
     with pytest.raises(ValueError, match="bound"):
@@ -219,10 +236,6 @@ def test_count_bound_and_ambient_lookup():
     assert key.index == 31**2
     with pytest.raises(ValueError, match=r"m = 31 is outside the z4 census bound 1 <= m <= 30"):
         is_similar_sublattice(key, Z4)
-    assert ambient("z4") is Z4
-    assert ambient("d4star") is D4STAR
-    with pytest.raises(ValueError, match="unknown lattice"):
-        ambient("e8")
 
 
 def test_point_group_invariance():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from similitude.quadfield import (PrimeClass, QuadInt, QuadRat, Ring,
-                                  is_representable_index, prime_class)
+from similitude.quadfield import (QuadInt, QuadRat, Ring, is_representable_index,
+                                  splitting_sign)
 
 GOLD = Ring.GOLDEN
 SQ2 = Ring.SQRT2
@@ -74,27 +74,23 @@ def test_unit_iff_norm_one():
 
 
 def test_prime_class_examples():
-    assert prime_class(11, GOLD) is PrimeClass.SPLIT
-    assert prime_class(5, GOLD) is PrimeClass.RAMIFIED
-    assert prime_class(2, GOLD) is PrimeClass.INERT
-    assert prime_class(7, SQ2) is PrimeClass.SPLIT
-    assert prime_class(2, SQ2) is PrimeClass.RAMIFIED
-    assert prime_class(3, SQ2) is PrimeClass.INERT
-
-
-def test_prime_class_errors():
-    with pytest.raises(ValueError, match="not prime"):
-        prime_class(10, GOLD)
-    with pytest.raises(ValueError):
-        prime_class(7, RAT)
+    # splitting_sign: +1 split, 0 ramified (and every prime over Z), -1 inert
+    assert splitting_sign(11, GOLD) == 1
+    assert splitting_sign(5, GOLD) == 0
+    assert splitting_sign(2, GOLD) == -1
+    assert splitting_sign(7, SQ2) == 1
+    assert splitting_sign(2, SQ2) == 0
+    assert splitting_sign(3, SQ2) == -1
+    assert splitting_sign(7, RAT) == 0
 
 
 def test_prime_class_density():
     # split and inert primes each have Dirichlet density 1/2
     primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
     for ring, ram in ((GOLD, 5), (SQ2, 2)):
-        cls = [prime_class(p, ring) for p in primes if p != ram]
-        frac = sum(1 for c in cls if c is PrimeClass.SPLIT) / len(cls)
+        signs = [splitting_sign(p, ring) for p in primes if p != ram]
+        assert 0 not in signs
+        frac = signs.count(1) / len(signs)
         assert abs(frac - 0.5) < 0.05
 
 
