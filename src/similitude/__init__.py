@@ -3,6 +3,21 @@ and similarity submodules of the Hurwitz, icosian, and cubian quaternion
 orders, with an independent brute-force oracle and numeric asymptotics checks.
 """
 
+import os as _os
+import sys as _sys
+
+# No code path calls BLAS (the counts are exact integer work), but OpenBLAS
+# starts a worker thread for each core but one when NumPy loads, and each
+# spins for about 0.1 s of CPU before it sleeps.  OpenBLAS reads its thread
+# count once, at load, so the variable is set only around the first import
+# of NumPy; a user who set either variable keeps their own count.
+if "numpy" not in _sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .asymptotics import (estimate_constant, l_value_at_one, target_constant,
                           zeta_special_value_check)
 from .counting import (CrossCheckFailure, Target, coeff, g,

@@ -4,9 +4,14 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
+import similitude
 from similitude.arith import odd_divisor_sums
 from similitude.asymptotics import (l_value_at_one, target_constant,
                                     zeta_special_value_check)
@@ -145,4 +150,20 @@ def test_criterion_7_thread_determinism(capsys):
     ):
         outputs = {capture(argv + ["--threads", t]) for t in ("1", "4", "8")}
         assert len(outputs) == 1, argv
-    report("criterion 7: byte-identical output across thread counts", True)
+    # OpenBLAS sizes its pool once, when NumPy loads, so each size needs a
+    # fresh process: none set (the package then loads it with one thread),
+    # and four threads by either variable
+    src = str(Path(similitude.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (
+        ["oracle", "--lattice", "z4", "--max-m", "2"],
+        ["series", "--target", "f_i", "--terms", "200", "--format", "csv"],
+    ):
+        outputs = {
+            subprocess.run([sys.executable, "-m", "similitude.cli", *argv], env=dict(env, **pool),
+                           capture_output=True, check=True, timeout=60).stdout
+            for pool in ({}, {"OPENBLAS_NUM_THREADS": "4"}, {"OMP_NUM_THREADS": "4"})
+        }
+        assert outputs == {capture(argv).encode()}, argv
+    report("criterion 7: byte-identical output across thread counts and BLAS pool sizes", True)

@@ -1,7 +1,59 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import similitude
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def test_every_public_name_resolves():
     assert len(set(similitude.__all__)) == len(similitude.__all__)
     for name in similitude.__all__:
         assert getattr(similitude, name) is not None, name
+
+
+def _python(code: str, **env_vars: str) -> str:
+    """stdout of `python -c code` in a fresh interpreter (this one has loaded
+    NumPy already), with src on PYTHONPATH, no BLAS thread variable but the
+    given ones."""
+    src = str(Path(similitude.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+# the OS threads of this process and the BLAS variables set, after a
+# float64 matmul (which would wake any OpenBLAS pool)
+_REPORT = """
+import numpy as np
+a = np.ones((256, 256))
+assert (a @ a)[0, 0] == 256.0
+print(len(os.listdir("/proc/self/task")), sorted(set(os.environ) & set(%r)))
+""" % (BLAS_VARS,)
+
+linux_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                 reason="counts OS threads in /proc/self/task")
+
+
+@linux_tasks
+def test_import_loads_blas_with_one_thread_and_restores_environ():
+    assert _python("import os, similitude" + _REPORT) == "1 []\n"
+
+
+@linux_tasks
+def test_import_keeps_a_preset_blas_thread_count():
+    preset = _python("import os, similitude" + _REPORT, OPENBLAS_NUM_THREADS="2")
+    bare = _python("import os, numpy" + _REPORT, OPENBLAS_NUM_THREADS="2")
+    assert preset == bare
+    assert preset.endswith(" ['OPENBLAS_NUM_THREADS']\n")
+
+
+def test_import_after_numpy_leaves_environ_alone():
+    code = "import os, numpy\nenv = dict(os.environ)\nimport similitude\nprint(dict(os.environ) == env)"
+    assert _python(code) == "True\n"
