@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import similitude
@@ -65,6 +67,59 @@ def test_series_prints_counts_beyond_int64(capsys, monkeypatch, fmt):
     code, out, _ = run(capsys, "series", "--target", "f_k", "--terms", str(terms), "--format", fmt)
     assert code == 0
     assert out == _expected_series(Target.F_K, fmt, counts)
+
+
+# 0, 10^k - 1 and 10^k for k = 0..18 (every digit count), and the largest int64
+_DIGIT_BOUNDARIES = sorted({0, 2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0)})
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_series_encoder_at_digit_boundaries(capsys, monkeypatch, fmt):
+    # each chunk cycles the boundaries up to its own cap, so that the count
+    # field takes one, two and three words, with a largest value just at a
+    # word's capacity (10^(8k) less the separator's bytes), and every chunk
+    # starts and ends on a boundary; m and the square index cross 10^7 too
+    chunk = cli._SERIES_CHUNK
+    caps = (10**6, 10**7, 10**14, 10**15, 2**63 - 1)
+    counts = [v for cap in caps
+              for v in np.resize([b for b in _DIGIT_BOUNDARIES if b <= cap], chunk).tolist()]
+    counts.append(2**63 - 1)
+    seq = coeff_seq(counts)
+    assert seq.array.dtype == np.int64
+    monkeypatch.setattr(cli, "series", lambda target, n: seq)
+    code, out, _ = run(capsys, "series", "--target", "f_j", "--terms", str(len(counts)), "--format", fmt)
+    assert code == 0
+    assert out == _expected_series(Target.F_J, fmt, counts)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_series_negative_int64_takes_the_format_path(capsys, monkeypatch, fmt):
+    chunk = cli._SERIES_CHUNK
+    counts = [m % 1000 for m in range(2 * chunk + 1)]
+    counts[chunk + 5] = -(10**12)
+    seq = coeff_seq(counts)
+    assert seq.array.dtype == np.int64
+    encoded = []
+    real = cli._encode
+    monkeypatch.setattr(cli, "_encode", lambda fields: encoded.append(1) or real(fields))
+    monkeypatch.setattr(cli, "series", lambda target, n: seq)
+    code, out, _ = run(capsys, "series", "--target", "riemann", "--terms", str(len(counts)),
+                       "--format", fmt)
+    assert code == 0
+    assert out == _expected_series(Target.RIEMANN, fmt, counts)
+    assert len(encoded) == 2  # chunks 0 and 2; chunk 1 went through % formatting
+
+
+def test_digits8_lane_identities_over_their_domains():
+    v = np.arange(10**4, dtype=np.uint64)
+    assert np.array_equal((v * 5243) >> 19, v // 100) and 10**4 * 5243 < 2**32
+    v = np.arange(100, dtype=np.uint64)
+    assert np.array_equal((v * 103) >> 10, v // 10) and 100 * 103 < 2**16
+    # every value of each 32-bit lane, in both lanes: that is every value
+    # of each 16-bit lane and of each byte, in every position of the word
+    for g in (np.arange(10**4), np.arange(10**4) * 10**4):
+        words = (cli._digits8(g.astype(np.uint64)) | cli._ASCII_ZEROS).astype("<u8")
+        assert np.array_equal(words.view("S8"), np.array([b"%08d" % x for x in g.tolist()]))
 
 
 def test_series_json_roundtrip(capsys):
@@ -268,11 +323,15 @@ def test_series_cross_check_failure_exits_one(capsys, monkeypatch):
     assert "FAIL" in err and "m = 3" in err
 
 
+def _child_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(similitude.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _peak_rss_mb(*args: str) -> float:
     """Peak RSS of a fresh `python args` process, read from its own rusage."""
-    src = str(Path(similitude.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL, env=env)
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL, env=_child_env())
     _, status, usage = os.wait4(proc.pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0, args
     return usage.ru_maxrss / 1024  # kB on Linux
@@ -288,3 +347,30 @@ def test_series_memory_at_a_million_terms():
     base = _peak_rss_mb("-c", "import similitude.cli")
     run = _peak_rss_mb("-m", "similitude.cli", "series", "--target", "f_j", "--terms", "1000000")
     assert run - base < SERIES_1E6_RSS_BOUND_MB, (run, base)
+
+
+def _cli_process(*args: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """A fresh `python -m similitude.cli args` (or `python -c code args`) with this checkout's src."""
+    head = ["-m", "similitude.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], capture_output=True, text=True, env=_child_env())
+
+
+@pytest.mark.parametrize("argv", (["series", "--target", "f_i", "--terms", "300", "--format", "csv"],
+                                  ["verify", "--target", "zeta_j", "--terms", "200"],
+                                  ["series", "--target", "f_j", "--terms", "0"]),
+                         ids=["series", "verify", "usage_error"])
+def test_console_entry_matches_main(capsys, argv):
+    frozen = gc.get_freeze_count()
+    code, out, _ = run(capsys, *argv)
+    assert gc.get_freeze_count() == frozen  # main() leaves the collector alone
+    proc = _cli_process(*argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_console_entry_freezes_the_collector_before_exit():
+    hook = ("import atexit, gc, sys; from similitude import cli; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+            "sys.argv[0] = 'similitude'; cli.entry()")
+    proc = _cli_process("series", "--target", "riemann", "--terms", "3", code=hook)
+    assert (proc.returncode, proc.stdout) == (0, "1 1 1\n2 2 1\n3 3 1\n")
+    assert proc.stderr == "frozen True\n"
