@@ -50,12 +50,6 @@ class CoeffSeq:
         return len(self) == len(other) and np.array_equal(self.array, other.array)
 
     @property
-    def values(self) -> tuple[int, ...]:
-        """The coefficients as a tuple of Python ints, built anew on each access;
-        the package itself reads only `array`."""
-        return tuple(self.array.tolist())
-
-    @property
     def n_terms(self) -> int:
         return len(self.array)
 

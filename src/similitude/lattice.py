@@ -25,7 +25,11 @@ class LatticeKey:
 
 
 def hnf_rows(rows, dim: int) -> tuple[tuple[int, ...], ...]:
-    """Row HNF of the lattice spanned by `rows` in Z^dim; must have full rank."""
+    """Row HNF of the lattice spanned by `rows` in Z^dim; must have full rank.
+
+    Only the first dim columns are reduced.  Columns after them ride along
+    with the row operations, so the rows [B | I] of a square B come back as
+    [H | U] with H = U B and U unimodular."""
     work = [list(r) for r in rows if any(r)]
     basis: list[list[int] | None] = [None] * dim
     for col in range(dim - 1, -1, -1):

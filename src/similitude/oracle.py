@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import LatticeKey, hnf_contains, lattice_key
-from .orders import CUBIAN, ICOSIAN, Order, _data, _omega_times, coordinates
+from .orders import CUBIAN, ICOSIAN, Order, _data, _omega_times, structure
 from .orders import D4STAR, Z4  # noqa: F401  (re-exported: the oracle's public names)
 from .quadfield import QuadInt, Ring, fundamental_unit, is_representable_index
 
@@ -304,26 +304,17 @@ class SSM:
     kind: str  # "left-ideal" | "right-ideal" | "two-sided" | "product"
 
 
-@lru_cache(maxsize=None)
-def _mult_matrices(lattice: Order) -> np.ndarray:
-    """Integer matrices on key coordinates (row vectors), [0, i] of x -> x u
-    and [1, i] of x -> u x for the i-th unit basis element u."""
-    data = _data(lattice)
-    out = np.array([[[coordinates(lattice, z * u) for z in data.zbasis] for u in data.basis],
-                    [[coordinates(lattice, u * z) for z in data.zbasis] for u in data.basis]],
-                   dtype=np.int64)
-    out.flags.writeable = False  # shared by every caller through the cache
-    return out
-
-
 def enumerate_ssm(lattice: Order, m: int) -> list[SSM]:
     """All SSMs of index m^2 of any of the four orders, each with its kind:
     a right ideal is stable under right multiplication by the order, a left
     ideal under left multiplication, a two-sided ideal under both."""
+    t = structure(lattice)
+    # x -> x u_i, then x -> u_i x, for the four units u_i (the first key basis elements)
+    mult = np.concatenate([t[:, :4].transpose(1, 0, 2), t[:4]])
     out = []
     for key in _frames(lattice, m)[1]:
         h = np.array(key.hnf, dtype=np.int64)
-        products = (h @ _mult_matrices(lattice)).reshape(-1, h.shape[1])
+        products = (h @ mult).reshape(-1, h.shape[1])
         r, l = hnf_contains(key.hnf, products).reshape(2, -1).all(axis=1)
         out.append(SSM(key, ("product", "left-ideal", "right-ideal", "two-sided")[2 * r + l]))
     out.sort(key=lambda s: s.key.hnf)

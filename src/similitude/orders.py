@@ -3,20 +3,21 @@ Hurwitz order) over Z, the icosian order over Z[tau] and the cubian order
 over Z[sqrt2].
 
 Each order is one table row: its name, its base ring, one Z[w]-basis of
-units and the largest m its census runs.  Provides membership, integral
-coordinates in that basis, and the integer-lattice key of a two-sided
-product a*O*b.
+units and the largest m its census runs.  Its key basis is the units, then
+over Z[w] w times the units; `structure` is its multiplication table on that
+basis.  Provides membership, key coordinates, and the integer-lattice key of
+a two-sided product a*O*b.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeKey, lattice_key
+from .lattice import LatticeKey, hnf_rows, lattice_key
 from .quadfield import QuadInt, Ring
 from .quat import Quat
 
@@ -78,36 +79,25 @@ def _doubled_coords(quat: Quat):
 
 
 def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[list[list[int]], int]:
-    """(adj, det) for the integer matrix B with the given columns:
-    adj @ v == det * B^{-1} @ v for every vector v."""
+    """(adj, det) for the nonsingular integer matrix B with the given
+    columns: det = |det B| and adj = det * B^{-1}.  The HNF of the rows
+    [B | I] is [H | U] with H = U B lower triangular and U unimodular, so
+    det = prod diag H, B^{-1} = H^{-1} U, and det * H^{-1} (= adj H, so
+    integral) comes by exact forward substitution."""
     n = len(columns)
-    m = [[Fraction(columns[j][i]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
-        det *= m[col][col]
-        scale = m[col][col]
-        m[col] = [x / scale for x in m[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    det_int = int(det)
-    adj = [[int(det * x) for x in row] for row in inv]
-    return adj, det_int
+    hu = hnf_rows([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(zip(*columns))], n)
+    h, u = [r[:n] for r in hu], [r[n:] for r in hu]
+    det = math.prod(h[i][i] for i in range(n))
+    x = []  # rows of det * H^{-1}
+    for i in range(n):
+        x.append([(det * (i == k) - sum(h[i][j] * x[j][k] for j in range(i))) // h[i][i]
+                  for k in range(n)])
+    return [[sum(x[i][j] * u[j][k] for j in range(n)) for k in range(n)] for i in range(n)], det
 
 
 @dataclass(frozen=True)
 class _OrderData:
-    basis: tuple[Quat, ...]  # the units
-    zbasis: tuple[Quat, ...]  # the basis, then w times the basis over Z[w]
+    zbasis: tuple[Quat, ...]  # the key basis
     adj: tuple[tuple[int, ...], ...]
     det: int
 
@@ -120,7 +110,20 @@ def _data(order: Order) -> _OrderData:
     zrows = zrows.tolist()
     zbasis = tuple(Quat(ring, [QuadInt(ring, *z[i::4]) for i in range(4)], 2) for z in zrows)
     adj, det = _inverse_scaled(zrows)
-    return _OrderData(zbasis[:4], zbasis, tuple(tuple(r) for r in adj), det)
+    return _OrderData(zbasis, tuple(tuple(r) for r in adj), det)
+
+
+@lru_cache(maxsize=None)
+def structure(order: Order) -> np.ndarray:
+    """The multiplication table T of the order, int64 of shape (dim, dim, dim):
+    T[i, j] holds the key coordinates of z_i z_j for the key basis z.  So
+    x -> x z_i is the matrix T[:, i] and x -> z_i x is T[i] on key
+    coordinates (row vectors).  Built once per order from dim^2 quaternion
+    products, and read-only: every caller shares it through the cache."""
+    z = _data(order).zbasis
+    t = np.array([[coordinates(order, p * q) for q in z] for p in z], dtype=np.int64)
+    t.flags.writeable = False
+    return t
 
 
 def coordinates(order: Order, quat: Quat) -> tuple[int, ...]:
@@ -172,8 +175,11 @@ def module_lattice(a: OrderElement, b: OrderElement) -> LatticeKey:
     if not a or not b:
         raise ZeroDivisionError("zero factor spans no finite-index module")
     order = a.order
-    zbasis = _data(order).zbasis
-    key = lattice_key([coordinates(order, a.q * z * b.q) for z in zbasis], len(zbasis))
+    t = structure(order).astype(object)  # exact: no int64 bound on the coordinates
+    ca, cb = (np.array(coordinates(order, e.q), dtype=object) for e in (a, b))
+    # row k: a z_k b = sum_i ca_i z_i z_k b, and z_l b = sum_j cb_j z_l z_j
+    rows = np.tensordot(ca, t, axes=(0, 0)) @ np.tensordot(t, cb, axes=(1, 0))
+    key = lattice_key(rows.tolist(), len(t))
     nrd = (a.q.reduced_norm() * b.q.reduced_norm()).to_quadint().norm()
     if key.index != nrd * nrd:
         raise AssertionError(f"index {key.index} != N(|a|^2|b|^2)^2 = {nrd * nrd}")

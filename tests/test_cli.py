@@ -54,7 +54,7 @@ def test_series_chunks_equal_row_by_row(capsys, fmt, target):
         code, out, _ = run(capsys, "series", "--target", target.value, "--terms", str(terms),
                            "--format", fmt)
         assert code == 0
-        assert out == _expected_series(target, fmt, series(target, terms).values), terms
+        assert out == _expected_series(target, fmt, series(target, terms).array.tolist()), terms
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
@@ -299,7 +299,7 @@ def test_verify_multiplicativity_checks_the_engine(capsys, monkeypatch):
     real = cli_mod.engine_sequence
 
     def broken(target, n):
-        values = list(real(target, n).values)
+        values = real(target, n).array.tolist()
         values[5] += 1  # a(6) != a(2) a(3): not multiplicative
         return coeff_seq(values)
 

@@ -64,6 +64,23 @@ def test_hnf_key_is_invariant_under_unimodular_change_of_basis(basis, ops, coeff
     assert lattice_key(basis + [extra], 4) == key
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_trailing_columns_ride_along(n):
+    # the rows [B | I] reduce to [H | U]: H is the HNF of B and H = U B, so
+    # U is unimodular (det H = |det B|)
+    rng = random.Random(n)
+    for _ in range(40):
+        b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        det = round(np.linalg.det(np.array(b, dtype=float)))
+        if det == 0:
+            continue
+        hu = hnf_rows([row + [int(i == j) for j in range(n)] for i, row in enumerate(b)], n)
+        h, u = [list(r[:n]) for r in hu], [list(r[n:]) for r in hu]
+        assert h == [list(r) for r in hnf_rows(b, n)]
+        assert (np.array(u, dtype=object) @ np.array(b, dtype=object)).tolist() == h
+        assert np.prod(np.diag(np.array(h, dtype=object))) == abs(det)
+
+
 def test_hnf_index_is_diagonal_product():
     key = lattice_key([(2, 0, 0, 0), (1, 3, 0, 0), (0, 1, 1, 0), (1, 1, 0, 5)], 4)
     assert key.index == 30

@@ -1,13 +1,18 @@
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from similitude.lattice import hnf_contains, hnf_rows, lattice_key
-from similitude.oracle import _norm_vectors
-from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _omega_times, element,
-                               is_member, module_lattice)
+from similitude.oracle import _lambdas, _norm_vectors, enumerate_ssm
+from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _inverse_scaled,
+                               _omega_times, coordinates, element, is_member, module_lattice,
+                               structure)
 from similitude.quadfield import QuadInt, QuadRat, Ring
 from similitude.quat import Quat
 
@@ -106,7 +111,7 @@ def test_membership_and_coords():
     rng = random.Random(5)
     for order in ORDERS.values():
         members = rng.sample(units(order), 8)
-        basis = _data(order).basis
+        basis = _data(order).zbasis[:4]
         members += [b1 + b2 for b1 in basis for b2 in basis[:2]]
         for x in members:
             for y in members:
@@ -124,7 +129,7 @@ def test_module_lattice_examples():
     a = element(ICOSIAN, Quat(GOLD, (1, 1, 0, 0)))  # reduced norm 2
     assert module_lattice(a, one_i).index == 16
     # cubian: 1 + (1+i)/sqrt2 has reduced norm 2 + sqrt2 of field norm 2
-    b1, b2 = _data(CUBIAN).basis[:2]
+    b1, b2 = _data(CUBIAN).zbasis[:2]
     e = element(CUBIAN, b1 + b2)
     nrd = e.q.reduced_norm().to_quadint()
     assert (nrd.a, nrd.b) == (2, 1)
@@ -136,7 +141,7 @@ def test_module_lattice_unit_invariance():
     rng = random.Random(7)
     for order in (D4STAR, ICOSIAN):
         group = units(order)
-        basis = _data(order).basis
+        basis = _data(order).zbasis[:4]
         a = element(order, basis[1] + basis[3] + basis[0])
         b = element(order, basis[2] + basis[3])
         key = module_lattice(a, b)
@@ -195,3 +200,131 @@ def test_inclusion_chain_indices():
     assert l_key.index == 2
     assert x_key.index == 4
     assert hnf_contains(l_key.hnf, x_key.hnf).all()
+
+
+# ring laws of the multiplication table, on key coordinates
+
+def table_product(t, x, y):
+    """x * y on key coordinates through the table, in exact Python ints."""
+    return np.einsum("i,j,ijk->k", np.array(x, dtype=object), np.array(y, dtype=object),
+                     t.astype(object)).tolist()
+
+
+def key_quat(order, c):
+    """The element with key coordinates c, as a sum of key-basis quaternions."""
+    return functools.reduce(lambda p, q: p + q, (z * ci for z, ci in zip(_data(order).zbasis, c)))
+
+
+key_vectors = st.lists(st.integers(-4, 4), min_size=8, max_size=8)
+
+
+def test_structure_is_one_read_only_table_per_order():
+    for order in ORDERS.values():
+        t = structure(order)
+        dim = len(_data(order).zbasis)
+        assert t.shape == (dim, dim, dim) and t.dtype == np.int64
+        assert not t.flags.writeable
+        assert structure(order) is t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ORDERS)), key_vectors, key_vectors, key_vectors)
+def test_structure_is_associative(name, x, y, z):
+    t = structure(ORDERS[name])
+    x, y, z = (v[:len(t)] for v in (x, y, z))
+    assert (table_product(t, table_product(t, x, y), z)
+            == table_product(t, x, table_product(t, y, z)))
+
+
+def test_structure_identity_is_the_first_unit():
+    for order in ORDERS.values():
+        assert order.units[0] == (2,) + (0,) * (len(order.units[0]) - 1)  # units[0] is 1
+        t = structure(order)
+        eye = np.eye(len(t), dtype=np.int64)
+        assert (t[0] == eye).all() and (t[:, 0] == eye).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ORDERS)), key_vectors, key_vectors)
+def test_structure_agrees_with_quaternion_products(name, x, y):
+    order = ORDERS[name]
+    t = structure(order)
+    x, y = x[:len(t)], y[:len(t)]
+    p, q = key_quat(order, x), key_quat(order, y)
+    assert list(coordinates(order, p)) == x
+    assert list(coordinates(order, p * q)) == table_product(t, x, y)
+
+
+# the key-basis inverse from the Hermite normal form
+
+def fraction_inverse(columns):
+    """(B^{-1}, det B) for the matrix B with the given columns, by
+    Gauss-Jordan elimination over the rationals."""
+    n = len(columns)
+    m = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m], det
+
+
+def test_inverse_scaled_equals_the_fraction_inverse():
+    rng = random.Random(11)
+    for n in (4, 8):
+        for _ in range(40):
+            columns = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            try:
+                inv, det = fraction_inverse(columns)
+            except StopIteration:  # no pivot: B is singular
+                continue
+            adj, d = _inverse_scaled(columns)
+            assert d == abs(det)
+            assert [[Fraction(x, d) for x in row] for row in adj] == inv
+
+
+ADJ_DET = {
+    "z4": (16, ((8, 0, 0, 0), (0, 8, 0, 0), (0, 0, 8, 0), (0, 0, 0, 8))),
+    "d4star": (8, ((4, 0, 0, -4), (0, 4, 0, -4), (0, 0, 4, -4), (0, 0, 0, 8))),
+    "icosian": (16, ((8, -8, 0, 0, 0, -8, 8, 0), (0, 0, -8, -8, 0, -8, 8, 0),
+                     (0, 0, -8, 8, 0, -8, 8, 0), (0, -16, 16, 0, 0, 0, 0, 0),
+                     (0, -8, 8, 0, 8, -16, 8, 0), (0, -8, 8, 0, 0, -8, 0, -8),
+                     (0, -8, 8, 0, 0, -8, 0, 8), (0, 0, 0, 0, 0, -16, 16, 0))),
+    "cubian": (16, ((8, -8, -8, 8, 0, 0, 0, 0), (0, 0, 0, 0, 0, 16, 0, -16),
+                    (0, 0, 0, 0, 0, 0, 16, -16), (0, 0, 0, 16, 0, 0, 0, 0),
+                    (0, 0, 0, 0, 8, -8, -8, 8), (0, 8, 0, -8, 0, 0, 0, 0),
+                    (0, 0, 8, -8, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 16))),
+}
+
+
+def test_order_adjugates_are_fixed():
+    # the (adj, det) of each key basis, as the Gauss-Jordan solve gave them
+    for name, (det, adj) in ADJ_DET.items():
+        data = _data(ORDERS[name])
+        assert (data.det, data.adj) == (det, adj), name
+
+
+# a*O*b against the census
+
+@pytest.mark.parametrize("name,m", [("icosian", 4), ("icosian", 5), ("icosian", 9),
+                                    ("cubian", 2), ("cubian", 7)])
+def test_principal_ideals_are_the_census_ideals(name, m):
+    # the left ideals O a and right ideals a O over the elements a of norm
+    # lam, lam over the classes of norm m, are the census SSMs of those kinds
+    order = ORDERS[name]
+    ssms = enumerate_ssm(order, m)
+    left = {s.key for s in ssms if s.kind in ("left-ideal", "two-sided")}
+    right = {s.key for s in ssms if s.kind in ("right-ideal", "two-sided")}
+    one = element(order, as_quat(order.ring, order.units[0]))
+    elems = [element(order, as_quat(order.ring, v))
+             for lam in _lambdas(order.ring, m) for v in _norm_vectors(order, lam)[0].tolist()]
+    assert {module_lattice(one, a) for a in elems} == left
+    assert {module_lattice(a, one) for a in elems} == right

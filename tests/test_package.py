@@ -57,3 +57,9 @@ def test_import_keeps_a_preset_blas_thread_count():
 def test_import_after_numpy_leaves_environ_alone():
     code = "import os, numpy\nenv = dict(os.environ)\nimport similitude\nprint(dict(os.environ) == env)"
     assert _python(code) == "True\n"
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # both cost start-up time in every command, and no code path needs them
+    code = "import sys, similitude.cli\nprint(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert _python(code) == "[]\n"
