@@ -6,9 +6,9 @@ orders, with an independent brute-force oracle and numeric asymptotics checks.
 import os as _os
 import sys as _sys
 
-# No code path calls BLAS (the counts are exact integer work), but OpenBLAS
-# starts a worker thread for each core but one when NumPy loads, and each
-# spins for about 0.1 s of CPU before it sleeps.  OpenBLAS reads its thread
+# Only the census's small float64 matmuls call BLAS, and one thread serves
+# them, but OpenBLAS starts a worker thread for each core but one when NumPy
+# loads, and each spins for about 0.1 s of CPU before it sleeps.  OpenBLAS reads its thread
 # count once, at load, so the variable is set only around the first import
 # of NumPy; a user who set either variable keeps their own count.
 if "numpy" not in _sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():

@@ -4,9 +4,10 @@ Subcommands: series (emit coefficients), verify (identity cross-checks),
 oracle (brute force vs formula), constants (growth/zeta constants).
 Exit codes: 0 success, 1 verification or oracle failure, 2 usage error.
 Output is deterministic.  --threads is accepted and does not change the work.
-No code path calls BLAS, so the package loads NumPy's OpenBLAS with one thread
-unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: an idle pool of one
-worker per core cost each command about 0.1 s of CPU at start-up.
+Only the census's small float64 matmuls call BLAS, so the package loads
+NumPy's OpenBLAS with one thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is set: an idle pool of one worker per core cost each command
+about 0.1 s of CPU at start-up.
 The console script (`entry`, also `python -m similitude.cli`) freezes the
 garbage collector once `main` has returned, so the interpreter's shutdown
 skips its collection over the ~22,000 tracked objects of NumPy and the

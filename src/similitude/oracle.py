@@ -12,7 +12,9 @@ finds every frame among the elements of norm lam, keys each spanned module
 once, and checks its completeness: each SSM has |Aut| frames (384 for Z^4,
 1152 for D4*, 14400 for the icosians, 2304 for the cubian order), and |Aut| is
 the frame count at m = 1.  No theorem about the shape of an SSM (such as
-a*O*b) is assumed, and no floating point is used.
+a*O*b) is assumed.  The dot kernels run in float64 only under the bound that
+`_search` proves, where every value is an integer below 2^53 and so exact;
+every comparison is exact integer equality.
 """
 
 from __future__ import annotations
@@ -65,9 +67,14 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
     meet-in-the-middle join of pairs of coordinate squares a + b w, packed
     as a * 2^24 + b.
 
-    A coordinate c = p + q w has c^2 <= 4 lam under both embeddings (exact
-    QuadInt sign tests).  So |c| <= 2 sqrt(T) in each, T = lam + lam', which
-    bounds |q| by 2r (w - w' > 2) and |p| by 6r, r = isqrt(T) + 1.
+    A coordinate c = p + q w has c^2 <= 4 lam under both embeddings, that
+    is 4 lam - c^2 = A + B w is totally nonnegative: P >= 0 and P^2 >= d B^2
+    for P +- B sqrt(d) = 2(A + B w), 2(A + B w') over Z[tau] (P = 2A + B,
+    d = 5) and A +- B sqrt2 over Z[sqrt2] (P = A, d = 2).  So |c| <= 2 sqrt(T)
+    in each, T = lam + lam', which bounds |q| by 2r (w - w' > 2) and |p| by
+    6r, r = isqrt(T) + 1.  Under T < 2^20 (below) r <= 2^10, the parts of c^2
+    and of 4 lam are below 2^26, and P^2 and d B^2 below 2^57, so these
+    tests are exact in int64.
 
     T < 2^20 is required here, before any array is built, and it bounds
     both this packing and the dot packing of `_search`.  An element
@@ -83,22 +90,22 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
     big_t = (lam + lam.conjugate()).a
     if big_t >= 1 << 20:
         raise OverflowError(f"lambda={lam} is too large for the int64 packings (T >= 2^20)")
-    ring, pack, four = lattice.ring, 1 << 24, lam * 4
+    ring, pack = lattice.ring, 1 << 24
     r = math.isqrt(big_t) + 1
-    cands, squares = [], []
-    for p in range(-6 * r, 6 * r + 1):
-        for q in ((0,) if ring is Ring.RATIONAL else range(-2 * r, 2 * r + 1)):
-            c = QuadInt(ring, p, q)
-            room = four - c * c
-            if room.sign() >= 0 and room.conjugate().sign() >= 0:
-                cands.append((p, q))
-                squares.append((c * c).a * pack + (c * c).b)
-    cands, squares = np.array(cands, dtype=np.int64), np.array(squares, dtype=np.int64)
+    qs = np.zeros(1, dtype=np.int64) if ring is Ring.RATIONAL else np.arange(-2 * r, 2 * r + 1)
+    p, q = (g.ravel() for g in np.meshgrid(np.arange(-6 * r, 6 * r + 1), qs, indexing="ij"))
+    # c^2 = sq_a + sq_b w, with w^2 = w2[0] + w2[1] w
+    w2 = {Ring.GOLDEN: (1, 1), Ring.SQRT2: (2, 0), Ring.RATIONAL: (0, 0)}[ring]
+    sq_a, sq_b = p * p + w2[0] * q * q, 2 * p * q + w2[1] * q * q
+    room_a, room_b = 4 * lam.a - sq_a, 4 * lam.b - sq_b
+    big_p, d = (2 * room_a + room_b, 5) if ring is Ring.GOLDEN else (room_a, 2)
+    keep = (big_p >= 0) & (big_p * big_p >= d * room_b * room_b)
+    cands, squares = np.stack([p[keep], q[keep]], axis=1), sq_a[keep] * pack + sq_b[keep]
     k = len(cands)
     i, j = np.divmod(np.arange(k * k), k)
     pair = squares[i] + squares[j]
     order = np.argsort(pair, kind="stable")
-    need = four.a * pack + four.b - pair
+    need = 4 * lam.a * pack + 4 * lam.b - pair
     lo = np.searchsorted(pair[order], need, "left")
     count = np.searchsorted(pair[order], need, "right") - lo
     left = np.repeat(np.arange(k * k), count)
@@ -112,6 +119,12 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
     return x[inside], c[inside] // data.det
 
 
+@lru_cache(maxsize=None)
+def _units(lattice: Order) -> np.ndarray:
+    """Key coordinates of the units of the order: its vectors of norm 1."""
+    return _norm_vectors(lattice, QuadInt(lattice.ring, 1))[1]
+
+
 @dataclass(frozen=True)
 class LambdaClass:
     lam: QuadInt
@@ -120,13 +133,22 @@ class LambdaClass:
     keys: frozenset[LatticeKey]
 
 
-# Array entries per block of v_0.  A v_0 costs its n dots, its k x k Gram
-# block (k its most candidates for one of v_1, v_2, v_3) and about ten index
-# entries per frame; the first block is one v_0, and each block sizes the
-# next from its own frames.
-# 2^15 entries (256 kB of int64) are enough v_0 to spread the fixed cost of
-# the ~40 NumPy calls a block makes, and keep the block under 0.5 MB in all.
-_BLOCK_ENTRIES = 1 << 15
+# Bytes per block of v_0: its dot rows, Gram blocks and frame indices, as
+# `_block_frames` counts them.  The first block is one v_0, and each block
+# sizes the next from the bytes per v_0 it used itself.  2^18 bytes hold about
+# nine v_0 at icosian m = 9 (n = 1,200), enough to spread the fixed cost of
+# the NumPy calls a block makes; a block peaks at about twice its count.  The
+# peak RSS of that command rose over the parent's by 0.46-0.47 MB at 2^18
+# (0.3 MB of it the first BLAS call), 0.76-0.93 MB at 2^19 and 1.6-1.9 MB
+# at 2^20.
+_BLOCK_BYTES = 1 << 18
+
+
+def _kernel_dtype(big_t: int) -> type:
+    """float64 for the dot kernels of `_search` while its bound on the sum of
+    |products| of a dot, 32 T^2 + 10 T, is below 2^53 (T < 2^24); int64
+    above it."""
+    return np.float64 if 32 * big_t * big_t + 10 * big_t < 1 << 53 else np.int64
 
 
 def _padded(mask: np.ndarray) -> np.ndarray:
@@ -139,38 +161,57 @@ def _padded(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matches(gram: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """gram == v for the Gram blocks of the candidate rows `rows` and `cols`,
+    False at their pad entries.  A pad (-1) picks the zero row of x and y,
+    whose dots are 0, so only v = 0 needs the pads masked."""
+    hit = gram == v
+    if v == 0:
+        hit &= (rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]
+    return hit
+
+
 def _words(mask: np.ndarray) -> np.ndarray:
-    """The last axis of a bool array as uint64 words, bit j of word w
-    holding entry 64 w + j."""
-    packed = np.packbits(mask, axis=-1, bitorder="little")
-    out = np.zeros(mask.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
-    out[..., :packed.shape[-1]] = packed
-    return out.view(np.uint64)
+    """The last axis of a bool array as rows of uint64 words, one row per
+    entry of the other axes (C order), bit j of word w holding entry 64 w + j."""
+    rows, width = math.prod(mask.shape[:-1]), mask.shape[-1]
+    out = np.zeros((rows, -(-width // 64) * 64), dtype=bool)
+    out[:, :width] = mask.reshape(rows, width)
+    return np.packbits(out, bitorder="little").view(np.uint64).reshape(rows, out.shape[1] // 64)
 
 
 def _block_frames(x: np.ndarray, y: np.ndarray, t: list[list[int]],
-                  lo: int, hi: int) -> tuple[np.ndarray, ...]:
+                  lo: int, hi: int) -> tuple[tuple[np.ndarray, ...], int]:
     """The frames (v_0, v_1, v_2, v_3) with lo <= v_0 < hi, as four index
-    arrays in no particular order.  x and y end in a zero row, the pad of
+    arrays in no particular order, and the bytes of the block's dot rows,
+    Gram blocks and frame indices.  x and y end in a zero row, the pad of
     the candidate rows, and t holds the packed target dots.
 
     The dot rows of v_0 give its candidates B, C, D for v_1, v_2, v_3 as
-    index rows padded with -1; candidate sets and Gram blocks that share
-    their dot with v_0 are computed once.  The (v_1, v_2) pairs are the
+    index rows padded with -1; candidate sets, Gram blocks and word masks
+    that share their dots are computed once.  The (v_1, v_2) pairs are the
     matches in B.C, and v_3 the set bits of the AND of their B.D and C.D
     rows, packed in uint64 words: a pair has almost always one v_3."""
     dots = x[lo:hi] @ y[:-1].T
     cands = {v: _padded(dots == v) for v in set(t[0][1:])}
     pairs = {(t[0][i], t[0][j]) for i, j in ((1, 2), (1, 3), (2, 3))}
-    grams = {(p, q): x[cands[p]] @ y[cands[q]].transpose(0, 2, 1) for p, q in pairs}
+    grams = {(p, q): np.take(x, cands[p], axis=0) @ np.take(y, cands[q], axis=0).transpose(0, 2, 1)
+             for p, q in pairs}
     b, c, d = (cands[v] for v in t[0][1:])
-    bc = (grams[t[0][1], t[0][2]] == t[1][2]) & (b >= 0)[:, :, None] & (c >= 0)[:, None, :]
-    pa, pb, pc = np.unravel_index(np.flatnonzero(bc), bc.shape)
-    bd = _words((grams[t[0][1], t[0][3]] == t[1][3]) & (d >= 0)[:, None, :])
-    cd = _words(grams[t[0][2], t[0][3]] == t[2][3])
-    pair_words = bd[pa, pb] & cd[pa, pc]
-    pair, word = np.unravel_index(np.flatnonzero(pair_words), pair_words.shape)
-    bits = pair_words[pair, word]
+    bc = _matches(grams[t[0][1], t[0][2]], t[1][2], b, c)
+    ends = [(t[0][i], t[0][3], t[i][3]) for i in (1, 2)]  # B.D and C.D, once if equal
+    words = {e: _words(_matches(grams[e[:2]], e[2], cands[e[0]], d)) for e in set(ends)}
+    bd, cd = (words[e] for e in ends)
+    nbytes = dots.nbytes + sum(g.nbytes for g in grams.values())
+    del dots, grams  # the frames need only the masks
+    # flat indices: ab = pa kb + pb into b and the rows of bd, ac = pa kc + pc
+    ab, pc = np.divmod(np.flatnonzero(bc), c.shape[1])
+    pa = ab // b.shape[1]
+    ac = pa * c.shape[1] + pc
+    pair_words = np.take(bd, ab, axis=0) & np.take(cd, ac, axis=0)
+    flat = np.flatnonzero(pair_words)
+    pair, word = np.divmod(flat, pair_words.shape[1])
+    bits = pair_words.ravel()[flat]
     hit, pos = [], []
     while True:
         below = bits - np.uint64(1)
@@ -183,7 +224,21 @@ def _block_frames(x: np.ndarray, y: np.ndarray, t: list[list[int]],
         pair, word, bits = pair[more], word[more], bits[more]
     hit, pos = np.concatenate(hit), np.concatenate(pos)
     pa = pa[hit]
-    return lo + pa, b[pa, pb[hit]], c[pa, pc[hit]], d[pa, pos]
+    return ((lo + pa, b.ravel()[ab[hit]], c.ravel()[ac[hit]], d.ravel()[pa * d.shape[1] + pos]),
+            nbytes + 4 * pos.nbytes)
+
+
+def _shell(table: tuple[np.ndarray, np.ndarray], units: np.ndarray,
+           rows: np.ndarray) -> np.ndarray | None:
+    """Indices of the norm-lam vectors in the SSM with Z-basis `rows` (a
+    frame F, and over Z[w] w F below it, in key coordinates): R scales the
+    Z[w]-valued norm by lam, so they are the images units @ rows of the
+    units, each looked up in `table` (the vectors' key coordinates as sorted
+    byte strings, and their indices).  None if an image is not a vector."""
+    keys, index = table
+    images = (units @ rows).view(keys.dtype).ravel()
+    pos = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+    return index[pos] if (keys[pos] == images).all() else None
 
 
 @lru_cache(maxsize=128)
@@ -195,51 +250,73 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     A dot a + b w is packed as a * S + b.  Each embedding of a dot of
     norm-lam vectors is at most 4T in absolute value (Cauchy-Schwarz,
     T = lam + lam'), so |b| < 4T, |a| < 11T and S = 8T + 1 packs
-    injectively; coordinates are below 6 sqrt(T), so every partial sum
-    stays below 2^57 for T < 2^20 (which `_norm_vectors` enforces) and
-    int64 is exact.
+    injectively.
+
+    The kernels compute each packed dot as x . y with y = x L (L = `_form`),
+    over the rational parts p and w parts q of the doubled coordinates
+    X = p + q w (over Z, x = p and y = S p).  As 4-vectors |X|^2 = 4 lam and
+    |X'|^2 = 4 lam', so q = (X - X')/(w - w') and p = (w X' - w' X)/(w - w')
+    give |q|^2 <= 8T/(w - w')^2 and |p|^2 <= 4(w^2 + w'^2) T/(w - w')^2:
+    |p|^2 <= 12T/5 and |q|^2 <= 8T/5 over Z[tau], |p|^2 <= 2T and
+    |q|^2 <= T over Z[sqrt2].  By Cauchy-Schwarz the sum of |products| of a
+    dot, at most S|p_a||p_b| + |p_a||q_b| + |q_a||p_b| + c|q_a||q_b| with
+    c = S + 1 (tau^2 = tau + 1) or 2S, is then below 4ST + 6T = 32T^2 + 10T
+    (2ST over Z).  Every product and every partial sum, in whatever order
+    BLAS adds them, is an integer no larger, so float64 is exact while
+    32T^2 + 10T < 2^53 (T < 2^24, `_kernel_dtype`), and int64 while it is
+    below 2^63.  `_norm_vectors` admits only T < 2^20, so today every class
+    runs in float64; the comparisons with the packed targets stay exact
+    equality of integers.
 
     Each SSM found gets a shell bit, set in the words of the norm-lam
-    vectors inside it.  A frame whose four vectors share a shell bit spans
-    that SSM (same index), so only frames no shell covers get a
+    vectors inside it (`_shell`).  A frame whose four vectors share a shell
+    bit spans that SSM (same index), so only frames no shell covers get a
     `lattice_key`, of v_i (and w v_i) in key coordinates.
     """
     ring = lattice.ring
     x, coords = _norm_vectors(lattice, lam)
     n = len(x)
+    rows_as_bytes = coords.view(np.dtype((np.void, coords.strides[0]))).ravel()
+    index = np.argsort(rows_as_bytes)
+    table = rows_as_bytes[index], index
+    units = _units(lattice)
     x = np.vstack([x, np.zeros_like(x[:1])])
     big_t = (lam + lam.conjugate()).a
     form = _form(ring, 8 * big_t + 1)
     u = np.array(lattice.units, dtype=np.int64)
     t = (u @ form @ (lam.a * u + (lam.b * _omega_times(u, ring) if lam.b else 0)).T).tolist()
-    y = x @ form
-    k = int(max((x[:1] @ y[:n].T == v).sum() for v in t[0][1:]))
+    dtype = _kernel_dtype(big_t)
+    x, y = x.astype(dtype), (x @ form).astype(dtype)
     frames, keys = 0, set()
-    shells = np.zeros((1, n), dtype=np.uint64)  # bit i of word i // 64: inside SSM i
+    # row v, bit i of word i // 64: v is inside SSM i (a row per vector, gathered whole)
+    shells = np.zeros((n, 1), dtype=np.uint64)
     lo, step = 0, 1
     while lo < n:
         hi = min(lo + step, n)
-        fa, fb, fc, fd = _block_frames(x, y, t, lo, hi)
-        step = max(1, _BLOCK_ENTRIES * (hi - lo) // ((hi - lo) * (n + k * k) + 10 * len(fd)))
+        (fa, fb, fc, fd), used = _block_frames(x, y, t, lo, hi)
+        step = max(1, _BLOCK_BYTES * (hi - lo) // used)
         lo = hi
         frames += len(fd)
-        todo = np.ones(len(fd), dtype=bool)
-        for w in shells:
-            todo &= (w[fa] & w[fb] & w[fc] & w[fd]) == 0
+        cover = np.take(shells, fa, axis=0)
+        for v in (fb, fc, fd):
+            cover &= np.take(shells, v, axis=0)
+        todo = ~cover.any(axis=1)
         while todo.any():
             f = np.flatnonzero(todo)[0]
-            quad = [fa[f], fb[f], fc[f], fd[f]]
+            quad = [int(v[f]) for v in (fa, fb, fc, fd)]
             rows = coords[quad]
             if ring is not Ring.RATIONAL:
                 rows = np.concatenate([rows, _omega_times(rows, ring)])
-            key = lattice_key(rows.tolist(), coords.shape[1])
-            shell = hnf_contains(key.hnf, coords)
-            if not shell[quad].all() or key in keys:
-                raise AssertionError(f"{lattice.name} lambda={lam}: a frame escaped its shell")
-            if len(keys) == 64 * len(shells):
-                shells = np.vstack([shells, np.zeros_like(shells)])
-            shells[len(keys) // 64, shell] |= np.uint64(1 << len(keys) % 64)
-            keys.add(key)
+            hits = _shell(table, units, rows)
+            if hits is None:
+                raise AssertionError(f"{lattice.name} lambda={lam}: the frame {quad} maps a unit "
+                                     f"outside the norm-lambda vectors")
+            if len(keys) == 64 * shells.shape[1]:
+                shells = np.hstack([shells, np.zeros_like(shells)])
+            shells[hits, len(keys) // 64] |= np.uint64(1 << len(keys) % 64)
+            keys.add(lattice_key(rows.tolist(), coords.shape[1]))
+            shell = np.zeros(n, dtype=bool)
+            shell[hits] = True
             todo &= ~(shell[fa] & shell[fb] & shell[fc] & shell[fd])
     return LambdaClass(lam, n, frames, frozenset(keys))
 

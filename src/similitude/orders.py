@@ -36,9 +36,10 @@ class Order:
     max_m: int
 
 
-# max_m: every census up to it takes under a second (2-core x86 VM; the
-# slowest is icosian m = 20 at 0.74 s), and all of m = 1..30 take 0.4 s for
-# Z^4 and 0.5-0.8 s for D4*.
+# max_m: every census up to it takes under half a second (2-core x86 VM,
+# CPU time from cold caches in its quieter runs; the slowest are icosian
+# m = 20 and 25 at 0.35-0.43 s, the slowest cubian one 0.12-0.18 s), and all
+# of m = 1..30 take 0.3-0.5 s for Z^4 and 0.4-0.5 s for D4*.
 Z4 = Order("z4", Ring.RATIONAL, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 30)
 
 # The Hurwitz order, basis {1, i, j, (1+i+j+k)/2}.

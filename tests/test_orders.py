@@ -244,6 +244,21 @@ def test_structure_identity_is_the_first_unit():
         assert (t[0] == eye).all() and (t[:, 0] == eye).all()
 
 
+def test_structure_reads_left_factor_first():
+    # T[i, j] is z_i z_j, not z_j z_i: non-commutative products written out by
+    # hand, so a transposed table (and with it swapped left/right kinds) fails
+    t = structure(Z4)  # key basis 1, i, j, k
+    assert t[1, 2].tolist() == [0, 0, 0, 1]  # i j = k
+    assert t[2, 1].tolist() == [0, 0, 0, -1]  # j i = -k
+    assert t[1, 1].tolist() == [-1, 0, 0, 0]  # i i = -1
+    # icosian z_1 = -(1+i+j+k)/2, z_2 = (-1-i-j+k)/2: z_1 z_2 = j and z_2 z_1 = i.
+    # With z_0 = 1, z_3 = (-1+(tau-1)i+tau j)/2 and z_{4+l} = tau z_l:
+    # i + j = -z_0 - z_1 - z_2, so i = -z_0 - 2 z_3 + tau (i + j) and j = (i + j) - i
+    t = structure(ICOSIAN)
+    assert t[1, 2].tolist() == [0, -1, -1, 2, 1, 1, 1, 0]  # j
+    assert t[2, 1].tolist() == [-1, 0, 0, -2, -1, -1, -1, 0]  # i
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(ORDERS)), key_vectors, key_vectors)
 def test_structure_agrees_with_quaternion_products(name, x, y):
