@@ -135,20 +135,11 @@ class LambdaClass:
 
 # Bytes per block of v_0: its dot rows, Gram blocks and frame indices, as
 # `_block_frames` counts them.  The first block is one v_0, and each block
-# sizes the next from the bytes per v_0 it used itself.  2^18 bytes hold about
-# nine v_0 at icosian m = 9 (n = 1,200), enough to spread the fixed cost of
-# the NumPy calls a block makes; a block peaks at about twice its count.  The
-# peak RSS of that command rose over the parent's by 0.46-0.47 MB at 2^18
-# (0.3 MB of it the first BLAS call), 0.76-0.93 MB at 2^19 and 1.6-1.9 MB
-# at 2^20.
+# sizes the next from the bytes per v_0 it used.  2^18 bytes (about nine v_0
+# at icosian m = 9, n = 1,200) spread the fixed cost of a block's NumPy
+# calls; a block peaks at about twice its count, and 2^19 bytes would raise
+# the peak RSS of `oracle --module icosian --m 9` by 0.3-0.5 MB more.
 _BLOCK_BYTES = 1 << 18
-
-
-def _kernel_dtype(big_t: int) -> type:
-    """float64 for the dot kernels of `_search` while its bound on the sum of
-    |products| of a dot, 32 T^2 + 10 T, is below 2^53 (T < 2^24); int64
-    above it."""
-    return np.float64 if 32 * big_t * big_t + 10 * big_t < 1 << 53 else np.int64
 
 
 def _padded(mask: np.ndarray) -> np.ndarray:
@@ -159,16 +150,6 @@ def _padded(mask: np.ndarray) -> np.ndarray:
     out = np.full((len(mask), pos.max(initial=-1) + 1), -1, dtype=np.intp)
     out[rows, pos] = cols
     return out
-
-
-def _matches(gram: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """gram == v for the Gram blocks of the candidate rows `rows` and `cols`,
-    False at their pad entries.  A pad (-1) picks the zero row of x and y,
-    whose dots are 0, so only v = 0 needs the pads masked."""
-    hit = gram == v
-    if v == 0:
-        hit &= (rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]
-    return hit
 
 
 def _words(mask: np.ndarray) -> np.ndarray:
@@ -184,8 +165,10 @@ def _block_frames(x: np.ndarray, y: np.ndarray, t: list[list[int]],
                   lo: int, hi: int) -> tuple[tuple[np.ndarray, ...], int]:
     """The frames (v_0, v_1, v_2, v_3) with lo <= v_0 < hi, as four index
     arrays in no particular order, and the bytes of the block's dot rows,
-    Gram blocks and frame indices.  x and y end in a zero row, the pad of
-    the candidate rows, and t holds the packed target dots.
+    Gram blocks and frame indices.  x and y end in a NaN row, the pad of
+    the candidate rows: every vector is nonzero, so a dot with the pad has a
+    NaN term, is NaN and equals no target, and the pads need no mask.  t
+    holds the packed target dots.
 
     The dot rows of v_0 give its candidates B, C, D for v_1, v_2, v_3 as
     index rows padded with -1; candidate sets, Gram blocks and word masks
@@ -198,9 +181,9 @@ def _block_frames(x: np.ndarray, y: np.ndarray, t: list[list[int]],
     grams = {(p, q): np.take(x, cands[p], axis=0) @ np.take(y, cands[q], axis=0).transpose(0, 2, 1)
              for p, q in pairs}
     b, c, d = (cands[v] for v in t[0][1:])
-    bc = _matches(grams[t[0][1], t[0][2]], t[1][2], b, c)
+    bc = grams[t[0][1], t[0][2]] == t[1][2]
     ends = [(t[0][i], t[0][3], t[i][3]) for i in (1, 2)]  # B.D and C.D, once if equal
-    words = {e: _words(_matches(grams[e[:2]], e[2], cands[e[0]], d)) for e in set(ends)}
+    words = {e: _words(grams[e[:2]] == e[2]) for e in set(ends)}
     bd, cd = (words[e] for e in ends)
     nbytes = dots.nbytes + sum(g.nbytes for g in grams.values())
     del dots, grams  # the frames need only the masks
@@ -263,10 +246,9 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     c = S + 1 (tau^2 = tau + 1) or 2S, is then below 4ST + 6T = 32T^2 + 10T
     (2ST over Z).  Every product and every partial sum, in whatever order
     BLAS adds them, is an integer no larger, so float64 is exact while
-    32T^2 + 10T < 2^53 (T < 2^24, `_kernel_dtype`), and int64 while it is
-    below 2^63.  `_norm_vectors` admits only T < 2^20, so today every class
-    runs in float64; the comparisons with the packed targets stay exact
-    equality of integers.
+    32T^2 + 10T < 2^53, that is T < 2^24.  `_norm_vectors` admits only
+    T < 2^20, so the kernels always run in float64, and the comparisons with
+    the packed targets are exact equality of integers.
 
     Each SSM found gets a shell bit, set in the words of the norm-lam
     vectors inside it (`_shell`).  A frame whose four vectors share a shell
@@ -280,13 +262,13 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     index = np.argsort(rows_as_bytes)
     table = rows_as_bytes[index], index
     units = _units(lattice)
-    x = np.vstack([x, np.zeros_like(x[:1])])
     big_t = (lam + lam.conjugate()).a
     form = _form(ring, 8 * big_t + 1)
     u = np.array(lattice.units, dtype=np.int64)
     t = (u @ form @ (lam.a * u + (lam.b * _omega_times(u, ring) if lam.b else 0)).T).tolist()
-    dtype = _kernel_dtype(big_t)
-    x, y = x.astype(dtype), (x @ form).astype(dtype)
+    assert 32 * big_t * big_t + 10 * big_t < 1 << 53  # T < 2^20 (`_norm_vectors`)
+    pad = np.full((1, x.shape[1]), np.nan)
+    x, y = np.vstack([x, pad]), np.vstack([x @ form, pad])
     frames, keys = 0, set()
     # row v, bit i of word i // 64: v is inside SSM i (a row per vector, gathered whole)
     shells = np.zeros((n, 1), dtype=np.uint64)
@@ -311,12 +293,16 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
             if hits is None:
                 raise AssertionError(f"{lattice.name} lambda={lam}: the frame {quad} maps a unit "
                                      f"outside the norm-lambda vectors")
-            if len(keys) == 64 * shells.shape[1]:
-                shells = np.hstack([shells, np.zeros_like(shells)])
-            shells[hits, len(keys) // 64] |= np.uint64(1 << len(keys) % 64)
-            keys.add(lattice_key(rows.tolist(), coords.shape[1]))
             shell = np.zeros(n, dtype=bool)
             shell[hits] = True
+            key = lattice_key(rows.tolist(), coords.shape[1])
+            if not shell[quad].all() or key in keys:
+                raise AssertionError(f"{lattice.name} lambda={lam}: the frame {quad} escaped "
+                                     f"its shell")
+            if len(keys) == 64 * shells.shape[1]:
+                shells = np.hstack([shells, np.zeros_like(shells)])
+            shells[shell, len(keys) // 64] |= np.uint64(1 << len(keys) % 64)
+            keys.add(key)
             todo &= ~(shell[fa] & shell[fb] & shell[fc] & shell[fd])
     return LambdaClass(lam, n, frames, frozenset(keys))
 

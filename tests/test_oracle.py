@@ -304,40 +304,38 @@ def test_bad_key_rejected():
         is_similar_sublattice(LatticeKey(4, unreduced, 1), Z4)
 
 
-SWEEP = [(Z4, range(1, 13)), (D4STAR, range(1, 13)),
-         (ICOSIAN, (1, 4, 5, 9, 11, 16)), (CUBIAN, (1, 2, 4, 7, 8, 9, 14))]
-SWEEP_IDS = ["z4", "d4star", "icosian", "cubian"]
+@pytest.mark.parametrize("lattice,ms", [
+    (Z4, range(1, 13)), (D4STAR, range(1, 13)),
+    (ICOSIAN, (1, 4, 5, 9, 11, 16)), (CUBIAN, (1, 2, 4, 7, 8, 9, 14))],
+    ids=["z4", "d4star", "icosian", "cubian"])
+def test_blocked_search_equals_reference(monkeypatch, lattice, ms):
+    # the float64 kernels against the int64 reference; and the shell of each
+    # SSM, as the images of the units, is exactly the set of norm-lam vectors
+    # that the SSM's HNF contains
+    real_shell, real_frames, found, dtypes = oracle._shell, oracle._block_frames, [], set()
 
-
-@pytest.mark.parametrize("lattice,ms", SWEEP, ids=SWEEP_IDS)
-def test_blocked_search_equals_reference(lattice, ms):
-    for m in ms:
-        for lam in _lambdas(lattice.ring, m):
-            c = oracle._search(lattice, lam)
-            assert (c.vectors, c.frames, c.keys) == reference_search(lattice, lam), (m, lam)
-
-
-@pytest.mark.parametrize("lattice,ms", SWEEP, ids=SWEEP_IDS)
-def test_unit_image_shells_equal_the_containment_shells(monkeypatch, lattice, ms):
-    # the shell of each SSM, as the images of the units, is exactly the set of
-    # norm-lam vectors that the SSM's HNF contains
-    real, found = oracle._shell, []
-
-    def spy(table, units, rows):
-        hits = real(table, units, rows)
+    def shell_spy(table, units, rows):
+        hits = real_shell(table, units, rows)
         key = lattice_key(rows.tolist(), rows.shape[1])
         assert np.sort(hits).tolist() == np.flatnonzero(hnf_contains(key.hnf, coords)).tolist()
         assert len(hits) == len(units)
         found.append(key)
         return hits
 
-    monkeypatch.setattr(oracle, "_shell", spy)
+    def frames_spy(x, y, t, lo, hi):
+        dtypes.add(x.dtype)
+        return real_frames(x, y, t, lo, hi)
+
+    monkeypatch.setattr(oracle, "_shell", shell_spy)
+    monkeypatch.setattr(oracle, "_block_frames", frames_spy)
     for m in ms:
         for lam in _lambdas(lattice.ring, m):
             coords = _norm_vectors(lattice, lam)[1]
             found.clear()
             c = oracle._search.__wrapped__(lattice, lam)
+            assert (c.vectors, c.frames, c.keys) == reference_search(lattice, lam), (m, lam)
             assert sorted(k.hnf for k in found) == sorted(k.hnf for k in c.keys), (m, lam)
+    assert dtypes == {np.dtype(np.float64)}
 
 
 def test_shell_lookup_miss_names_the_class(monkeypatch):
@@ -351,14 +349,21 @@ def test_shell_lookup_miss_names_the_class(monkeypatch):
         oracle._search.__wrapped__(ICOSIAN, QuadInt(Ring.GOLDEN, 2))
 
 
-def test_kernel_dtype_at_the_bound():
-    # the bound of `_search` on the sum of |products| of a dot, 32 T^2 + 10 T,
-    # is below 2^53 up to T = 2^24 - 1 and not at T = 2^24
-    for big_t, dtype in ((1, np.float64), ((1 << 24) - 1, np.float64), (1 << 24, np.int64)):
-        assert (32 * big_t * big_t + 10 * big_t < 1 << 53) == (dtype is np.float64)
-        assert oracle._kernel_dtype(big_t) is dtype
-    # every class that `_norm_vectors` admits (T < 2^20) is on the float64 side
-    assert oracle._kernel_dtype((1 << 20) - 1) is np.float64
+@pytest.mark.parametrize("basis_only", [False, True])
+def test_frame_outside_its_shell_names_the_class(monkeypatch, basis_only):
+    # a shell that misses its own frame (no unit at all), or one that holds
+    # only the frame's four vectors (the images of the basis units 1, i, j,
+    # k), so that the next frame of the same SSM is keyed again, must stop
+    # the search rather than merge shells or loop
+    real = oracle._shell
+
+    def shell(table, units, rows):
+        return real(table, units[:0] if not basis_only else np.eye(4, len(rows), dtype=np.int64), rows)
+
+    monkeypatch.setattr(oracle, "_shell", shell)
+    with pytest.raises(AssertionError, match=r"cubian lambda=1\+0r2: the frame \[\d+, \d+, \d+, \d+\] "
+                                             r"escaped its shell"):
+        oracle._search.__wrapped__(CUBIAN, QuadInt(Ring.SQRT2, 1))
 
 
 @pytest.mark.parametrize("lattice,m", [(Z4, 5), (D4STAR, 3), (ICOSIAN, 5), (CUBIAN, 7)])
@@ -371,28 +376,6 @@ def test_dot_bound_holds_on_the_vectors(lattice, m):
         y = x @ oracle._form(lattice.ring, s)
         bound = 2 * s * big_t if lattice.ring is Ring.RATIONAL else 4 * s * big_t + 6 * big_t
         assert (abs(x) @ abs(y).T).max() <= bound, lam
-
-
-@pytest.mark.parametrize("lattice,m", [(Z4, 5), (ICOSIAN, 9), (CUBIAN, 7)])
-def test_int64_kernels_equal_reference(monkeypatch, lattice, m):
-    # the int64 path, forced, against the int64 reference; by default the
-    # kernels run in float64
-    real, dtypes = oracle._block_frames, set()
-
-    def spy(x, y, t, lo, hi):
-        dtypes.add(x.dtype)
-        return real(x, y, t, lo, hi)
-
-    monkeypatch.setattr(oracle, "_block_frames", spy)
-    lam = _lambdas(lattice.ring, m)[-1]
-    oracle._search.__wrapped__(lattice, lam)
-    assert dtypes == {np.dtype(np.float64)}
-    dtypes.clear()
-    monkeypatch.setattr(oracle, "_kernel_dtype", lambda big_t: np.int64)
-    for lam in _lambdas(lattice.ring, m):
-        c = oracle._search.__wrapped__(lattice, lam)
-        assert (c.vectors, c.frames, c.keys) == reference_search(lattice, lam), (m, lam)
-    assert dtypes == {np.dtype(np.int64)}
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 16])
