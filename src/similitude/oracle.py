@@ -26,9 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import LatticeKey, hnf_contains, lattice_key
-from .orders import CUBIAN, ICOSIAN, Order, _data, _omega_times, structure
+from .orders import CUBIAN, ICOSIAN, Order, key_basis, solve, structure, times
 from .orders import D4STAR, Z4  # noqa: F401  (re-exported: the oracle's public names)
-from .quadfield import QuadInt, Ring, fundamental_unit, is_representable_index
+from .quadfield import QuadInt, Ring, is_representable_index
 
 
 def _lambdas(ring: Ring, m: int) -> list[QuadInt]:
@@ -37,28 +37,27 @@ def _lambdas(ring: Ring, m: int) -> list[QuadInt]:
     lam = a + b w is taken with 1 <= lam/lam' < eps^4: b >= 0 puts lam at or
     above its conjugate, and multiplying by eps^2 multiplies lam/lam' by
     eps^4.  Then lam < eps^2 sqrt(m), which bounds b below 3 (isqrt(m) + 1).
-    The trace s = lam + lam' solves s^2 = 5b^2 + 4m (golden), 8b^2 + 4m (sqrt2).
+    The trace s = lam + lam' = 2a + c1 b solves s^2 = d b^2 + 4m (d = 5 golden,
+    8 sqrt2), and a = (s - c1 b)/2.
     """
     if ring is Ring.RATIONAL:
         return [QuadInt(ring, m)]
-    eps2 = fundamental_unit(ring) * fundamental_unit(ring)
+    eps2 = QuadInt(ring, *ring.unit) * QuadInt(ring, *ring.unit)
     out = []
     for b in range(3 * math.isqrt(m) + 3):
-        s = math.isqrt((5 if ring is Ring.GOLDEN else 8) * b * b + 4 * m)
-        a2 = s - b if ring is Ring.GOLDEN else s
+        a2 = math.isqrt(ring.d * b * b + 4 * m) - ring.c1 * b
         lam = QuadInt(ring, a2 // 2, b)
         if a2 % 2 == 0 and lam.norm() == m and (eps2 * eps2 * lam.conjugate() - lam).sign() > 0:
             out.append(lam)
     return out
 
 
-def _form(ring: Ring, s: int) -> np.ndarray:
+def _form(lattice: Order, s: int) -> np.ndarray:
     """L with X @ L @ Y.T = a * s + b for the dot product 4 Re(x y-bar) =
-    a + b w of doubled coordinates X, Y (tau^2 = tau + 1, sqrt2^2 = 2)."""
-    i = np.eye(4, dtype=np.int64)
-    if ring is Ring.RATIONAL:
-        return s * i
-    return np.block([[s * i, i], [i, (s + 1 if ring is Ring.GOLDEN else 2 * s) * i]])
+    a + b w of doubled coordinates X = p + q w, Y = p' + q' w: with
+    w^2 = c0 + c1 w, a = p.p' + c0 q.q' and b = p.q' + q.p' + c1 q.q'."""
+    i, ring = np.eye(4, dtype=np.int64), lattice.ring
+    return np.block([[s * i, i], [i, (ring.c0 * s + ring.c1) * i]])[:lattice.rank, :lattice.rank]
 
 
 def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]:
@@ -69,12 +68,13 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
 
     A coordinate c = p + q w has c^2 <= 4 lam under both embeddings, that
     is 4 lam - c^2 = A + B w is totally nonnegative: P >= 0 and P^2 >= d B^2
-    for P +- B sqrt(d) = 2(A + B w), 2(A + B w') over Z[tau] (P = 2A + B,
-    d = 5) and A +- B sqrt2 over Z[sqrt2] (P = A, d = 2).  So |c| <= 2 sqrt(T)
+    for P +- B sqrt(d) = 2(A + B w), 2(A + B w'), where P = 2A + c1 B and
+    d = c1^2 + 4 c0 (5 over Z[tau], 8 over Z[sqrt2]).  So |c| <= 2 sqrt(T)
     in each, T = lam + lam', which bounds |q| by 2r (w - w' > 2) and |p| by
     6r, r = isqrt(T) + 1.  Under T < 2^20 (below) r <= 2^10, the parts of c^2
-    and of 4 lam are below 2^26, and P^2 and d B^2 below 2^57, so these
-    tests are exact in int64.
+    are below 44 * 2^20 in absolute value and those of 4 lam in [0, 4T] (lam
+    is totally positive with b >= 0), so |A|, |B| < 2^26, |P| < 3 * 2^26 and,
+    as d <= 8, P^2 and d B^2 are below 2^57: these tests are exact in int64.
 
     T < 2^20 is required here, before any array is built, and it bounds
     both this packing and the dot packing of `_search`.  An element
@@ -92,14 +92,12 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
         raise OverflowError(f"lambda={lam} is too large for the int64 packings (T >= 2^20)")
     ring, pack = lattice.ring, 1 << 24
     r = math.isqrt(big_t) + 1
-    qs = np.zeros(1, dtype=np.int64) if ring is Ring.RATIONAL else np.arange(-2 * r, 2 * r + 1)
+    qs = np.arange(-2 * r, 2 * r + 1) if lattice.rank == 8 else np.zeros(1, dtype=np.int64)
     p, q = (g.ravel() for g in np.meshgrid(np.arange(-6 * r, 6 * r + 1), qs, indexing="ij"))
-    # c^2 = sq_a + sq_b w, with w^2 = w2[0] + w2[1] w
-    w2 = {Ring.GOLDEN: (1, 1), Ring.SQRT2: (2, 0), Ring.RATIONAL: (0, 0)}[ring]
-    sq_a, sq_b = p * p + w2[0] * q * q, 2 * p * q + w2[1] * q * q
+    sq_a, sq_b = p * p + ring.c0 * q * q, 2 * p * q + ring.c1 * q * q  # c^2 = sq_a + sq_b w
     room_a, room_b = 4 * lam.a - sq_a, 4 * lam.b - sq_b
-    big_p, d = (2 * room_a + room_b, 5) if ring is Ring.GOLDEN else (room_a, 2)
-    keep = (big_p >= 0) & (big_p * big_p >= d * room_b * room_b)
+    big_p = 2 * room_a + ring.c1 * room_b
+    keep = (big_p >= 0) & (big_p * big_p >= ring.d * room_b * room_b)
     cands, squares = np.stack([p[keep], q[keep]], axis=1), sq_a[keep] * pack + sq_b[keep]
     k = len(cands)
     i, j = np.divmod(np.arange(k * k), k)
@@ -112,11 +110,9 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
     start = np.repeat(lo - np.cumsum(count) + count, count)
     right = order[start + np.arange(len(left))]
     idx = np.stack([i[left], j[left], i[right], j[right]], axis=1)
-    x = np.hstack([cands[idx, 0], cands[idx, 1]])[:, :4 if ring is Ring.RATIONAL else 8]
-    data = _data(lattice)
-    c = x @ np.array(data.adj, dtype=np.int64).T
-    inside = (c % data.det == 0).all(axis=1)
-    return x[inside], c[inside] // data.det
+    x = np.hstack([cands[idx, 0], cands[idx, 1]])[:, :lattice.rank]
+    coords, inside = solve(lattice, x)
+    return x[inside], coords[inside]
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +239,7 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     |p|^2 <= 12T/5 and |q|^2 <= 8T/5 over Z[tau], |p|^2 <= 2T and
     |q|^2 <= T over Z[sqrt2].  By Cauchy-Schwarz the sum of |products| of a
     dot, at most S|p_a||p_b| + |p_a||q_b| + |q_a||p_b| + c|q_a||q_b| with
-    c = S + 1 (tau^2 = tau + 1) or 2S, is then below 4ST + 6T = 32T^2 + 10T
+    c = c0 S + c1 (S + 1 or 2S), is then below 4ST + 6T = 32T^2 + 10T
     (2ST over Z).  Every product and every partial sum, in whatever order
     BLAS adds them, is an integer no larger, so float64 is exact while
     32T^2 + 10T < 2^53, that is T < 2^24.  `_norm_vectors` admits only
@@ -255,7 +251,6 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     bit spans that SSM (same index), so only frames no shell covers get a
     `lattice_key`, of v_i (and w v_i) in key coordinates.
     """
-    ring = lattice.ring
     x, coords = _norm_vectors(lattice, lam)
     n = len(x)
     rows_as_bytes = coords.view(np.dtype((np.void, coords.strides[0]))).ravel()
@@ -263,9 +258,9 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     table = rows_as_bytes[index], index
     units = _units(lattice)
     big_t = (lam + lam.conjugate()).a
-    form = _form(ring, 8 * big_t + 1)
+    form = _form(lattice, 8 * big_t + 1)
     u = np.array(lattice.units, dtype=np.int64)
-    t = (u @ form @ (lam.a * u + (lam.b * _omega_times(u, ring) if lam.b else 0)).T).tolist()
+    t = (u @ form @ times(lam, u).T).tolist()
     assert 32 * big_t * big_t + 10 * big_t < 1 << 53  # T < 2^20 (`_norm_vectors`)
     pad = np.full((1, x.shape[1]), np.nan)
     x, y = np.vstack([x, pad]), np.vstack([x @ form, pad])
@@ -286,9 +281,7 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
         while todo.any():
             f = np.flatnonzero(todo)[0]
             quad = [int(v[f]) for v in (fa, fb, fc, fd)]
-            rows = coords[quad]
-            if ring is not Ring.RATIONAL:
-                rows = np.concatenate([rows, _omega_times(rows, ring)])
+            rows = key_basis(lattice, coords[quad])
             hits = _shell(table, units, rows)
             if hits is None:
                 raise AssertionError(f"{lattice.name} lambda={lam}: the frame {quad} maps a unit "
@@ -343,7 +336,7 @@ def is_similar_sublattice(key: LatticeKey, lattice: Order) -> bool:
     Z[w]) is an inflated isometric image of the order, i.e. one spanned by a
     frame; a non-square index has no frames.  A square index m^2 runs the
     census, which refuses m beyond the order's max_m."""
-    dim = 4 if lattice.ring is Ring.RATIONAL else 8
+    dim = lattice.rank
     if key.rank != dim:
         raise ValueError(f"{lattice.name} keys have rank {dim}, not {key.rank}")
     h = key.hnf

@@ -3,10 +3,11 @@ Hurwitz order) over Z, the icosian order over Z[tau] and the cubian order
 over Z[sqrt2].
 
 Each order is one table row: its name, its base ring, one Z[w]-basis of
-units and the largest m its census runs.  Its key basis is the units, then
-over Z[w] w times the units; `structure` is its multiplication table on that
-basis.  Provides membership, key coordinates, and the integer-lattice key of
-a two-sided product a*O*b.
+units and the largest m its census runs.  This module alone decides the
+key basis (`key_basis`: rows, then over Z[w] w times the rows), the rank of
+key coordinates (`Order.rank`: 4 over Z, 8 over Z[w]) and membership
+(`solve`: adj x = 0 mod det), and holds the multiplication table on the key
+basis (`structure`) and the integer-lattice key of a two-sided product a*O*b.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class Order:
     units: tuple[tuple[int, ...], ...]
     max_m: int
 
+    @property
+    def rank(self) -> int:
+        """Length of the doubled and key coordinates: 4 over Z, 8 over Z[w]."""
+        return len(self.units[0])
+
 
 # max_m: every census up to it takes under half a second (2-core x86 VM,
 # CPU time from cold caches in its quieter runs; the slowest are icosian
@@ -58,30 +64,36 @@ CUBIAN = Order("cubian", Ring.SQRT2, (
 ORDERS = {order.name: order for order in (Z4, D4STAR, ICOSIAN, CUBIAN)}
 
 
-def _omega_times(x: np.ndarray, ring: Ring) -> np.ndarray:
-    """Rows of Z[w]-coordinates (rational parts, then w parts) times w:
-    tau (a + b tau) = b + (a + b) tau, sqrt2 (a + b sqrt2) = 2b + a sqrt2."""
-    a, b = x[:, :4], x[:, 4:]
-    return np.hstack([b, a + b] if ring is Ring.GOLDEN else [2 * b, a])
+def times(lam: QuadInt, rows: np.ndarray) -> np.ndarray:
+    """lam times each row of Z[w]-coordinates, doubled or key coordinates
+    (rational parts, then w parts): w (a + b w) = c0 b + (a + c1 b) w."""
+    if not lam.b:
+        return lam.a * rows
+    a, b = rows[:, :4], rows[:, 4:]
+    return lam.a * rows + lam.b * np.hstack([lam.ring.c0 * b, a + lam.ring.c1 * b])
 
 
-def _doubled_coords(quat: Quat):
-    """Integer vector of 2x the coordinates of q in {1,i,j,k} (x {1, omega}).
+def key_basis(order: Order, rows: np.ndarray) -> np.ndarray:
+    """A Z-basis of the Z[w]-span of the rows (doubled or key coordinates):
+    the rows, then over Z[w] w times the rows.  Of the units: the key basis."""
+    if order.rank == 4:
+        return rows
+    return np.vstack([rows, times(QuadInt(order.ring, 0, 1), rows)])
 
-    Length 4 over Z, length 8 (rational parts then omega parts) over the
-    quadratic rings; None when the denominator does not divide 2.
-    """
+
+def _doubled_coords(order: Order, quat: Quat):
+    """Integer vector of 2x the coordinates of q in {1,i,j,k} (x {1, omega}),
+    of length `order.rank` (rational parts, then over Z[w] the omega parts);
+    None when the denominator does not divide 2."""
     if quat.den not in (1, 2):
         return None
     f = 2 // quat.den
-    if quat.ring is Ring.RATIONAL:
-        return tuple(f * n.a for n in quat.nums)
-    return tuple(f * n.a for n in quat.nums) + tuple(f * n.b for n in quat.nums)
+    return (tuple(f * n.a for n in quat.nums) + tuple(f * n.b for n in quat.nums))[:order.rank]
 
 
-def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[list[list[int]], int]:
+def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[np.ndarray, int]:
     """(adj, det) for the nonsingular integer matrix B with the given
-    columns: det = |det B| and adj = det * B^{-1}.  The HNF of the rows
+    columns: det = |det B| and adj = det * B^{-1} (Python ints).  The HNF of
     [B | I] is [H | U] with H = U B lower triangular and U unimodular, so
     det = prod diag H, B^{-1} = H^{-1} U, and det * H^{-1} (= adj H, so
     integral) comes by exact forward substitution."""
@@ -93,25 +105,33 @@ def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[list[list[int]], in
     for i in range(n):
         x.append([(det * (i == k) - sum(h[i][j] * x[j][k] for j in range(i))) // h[i][i]
                   for k in range(n)])
-    return [[sum(x[i][j] * u[j][k] for j in range(n)) for k in range(n)] for i in range(n)], det
+    return np.array(x, dtype=object) @ np.array(u, dtype=object), det
 
 
 @dataclass(frozen=True)
 class _OrderData:
     zbasis: tuple[Quat, ...]  # the key basis
-    adj: tuple[tuple[int, ...], ...]
+    adj: np.ndarray  # read-only, of Python ints
     det: int
 
 
 @lru_cache(maxsize=None)
 def _data(order: Order) -> _OrderData:
     ring = order.ring
-    units = np.array(order.units, dtype=np.int64)
-    zrows = units if ring is Ring.RATIONAL else np.vstack([units, _omega_times(units, ring)])
-    zrows = zrows.tolist()
+    zrows = key_basis(order, np.array(order.units, dtype=np.int64)).tolist()
     zbasis = tuple(Quat(ring, [QuadInt(ring, *z[i::4]) for i in range(4)], 2) for z in zrows)
     adj, det = _inverse_scaled(zrows)
-    return _OrderData(zbasis, tuple(tuple(r) for r in adj), det)
+    adj.flags.writeable = False
+    return _OrderData(zbasis, adj, det)
+
+
+def solve(order: Order, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key coordinates adj x / det of the rows x of doubled coordinates, and
+    which rows lie in the order: those with adj x = 0 mod det.  In the dtype
+    of x: object for exact Python ints, int64 when the caller bounds adj x."""
+    data = _data(order)
+    c = x @ data.adj.astype(x.dtype, copy=False).T
+    return c // data.det, (c % data.det == 0).all(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +151,11 @@ def coordinates(order: Order, quat: Quat) -> tuple[int, ...]:
     """Integer key coordinates of quat; ValueError if it is not in the order."""
     if quat.ring is not order.ring:
         raise ValueError(f"{quat!r} is over {quat.ring}, not {order.ring}")
-    data = _data(order)
-    v = _doubled_coords(quat)
+    v = _doubled_coords(order, quat)
     if v is not None:
-        sol = [divmod(sum(r * x for r, x in zip(row, v)), data.det) for row in data.adj]
-        if not any(rem for _, rem in sol):
-            return tuple(c for c, _ in sol)
+        c, inside = solve(order, np.array([v], dtype=object))
+        if inside[0]:
+            return tuple(c[0].tolist())
     raise ValueError(f"{quat!r} is not in the {order.name} order")
 
 
@@ -167,6 +186,14 @@ def element(order: Order, quat: Quat) -> OrderElement:
     return OrderElement(order, quat, tuple(QuadInt(order.ring, *c[i::4]) for i in range(4)))
 
 
+def _reduced_norm(ring: Ring, v: tuple[int, ...]) -> QuadInt:
+    """q q-bar of an element of an order from its doubled coordinates v =
+    p + q w: sum (p_i + q_i w)^2 / 4 = (p.p + c0 q.q + (2 p.q + c1 q.q) w) / 4."""
+    p, q = v[:4], v[4:]
+    pp, pq, qq = (sum(s * t for s, t in zip(x, y)) for x, y in ((p, p), (p, q), (q, q)))
+    return QuadInt(ring, (pp + ring.c0 * qq) // 4, (2 * pq + ring.c1 * qq) // 4)
+
+
 def module_lattice(a: OrderElement, b: OrderElement) -> LatticeKey:
     """HNF key of the Z-module a * O * b in the order's key coordinates.
 
@@ -177,11 +204,12 @@ def module_lattice(a: OrderElement, b: OrderElement) -> LatticeKey:
         raise ZeroDivisionError("zero factor spans no finite-index module")
     order = a.order
     t = structure(order).astype(object)  # exact: no int64 bound on the coordinates
-    ca, cb = (np.array(coordinates(order, e.q), dtype=object) for e in (a, b))
+    v = [_doubled_coords(order, e.q) for e in (a, b)]
+    ca, cb = solve(order, np.array(v, dtype=object))[0]
     # row k: a z_k b = sum_i ca_i z_i z_k b, and z_l b = sum_j cb_j z_l z_j
     rows = np.tensordot(ca, t, axes=(0, 0)) @ np.tensordot(t, cb, axes=(1, 0))
     key = lattice_key(rows.tolist(), len(t))
-    nrd = (a.q.reduced_norm() * b.q.reduced_norm()).to_quadint().norm()
+    nrd = (_reduced_norm(order.ring, v[0]) * _reduced_norm(order.ring, v[1])).norm()
     if key.index != nrd * nrd:
         raise AssertionError(f"index {key.index} != N(|a|^2|b|^2)^2 = {nrd * nrd}")
     return key

@@ -2,8 +2,9 @@
 
 Elements are a + b*omega with integer a, b, where omega is tau = (1+sqrt5)/2
 for the golden ring, sqrt2 for the other quadratic ring, and absent over Z.
-Everything here is exact integer arithmetic; sign tests against sqrt5/sqrt2
-are done by squaring, never by floating point.
+Each ring is one row of `Ring`, and every rule here reads it.  Everything is
+exact integer arithmetic; sign tests against sqrt5/sqrt2 are done by
+squaring, never by floating point.
 """
 
 from __future__ import annotations
@@ -16,27 +17,31 @@ from .arith import chi5, chi8, factorize
 
 
 class Ring(enum.Enum):
-    """Base ring tag. GOLDEN has omega = tau = (1+sqrt5)/2; SQRT2 has omega = sqrt2."""
+    """Base ring Z[w] as one row: w^2 = c0 + c1 w, so w = (c1 +- sqrt(d))/2
+    (+ in the identity embedding) with d = c1^2 + 4 c0 and w' = c1 - w; the
+    fundamental unit a + b w, the primes' splitting character and w's print
+    symbol.  Over Z (no unit) elements have b = 0, so no rule meets w."""
 
-    RATIONAL = "Z"
-    GOLDEN = "Z[tau]"
-    SQRT2 = "Z[sqrt2]"
+    #          value       c0 c1 unit    character  symbol
+    RATIONAL = ("Z",        0, 0, None,   None,      "")
+    GOLDEN = ("Z[tau]",     1, 1, (0, 1), chi5,      "t")
+    SQRT2 = ("Z[sqrt2]",    2, 0, (1, 1), chi8,      "r2")
+
+    def __new__(cls, value, c0, c1, unit, character, symbol):
+        ring = object.__new__(cls)
+        ring._value_ = value
+        ring.c0, ring.c1, ring.d = c0, c1, c1 * c1 + 4 * c0
+        ring.unit, ring.character, ring.symbol = unit, character, symbol
+        return ring
 
 
 def _sign_with_root(p: int, q: int, d: int) -> int:
-    """Exact sign of p + q*sqrt(d) for integers p, q and squarefree d > 1."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return (q > 0) - (q < 0)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    lhs, rhs = p * p, d * q * q
-    if p > 0:  # p - |q| sqrt(d)
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
+    """Exact sign of p + q*sqrt(d) for integers p, q and non-square d > 1 (any
+    d when q = 0): the common sign of p and q, else p's when p^2 > d q^2."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > d * q * q else sq
 
 
 @dataclass(frozen=True)
@@ -85,12 +90,8 @@ class QuadInt:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.a, self.b, other.a, other.b
-        if self.ring is Ring.GOLDEN:
-            # tau^2 = tau + 1
-            return QuadInt(self.ring, a * c + b * d, a * d + b * c + b * d)
-        if self.ring is Ring.SQRT2:
-            return QuadInt(self.ring, a * c + 2 * b * d, a * d + b * c)
-        return QuadInt(self.ring, a * c)
+        ring = self.ring
+        return QuadInt(ring, a * c + ring.c0 * b * d, a * d + b * c + ring.c1 * b * d)
 
     __rmul__ = __mul__
 
@@ -98,53 +99,30 @@ class QuadInt:
         return self.a != 0 or self.b != 0
 
     def conjugate(self) -> "QuadInt":
-        if self.ring is Ring.GOLDEN:
-            # tau |-> 1 - tau
-            return QuadInt(self.ring, self.a + self.b, -self.b)
-        if self.ring is Ring.SQRT2:
-            return QuadInt(self.ring, self.a, -self.b)
-        return self
+        """a + b w' with w' = c1 - w."""
+        return QuadInt(self.ring, self.a + self.ring.c1 * self.b, -self.b)
 
     def norm(self) -> int:
-        """Signed field norm: a^2+ab-b^2 (golden), a^2-2b^2 (sqrt2), a over Z."""
-        if self.ring is Ring.GOLDEN:
-            return self.a * self.a + self.a * self.b - self.b * self.b
-        if self.ring is Ring.SQRT2:
-            return self.a * self.a - 2 * self.b * self.b
-        return self.a
+        """Signed field norm (a + b w)(a + b w') = a^2 + c1 ab - c0 b^2; a over Z."""
+        if self.ring is Ring.RATIONAL:
+            return self.a
+        return self.a * self.a + self.ring.c1 * self.a * self.b - self.ring.c0 * self.b * self.b
 
     def sign(self) -> int:
-        """Sign under the identity embedding (tau and sqrt2 taken positive)."""
-        if self.ring is Ring.GOLDEN:
-            # 2(a + b tau) = (2a + b) + b sqrt5
-            return _sign_with_root(2 * self.a + self.b, self.b, 5)
-        if self.ring is Ring.SQRT2:
-            return _sign_with_root(self.a, self.b, 2)
-        return (self.a > 0) - (self.a < 0)
+        """Sign under the identity embedding (tau and sqrt2 taken positive):
+        2(a + b w) = (2a + c1 b) + b sqrt(d)."""
+        return _sign_with_root(2 * self.a + self.ring.c1 * self.b, self.b, self.ring.d)
 
     def __str__(self) -> str:
-        if self.ring is Ring.RATIONAL:
-            return str(self.a)
-        sym = "t" if self.ring is Ring.GOLDEN else "r2"
-        return f"{self.a}{self.b:+d}{sym}"
-
-
-def fundamental_unit(ring: Ring) -> QuadInt:
-    """tau for Z[tau], 1 + sqrt2 for Z[sqrt2]."""
-    if ring is Ring.GOLDEN:
-        return QuadInt(ring, 0, 1)
-    if ring is Ring.SQRT2:
-        return QuadInt(ring, 1, 1)
-    raise ValueError("Z has no fundamental unit")
+        sym = self.ring.symbol
+        return f"{self.a}{self.b:+d}{sym}" if sym else str(self.a)
 
 
 def splitting_sign(p, ring: Ring):
     """+1 when the prime p splits in the ring, -1 when inert, 0 when ramified
-    or over Z: the residue rule p mod 5 or p mod 8, with no primality test,
+    or over Z: the ring's residue rule mod 5 or 8, with no primality test,
     so p may be an int or an integer array of primes."""
-    if ring is Ring.RATIONAL:
-        return 0
-    return chi5(p) if ring is Ring.GOLDEN else chi8(p)
+    return 0 if ring.character is None else ring.character(p)
 
 
 def is_representable_index(m: int, ring: Ring) -> bool:

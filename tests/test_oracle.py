@@ -12,7 +12,8 @@ from similitude.lattice import LatticeKey, hnf_contains, lattice_key
 from similitude.oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, _frames, _lambdas, _norm_vectors,
                                count_ssl_bruteforce, enumerate_ssm_cubian,
                                enumerate_ssm_icosian, is_similar_sublattice)
-from similitude.quadfield import QuadInt, Ring
+from similitude.orders import key_basis, times
+from similitude.quadfield import QuadInt, Ring, is_representable_index
 
 
 def enumerate_sublattices(index):
@@ -37,12 +38,11 @@ def enumerate_sublattices(index):
 def reference_search(lattice, lam):
     """(vectors, frames, SSM keys) of one lambda class, one v_0 at a time with
     a bool shell matrix: the reference for the blocked `oracle._search`."""
-    ring = lattice.ring
     x, coords = _norm_vectors(lattice, lam)
     big_t = (lam + lam.conjugate()).a
-    form = oracle._form(ring, 8 * big_t + 1)
+    form = oracle._form(lattice, 8 * big_t + 1)
     u = np.array(lattice.units, dtype=np.int64)
-    t = (u @ form @ (lam.a * u + (lam.b * oracle._omega_times(u, ring) if lam.b else 0)).T).tolist()
+    t = (u @ form @ times(lam, u).T).tolist()
     y = x @ form
     frames, keys = 0, set()
     shells = np.zeros((0, len(x)), dtype=bool)
@@ -62,9 +62,7 @@ def reference_search(lattice, lam):
         while todo.any():
             f = np.flatnonzero(todo)[0]
             quad = [a, fb[f], fc[f], fd[f]]
-            rows = coords[quad]
-            if ring is not Ring.RATIONAL:
-                rows = np.concatenate([rows, oracle._omega_times(rows, ring)])
+            rows = key_basis(lattice, coords[quad])
             key = lattice_key(rows.tolist(), coords.shape[1])
             shell = hnf_contains(key.hnf, coords)
             assert shell[quad].all() and key not in keys
@@ -166,14 +164,26 @@ def central_ideals(target, m):
     return coeff(target, k) if k * k == m else 0
 
 
+def representable(lattice):
+    """Every m of the order's census: 1 <= m <= max_m with m^2 an SSM index."""
+    return [m for m in range(1, lattice.max_m + 1) if is_representable_index(m, lattice.ring)]
+
+
+def assert_kind_identities(kinds, m, zeta, dedekind):
+    # left + two-sided = right + two-sided = the zeta coefficient; two-sided
+    # = the Dedekind coefficient at sqrt(m), else 0
+    assert (kinds["left-ideal"] + kinds["two-sided"] == kinds["right-ideal"] + kinds["two-sided"]
+            == coeff(zeta, m)), m
+    assert kinds["two-sided"] == central_ideals(dedekind, m), m
+
+
 def test_cubian_census_matches_formulas():
-    for m in (2, 4, 7, 8, 9):
+    ms = representable(CUBIAN)
+    assert ms == [1, 2, 4, 7, 8, 9, 14, 16, 17, 18, 23, 25]
+    for m in ms:
         ssms = enumerate_ssm_cubian(m)
-        kinds = Counter(s.kind for s in ssms)
         assert len(ssms) == ssm_count(Target.F_K, m), m
-        assert kinds["two-sided"] == central_ideals(Target.DEDEKIND_SQRT2, m), m
-        if m in (2, 4, 7):
-            assert kinds["left-ideal"] + kinds["two-sided"] == coeff(Target.ZETA_K, m), m
+        assert_kind_identities(Counter(s.kind for s in ssms), m, Target.ZETA_K, Target.DEDEKIND_SQRT2)
     with pytest.raises(ValueError, match="not attainable"):
         enumerate_ssm_cubian(3)  # 3 is inert over Z[sqrt2]
     with pytest.raises(ValueError, match="bound"):
@@ -181,10 +191,12 @@ def test_cubian_census_matches_formulas():
 
 
 def test_icosian_left_ideals_match_zeta_i():
-    for m in (4, 5, 9, 16):
-        kinds = Counter(s.kind for s in enumerate_ssm_icosian(m))
-        assert kinds["left-ideal"] + kinds["two-sided"] == coeff(Target.ZETA_I, m), m
-        assert kinds["two-sided"] == central_ideals(Target.DEDEKIND_TAU, m), m
+    ms = representable(ICOSIAN)
+    assert ms == [1, 4, 5, 9, 11, 16, 19, 20, 25]
+    for m in ms:
+        ssms = enumerate_ssm_icosian(m)
+        assert len(ssms) == ssm_count(Target.F_I, m), m
+        assert_kind_identities(Counter(s.kind for s in ssms), m, Target.ZETA_I, Target.DEDEKIND_TAU)
 
 
 def test_hurwitz_census_is_a_route_to_zeta_j():
@@ -373,7 +385,7 @@ def test_dot_bound_holds_on_the_vectors(lattice, m):
         x = _norm_vectors(lattice, lam)[0]
         big_t = (lam + lam.conjugate()).a
         s = 8 * big_t + 1
-        y = x @ oracle._form(lattice.ring, s)
+        y = x @ oracle._form(lattice, s)
         bound = 2 * s * big_t if lattice.ring is Ring.RATIONAL else 4 * s * big_t + 6 * big_t
         assert (abs(x) @ abs(y).T).max() <= bound, lam
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from similitude.lattice import hnf_contains, hnf_rows, lattice_key
 from similitude.oracle import _lambdas, _norm_vectors, enumerate_ssm
 from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _inverse_scaled,
-                               _omega_times, coordinates, element, is_member, module_lattice,
+                               coordinates, element, is_member, key_basis, module_lattice,
                                structure)
 from similitude.quadfield import QuadInt, QuadRat, Ring
 from similitude.quat import Quat
@@ -97,8 +97,7 @@ def test_icosian_basis_spans_the_unit_span():
     assert units_120 == {tuple(v) for v in norm_vectors(ICOSIAN, 1).tolist()}
     assert set(ICOSIAN.units) <= units_120
     basis = np.array(ICOSIAN.units)
-    zbasis = np.vstack([basis, _omega_times(basis, GOLD)]).tolist()
-    assert hnf_rows(sorted(units_120), 8) == hnf_rows(zbasis, 8)
+    assert hnf_rows(sorted(units_120), 8) == hnf_rows(key_basis(ICOSIAN, basis).tolist(), 8)
 
 
 def test_membership_and_coords():
@@ -221,7 +220,8 @@ key_vectors = st.lists(st.integers(-4, 4), min_size=8, max_size=8)
 def test_structure_is_one_read_only_table_per_order():
     for order in ORDERS.values():
         t = structure(order)
-        dim = len(_data(order).zbasis)
+        dim = order.rank
+        assert len(_data(order).zbasis) == dim
         assert t.shape == (dim, dim, dim) and t.dtype == np.int64
         assert not t.flags.writeable
         assert structure(order) is t
@@ -324,7 +324,8 @@ def test_order_adjugates_are_fixed():
     # the (adj, det) of each key basis, as the Gauss-Jordan solve gave them
     for name, (det, adj) in ADJ_DET.items():
         data = _data(ORDERS[name])
-        assert (data.det, data.adj) == (det, adj), name
+        assert (data.det, tuple(map(tuple, data.adj.tolist()))) == (det, adj), name
+        assert not data.adj.flags.writeable  # shared through the cache
 
 
 # a*O*b against the census

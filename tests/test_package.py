@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +65,22 @@ def test_cli_import_loads_no_fractions_or_decimal():
     # both cost start-up time in every command, and no code path needs them
     code = "import sys, similitude.cli\nprint(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     assert _python(code) == "[]\n"
+
+
+def test_ring_rules_and_order_decisions_have_one_owner():
+    # each quadratic ring's rules read its row on quadfield.Ring, and the key
+    # basis, rank and membership solve are orders' public functions: no
+    # module compares a ring with GOLDEN or SQRT2, and oracle reads no
+    # private name of orders
+    src = Path(similitude.__file__).resolve().parent
+    branch = re.compile(r"(\bis(\s+not)?|[=!]=)\s*Ring\.(GOLDEN|SQRT2)|Ring\.(GOLDEN|SQRT2)\s*(\bis\b|[=!]=)")
+    for path in sorted(src.glob("*.py")):
+        assert not branch.search(path.read_text()), path.name
+    tree = ast.parse((src / "oracle.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "orders"
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "orders" and node.attr.startswith("_")]
+    assert private == []

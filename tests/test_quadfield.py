@@ -1,7 +1,11 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
+from similitude import oracle
+from similitude.orders import CUBIAN, ICOSIAN, Z4
 from similitude.quadfield import (QuadInt, QuadRat, Ring, is_representable_index,
                                   splitting_sign)
 
@@ -40,6 +44,56 @@ def test_conjugate_involution_and_homomorphism():
             assert x.conjugate().conjugate() == x
             assert (x * y).conjugate() == x.conjugate() * y.conjugate()
             assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+
+
+# the real embeddings of w, written out apart from the ring table: tau and
+# sqrt2 under the identity embedding, then their conjugates
+EMBEDDINGS = {GOLD: ((1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2),
+              SQ2: (math.sqrt(2), -math.sqrt(2))}
+
+
+def near_zero(rng, ring, w):
+    """a + b w with |a + b w| < 2, large b: the sign test's hard cases."""
+    b = rng.randint(-10**6, 10**6)
+    return QuadInt(ring, -round(b * w) + rng.randint(-1, 1), b)
+
+
+def test_ring_rows_match_their_real_embeddings():
+    # norm multiplicativity and the conjugate homomorphism hold for any
+    # (c0, c1); evaluating at the true embeddings pins each row itself.  A
+    # float error is a few ulps of the size of the terms, far below 1e-9 of
+    # it, and a wrong rule misses by about |b_x b_y| or b^2
+    def close(value, exact, *elems):
+        return abs(value - exact) <= 1e-9 * math.prod(1 + abs(e.a) + abs(e.b) for e in elems)
+
+    rng = random.Random(3)
+    for ring, roots in EMBEDDINGS.items():
+        assert roots == pytest.approx([(ring.c1 + s * math.sqrt(ring.d)) / 2 for s in (1, -1)])
+        for _ in range(2000):
+            x, y, z = rand_elem(rng, ring), rand_elem(rng, ring), near_zero(rng, ring, roots[0])
+            for u in (x, z):
+                at = [u.a + u.b * w for w in roots]
+                for w, u_w in zip(roots, at):
+                    uy = u * y
+                    assert close(uy.a + uy.b * w, u_w * (y.a + y.b * w), u, y), (u, y)
+                conj = u.conjugate()
+                assert close(conj.a + conj.b * roots[0], at[1], u), u
+                assert close(u.norm(), at[0] * at[1], u, u), u
+                if abs(at[0]) > 1e-6:
+                    assert u.sign() == (1 if at[0] > 0 else -1), u
+
+
+def test_packed_dot_form_matches_quadint_dots():
+    # X @ _form @ Y.T = a s + b for the dot sum X_i Y_i = a + b w, X_i = p_i + q_i w
+    rng = random.Random(4)
+    for lattice in (Z4, ICOSIAN, CUBIAN):
+        ring = lattice.ring
+        for _ in range(300):
+            x, y = ([rng.randint(-50, 50) for _ in range(lattice.rank)] for _ in range(2))
+            dot = sum((QuadInt(ring, *x[i::4]) * QuadInt(ring, *y[i::4]) for i in range(4)),
+                      QuadInt(ring, 0))
+            s = rng.randint(1, 10**6)
+            assert np.array(x) @ oracle._form(lattice, s) @ np.array(y) == dot.a * s + dot.b
 
 
 def test_norm_multiplicative_random():
