@@ -29,13 +29,13 @@ from .lattice import LatticeKey
 from .oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, count_ssl_bruteforce,
                      enumerate_ssm_cubian, enumerate_ssm_icosian, is_similar_sublattice)
 from .orders import Order, OrderElement, element, module_lattice
-from .quadfield import QuadInt, QuadRat, Ring, is_representable_index
+from .quadfield import QuadInt, Ring, is_representable_index
 from .quat import Quat
 
 __all__ = [
     "CUBIAN", "CoeffSeq", "CrossCheckFailure", "D4STAR",
     "ICOSIAN", "LatticeKey", "Order", "OrderElement", "Quat", "QuadInt",
-    "QuadRat", "Ring", "Target", "Z4", "coeff", "coeff_seq", "convolve",
+    "Ring", "Target", "Z4", "coeff", "coeff_seq", "convolve",
     "count_ssl_bruteforce", "dilate", "dirichlet_inverse",
     "element", "enumerate_ssm_cubian", "enumerate_ssm_icosian",
     "estimate_constant", "from_multiplicative", "g", "is_multiplicative",

@@ -6,8 +6,10 @@ Each order is one table row: its name, its base ring, one Z[w]-basis of
 units and the largest m its census runs.  This module alone decides the
 key basis (`key_basis`: rows, then over Z[w] w times the rows), the rank of
 key coordinates (`Order.rank`: 4 over Z, 8 over Z[w]) and membership
-(`solve`: adj x = 0 mod det), and holds the multiplication table on the key
-basis (`structure`) and the integer-lattice key of a two-sided product a*O*b.
+(`solve`: adj x = 0 mod det).  Its arithmetic runs on integer rows of doubled
+coordinates (`_product`, `_reduced_norm`; a `Quat` argument is converted
+once), as does the multiplication table on the key basis (`structure`) that
+the kind test and the key of a two-sided product a*O*b read.
 """
 
 from __future__ import annotations
@@ -108,30 +110,55 @@ def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[np.ndarray, int]:
     return np.array(x, dtype=object) @ np.array(u, dtype=object), det
 
 
-@dataclass(frozen=True)
-class _OrderData:
-    zbasis: tuple[Quat, ...]  # the key basis
-    adj: np.ndarray  # read-only, of Python ints
-    det: int
-
-
 @lru_cache(maxsize=None)
-def _data(order: Order) -> _OrderData:
-    ring = order.ring
-    zrows = key_basis(order, np.array(order.units, dtype=np.int64)).tolist()
-    zbasis = tuple(Quat(ring, [QuadInt(ring, *z[i::4]) for i in range(4)], 2) for z in zrows)
-    adj, det = _inverse_scaled(zrows)
+def _data(order: Order) -> tuple[np.ndarray, int]:
+    """(adj, det) of the key basis, adj read-only and of Python ints."""
+    adj, det = _inverse_scaled(key_basis(order, np.array(order.units, dtype=np.int64)).tolist())
     adj.flags.writeable = False
-    return _OrderData(zbasis, adj, det)
+    return adj, det
 
 
 def solve(order: Order, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key coordinates adj x / det of the rows x of doubled coordinates, and
     which rows lie in the order: those with adj x = 0 mod det.  In the dtype
-    of x: object for exact Python ints, int64 when the caller bounds adj x."""
-    data = _data(order)
-    c = x @ data.adj.astype(x.dtype, copy=False).T
-    return c // data.det, (c % data.det == 0).all(axis=1)
+    of x: object for exact Python ints, or int64 while max|adj| * rank *
+    max|x| < 2^63 (asserted), which bounds adj x.  For the four orders
+    |adj| <= 16 and det is 8 or 16; the int64 callers are `structure`
+    (|x| <= 4) and `oracle._norm_vectors` (|x| <= 6r <= 6,144), so
+    |adj x| < 2^20."""
+    adj, det = _data(order)
+    if x.dtype != object:
+        big_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))  # np.abs(x) would copy the rows
+        assert int(np.abs(adj).max()) * x.shape[1] * big_x < 1 << 63
+    c = x @ adj.astype(x.dtype, copy=False).T
+    return c // det, (c % det == 0).all(axis=1)
+
+
+def _sign_table() -> np.ndarray:
+    """S with e_a e_b = sum_c S[a, b, c] e_c for e = 1, i, j, k: e_a e_b is
+    +-e_(a xor b), as i j = k, j k = i and k i = j."""
+    a, b = np.indices((4, 4))
+    s = np.zeros((4, 4, 4), dtype=np.int64)
+    s[a, b, a ^ b] = [[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]]
+    return s
+
+
+def _product(ring: Ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Doubled coordinates of the products x y of rows x and y of doubled
+    coordinates in the order: (X/2)(Y/2) doubled is XY/2, halved exactly
+    (asserted).  Over Z[w], X = p + q w and Y = p' + q' w with
+    w^2 = c0 + c1 w give XY = pp' + c0 qq' + (pq' + qp' + c1 qq') w, each
+    product of 4-vectors through the sign table: the product table is the
+    Kronecker product of the ring's table on (1, w) and the sign table.  It
+    is applied by matmuls, which the census runs anyway: einsum, which no
+    other path runs, added ~0.1 MB of peak RSS to an `oracle --module` run."""
+    n = x.shape[-1] // 4
+    ring_table = np.array([[[1, 0], [0, 1]], [[0, 1], [ring.c0, ring.c1]]])[:n, :n, :n]
+    table = np.kron(ring_table, _sign_table())
+    xt = (x @ table.reshape(4 * n, -1)).reshape(*x.shape, -1)  # [..., j, k] = sum_i x_i table[i, j, k]
+    xy = (y[..., None, :] @ xt)[..., 0, :]
+    assert not (xy % 2).any(), "a product left the doubled coordinates"
+    return xy // 2
 
 
 @lru_cache(maxsize=None)
@@ -139,10 +166,13 @@ def structure(order: Order) -> np.ndarray:
     """The multiplication table T of the order, int64 of shape (dim, dim, dim):
     T[i, j] holds the key coordinates of z_i z_j for the key basis z.  So
     x -> x z_i is the matrix T[:, i] and x -> z_i x is T[i] on key
-    coordinates (row vectors).  Built once per order from dim^2 quaternion
-    products, and read-only: every caller shares it through the cache."""
-    z = _data(order).zbasis
-    t = np.array([[coordinates(order, p * q) for q in z] for p in z], dtype=np.int64)
+    coordinates (row vectors).  Built once per order from one batch of the
+    dim^2 integer products (each asserted to lie in the order), and
+    read-only: every caller shares it through the cache."""
+    z, dim = key_basis(order, np.array(order.units, dtype=np.int64)), order.rank
+    t, inside = solve(order, _product(order.ring, *np.broadcast_arrays(z[:, None], z)).reshape(-1, dim))
+    assert inside.all(), f"a product of {order.name} key basis elements left the order"
+    t = t.reshape(dim, dim, dim)
     t.flags.writeable = False
     return t
 

@@ -10,7 +10,6 @@ squaring, never by floating point.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .arith import chi5, chi8, factorize
@@ -131,31 +130,3 @@ def is_representable_index(m: int, ring: Ring) -> bool:
         raise ValueError("m must be >= 1")
     return all(e % 2 == 0 or splitting_sign(p, ring) != -1 for p, e in factorize(m))
 
-
-@dataclass(frozen=True)
-class QuadRat:
-    """num/den with num a QuadInt and den a positive integer, in lowest terms."""
-
-    num: QuadInt
-    den: int = 1
-
-    def __post_init__(self):
-        if self.den == 0:
-            raise ZeroDivisionError("zero denominator")
-        num, den = self.num, self.den
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(math.gcd(abs(num.a), abs(num.b)), den)
-        if g > 1:
-            num = QuadInt(num.ring, num.a // g, num.b // g)
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __mul__(self, other: "QuadRat") -> "QuadRat":
-        return QuadRat(self.num * other.num, self.den * other.den)
-
-    def to_quadint(self) -> QuadInt:
-        if self.den != 1:
-            raise ValueError(f"{self} is not integral")
-        return self.num

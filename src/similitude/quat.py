@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .quadfield import QuadInt, QuadRat, Ring
+from .quadfield import QuadInt, Ring
 
 
 def _as_quadint(ring: Ring, v) -> QuadInt:
@@ -94,11 +94,6 @@ class Quat:
     def conjugate(self) -> "Quat":
         n0, n1, n2, n3 = self.nums
         return Quat(self.ring, (n0, -n1, -n2, -n3), self.den)
-
-    def reduced_norm(self) -> QuadRat:
-        """q * conjugate(q), a scalar of the base field."""
-        s = sum((n * n for n in self.nums), QuadInt(self.ring, 0))
-        return QuadRat(s, self.den * self.den)
 
     def __repr__(self) -> str:
         body = ", ".join(str(n) for n in self.nums)

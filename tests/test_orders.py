@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from similitude.lattice import hnf_contains, hnf_rows, lattice_key
 from similitude.oracle import _lambdas, _norm_vectors, enumerate_ssm
 from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _inverse_scaled,
-                               coordinates, element, is_member, key_basis, module_lattice,
-                               structure)
-from similitude.quadfield import QuadInt, QuadRat, Ring
+                               _product, _reduced_norm, coordinates, element, is_member,
+                               key_basis, module_lattice, solve, structure)
+from similitude.quadfield import QuadInt, Ring
 from similitude.quat import Quat
 
 RAT = Ring.RATIONAL
@@ -29,6 +29,11 @@ def as_quat(ring, doubled):
     if ring is RAT:
         return Quat(RAT, doubled, 2)
     return Quat(ring, [QuadInt(ring, a, b) for a, b in zip(doubled[:4], doubled[4:])], 2)
+
+
+def key_quats(order):
+    """The key basis of the order, as quaternions."""
+    return [as_quat(order.ring, z) for z in key_basis(order, np.array(order.units)).tolist()]
 
 
 def norm_vectors(order, n):
@@ -58,7 +63,7 @@ def icosian_unit_coords():
 
 
 def hurwitz_by_norm(n):
-    """All Hurwitz quaternions of reduced norm n, via doubled coordinates."""
+    """Doubled coordinates of all Hurwitz quaternions of reduced norm n."""
     out = []
     r = 0
     while r * r <= 4 * n:
@@ -66,7 +71,7 @@ def hurwitz_by_norm(n):
     for u in itertools.product(range(-r, r + 1), repeat=4):
         if (u[0] & 1) == (u[1] & 1) == (u[2] & 1) == (u[3] & 1):
             if sum(x * x for x in u) == 4 * n:
-                out.append(Quat(RAT, u, 2))
+                out.append(u)
     return out
 
 
@@ -79,9 +84,9 @@ def test_unit_group_sizes_and_closure():
         group = units(order)
         quats = set(group)
         assert len(quats) == len(group)
-        one = QuadRat(QuadInt(order.ring, 1))
+        for v in norm_vectors(order, 1).tolist():
+            assert _reduced_norm(order.ring, v) == QuadInt(order.ring, 1)
         for u in group:
-            assert u.reduced_norm() == one
             assert u.conjugate() in quats  # inverse of a norm-1 unit
         for x, y in itertools.product(group, repeat=2):
             product = x * y
@@ -110,7 +115,7 @@ def test_membership_and_coords():
     rng = random.Random(5)
     for order in ORDERS.values():
         members = rng.sample(units(order), 8)
-        basis = _data(order).zbasis[:4]
+        basis = key_quats(order)[:4]
         members += [b1 + b2 for b1 in basis for b2 in basis[:2]]
         for x in members:
             for y in members:
@@ -128,9 +133,9 @@ def test_module_lattice_examples():
     a = element(ICOSIAN, Quat(GOLD, (1, 1, 0, 0)))  # reduced norm 2
     assert module_lattice(a, one_i).index == 16
     # cubian: 1 + (1+i)/sqrt2 has reduced norm 2 + sqrt2 of field norm 2
-    b1, b2 = _data(CUBIAN).zbasis[:2]
+    b1, b2 = key_quats(CUBIAN)[:2]
     e = element(CUBIAN, b1 + b2)
-    nrd = e.q.reduced_norm().to_quadint()
+    nrd = _reduced_norm(Ring.SQRT2, np.add(*CUBIAN.units[:2]).tolist())
     assert (nrd.a, nrd.b) == (2, 1)
     one_k = element(CUBIAN, Quat(Ring.SQRT2, (1, 0, 0, 0)))
     assert module_lattice(e, one_k).index == 4
@@ -140,7 +145,7 @@ def test_module_lattice_unit_invariance():
     rng = random.Random(7)
     for order in (D4STAR, ICOSIAN):
         group = units(order)
-        basis = _data(order).zbasis[:4]
+        basis = key_quats(order)[:4]
         a = element(order, basis[1] + basis[3] + basis[0])
         b = element(order, basis[2] + basis[3])
         key = module_lattice(a, b)
@@ -154,22 +159,26 @@ def test_module_lattice_unit_invariance():
 def test_canonical_form_unique_up_to_units_at_small_norm():
     # Hurwitz pairs (a, b) with a odd (hence primitive at these squarefree odd
     # norms) and |a|^2 |b|^2 <= 5: equal module keys <=> equal unit classes
-    units_24 = hurwitz_by_norm(1)
-    odd_elems = [q for n in (1, 3, 5) for q in hurwitz_by_norm(n)]
     all_elems = {n: hurwitz_by_norm(n) for n in (1, 2, 3, 4, 5)}
-
-    def coords(q):
-        return tuple(c.a for c in element(D4STAR, q).basis_coords)
-
-    rcls = {a: min(coords(a * u) for u in units_24) for a in odd_elems}
-    lcls = {b: min(coords(u * b) for u in units_24) for elems in all_elems.values() for b in elems}
+    odd_elems = [q for n in (1, 3, 5) for q in all_elems[n]]
+    doubled = [q for elems in all_elems.values() for q in elems]  # units first
+    coords, inside = solve(D4STAR, np.array(doubled, dtype=np.int64))
+    assert inside.all()
+    # the key coordinates of a u and u b for every element and unit u, through
+    # the table, and each class as its least product
+    t, units_24 = structure(D4STAR), coords[:24]
+    rights = np.einsum("ni,uj,ijk->nuk", coords, units_24, t).tolist()
+    lefts = np.einsum("ui,nj,ijk->nuk", units_24, coords, t).tolist()
+    rcls = {q: min(map(tuple, r)) for q, r in zip(doubled, rights)}
+    lcls = {q: min(map(tuple, r)) for q, r in zip(doubled, lefts)}
+    elems = {q: element(D4STAR, as_quat(RAT, q)) for q in doubled}
     key_to_cls = {}
     cls_to_key = {}
     for a in odd_elems:
-        na = int(a.reduced_norm().num.a)
+        na = _reduced_norm(RAT, a).a
         for nb in range(1, 5 // na + 1):
             for b in all_elems[nb]:
-                key = module_lattice(element(D4STAR, a), element(D4STAR, b))
+                key = module_lattice(elems[a], elems[b])
                 cls = (rcls[a], lcls[b])
                 assert key_to_cls.setdefault(key, cls) == cls
                 assert cls_to_key.setdefault(cls, key) == key
@@ -180,9 +189,8 @@ def test_f4_root_count():
     # elements of those norms, closed under the reflections in each other
     roots = np.vstack([norm_vectors(D4STAR, n) for n in (1, 2)])
     assert len(roots) == 48
-    assert ({as_quat(RAT, r) for r in roots.tolist()}
-            == set(hurwitz_by_norm(1)) | set(hurwitz_by_norm(2)))
     rows = {tuple(r) for r in roots.tolist()}
+    assert rows == set(hurwitz_by_norm(1)) | set(hurwitz_by_norm(2))
     gram = roots @ roots.T
     for s, r in itertools.product(range(48), repeat=2):
         cartan, rem = divmod(2 * gram[r, s], gram[s, s])
@@ -211,7 +219,7 @@ def table_product(t, x, y):
 
 def key_quat(order, c):
     """The element with key coordinates c, as a sum of key-basis quaternions."""
-    return functools.reduce(lambda p, q: p + q, (z * ci for z, ci in zip(_data(order).zbasis, c)))
+    return functools.reduce(lambda p, q: p + q, (z * ci for z, ci in zip(key_quats(order), c)))
 
 
 key_vectors = st.lists(st.integers(-4, 4), min_size=8, max_size=8)
@@ -221,7 +229,7 @@ def test_structure_is_one_read_only_table_per_order():
     for order in ORDERS.values():
         t = structure(order)
         dim = order.rank
-        assert len(_data(order).zbasis) == dim
+        assert len(key_basis(order, np.array(order.units))) == dim
         assert t.shape == (dim, dim, dim) and t.dtype == np.int64
         assert not t.flags.writeable
         assert structure(order) is t
@@ -268,6 +276,46 @@ def test_structure_agrees_with_quaternion_products(name, x, y):
     p, q = key_quat(order, x), key_quat(order, y)
     assert list(coordinates(order, p)) == x
     assert list(coordinates(order, p * q)) == table_product(t, x, y)
+
+
+def test_reduced_norm_examples():
+    assert _reduced_norm(RAT, (1, 1, 1, 1)) == QuadInt(RAT, 1)  # (1 + i + j + k)/2
+    # (tau, 1, -1/tau, 0)/2 has norm 1 since tau^2 = tau + 1; -1/tau = 1 - tau
+    assert _reduced_norm(GOLD, (0, 1, 1, 0, 1, 0, -1, 0)) == QuadInt(GOLD, 1)
+
+
+def test_integer_product_equals_the_quaternion_product():
+    # on random elements of each order and on its vectors of norm lam, where
+    # the reduced norm is multiplicative
+    rng = np.random.default_rng(3)
+    for order in ORDERS.values():
+        z = key_basis(order, np.array(order.units))
+        lams = [lam for m in (1, 4, 5) for lam in _lambdas(order.ring, m)]
+        x = np.vstack([rng.integers(-4, 5, (40, len(z))) @ z] + [_norm_vectors(order, lam)[0] for lam in lams])
+        y = x[rng.permutation(len(x))]
+        xy = _product(order.ring, x, y)
+        assert xy.dtype == np.int64 and xy.shape == x.shape
+        for a, b, ab in zip(x.tolist(), y.tolist(), xy.tolist()):
+            assert as_quat(order.ring, ab) == as_quat(order.ring, a) * as_quat(order.ring, b)
+            assert (_reduced_norm(order.ring, ab)
+                    == _reduced_norm(order.ring, a) * _reduced_norm(order.ring, b))
+
+
+def test_int64_solve_holds_its_bound():
+    # rows up to the int64 bound of `solve` give the exact object solve's
+    # result; a row one past it is refused
+    rng = np.random.default_rng(5)
+    for order in ORDERS.values():
+        adj, _ = _data(order)
+        top = ((1 << 63) - 1) // (int(np.abs(adj).max()) * order.rank)
+        x = rng.integers(-top, top, (50, order.rank), endpoint=True)
+        x[0, 0] = top
+        coords, inside = solve(order, x)
+        exact, exact_inside = solve(order, x.astype(object))
+        assert coords.tolist() == exact.tolist() and inside.tolist() == exact_inside.tolist()
+        x[0, 0] = top + 1
+        with pytest.raises(AssertionError):
+            solve(order, x)
 
 
 # the key-basis inverse from the Hermite normal form
@@ -323,9 +371,9 @@ ADJ_DET = {
 def test_order_adjugates_are_fixed():
     # the (adj, det) of each key basis, as the Gauss-Jordan solve gave them
     for name, (det, adj) in ADJ_DET.items():
-        data = _data(ORDERS[name])
-        assert (data.det, tuple(map(tuple, data.adj.tolist()))) == (det, adj), name
-        assert not data.adj.flags.writeable  # shared through the cache
+        data_adj, data_det = _data(ORDERS[name])
+        assert (data_det, tuple(map(tuple, data_adj.tolist()))) == (det, adj), name
+        assert not data_adj.flags.writeable  # shared through the cache
 
 
 # a*O*b against the census

@@ -84,3 +84,15 @@ def test_ring_rules_and_order_decisions_have_one_owner():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id == "orders" and node.attr.startswith("_")]
     assert private == []
+
+
+def test_only_quat_builds_quaternions():
+    # order arithmetic runs on integer rows of doubled coordinates; a Quat is
+    # built only by quat.py itself (the functions that take one convert it)
+    src = Path(similitude.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "quat.py":
+            calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call)
+                     and "Quat" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+            assert calls == [], f"{path.name} builds a Quat at line(s) {calls}"

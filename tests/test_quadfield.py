@@ -6,8 +6,7 @@ import pytest
 
 from similitude import oracle
 from similitude.orders import CUBIAN, ICOSIAN, Z4
-from similitude.quadfield import (QuadInt, QuadRat, Ring, is_representable_index,
-                                  splitting_sign)
+from similitude.quadfield import QuadInt, Ring, is_representable_index, splitting_sign
 
 GOLD = Ring.GOLDEN
 SQ2 = Ring.SQRT2
@@ -165,15 +164,3 @@ def test_representable_index():
     for m in range(1, 51):
         assert is_representable_index(m, GOLD) == (m in rep)
 
-
-def test_quadrat_reduction_and_field_ops():
-    half = QuadRat(QuadInt(GOLD, 2, 4), 4)
-    assert half == QuadRat(QuadInt(GOLD, 1, 2), 2)
-    assert QuadRat(QuadInt(GOLD, 3, -1), -6) == QuadRat(QuadInt(GOLD, -3, 1), 6)
-    x = QuadRat(QuadInt(GOLD, 3, -1), 6)
-    assert x * QuadRat(QuadInt(GOLD, 2), 3) == QuadRat(QuadInt(GOLD, 3, -1), 9)
-    assert (QuadRat(QuadInt(GOLD, 2, 4), 3) * QuadRat(QuadInt(GOLD, 3), 2)).to_quadint() == QuadInt(GOLD, 1, 2)
-    with pytest.raises(ValueError, match="not integral"):
-        x.to_quadint()
-    with pytest.raises(ZeroDivisionError):
-        QuadRat(QuadInt(GOLD, 1), 0)
