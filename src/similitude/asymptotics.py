@@ -125,7 +125,7 @@ def zeta_special_value_check(name: str, n_terms: int = 1_000_000,
         raise ValueError(f"unknown zeta value {name!r}") from None
     rho = 1.0 if residue is None else target_constant(residue)
     seq = closed_sequence(target_id, n_terms) if coeffs is None else coeffs
-    n = seq.n_terms
+    n = len(seq)
     nonzero = np.flatnonzero(seq.array)
     head = math.fsum((seq.array[nonzero].astype(float) / (nonzero + 1.0) ** s).tolist())
     tail = rho * n ** (1 - s) / (s - 1)

@@ -4,6 +4,7 @@ Subcommands: series (emit coefficients), verify (identity cross-checks),
 oracle (brute force vs formula), constants (growth/zeta constants).
 Exit codes: 0 success, 1 verification or oracle failure, 2 usage error.
 Output is deterministic.  --threads is accepted and does not change the work.
+series writes through one decimal encoder, whose domain it checks first.
 Only the census's small float64 matmuls call BLAS, so the package loads
 NumPy's OpenBLAS with one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is set: an idle pool of one worker per core cost each command
@@ -133,6 +134,11 @@ def _terms_error(terms: int) -> str | None:
 
 
 def cmd_series(args) -> int:
+    """Write the coefficients in chunks, each through _encode, whose domain
+    (int64 counts >= 0) every accepted command meets: each Euler rule value is
+    >= 0, and at MAX_TERMS the bit bound by which from_multiplicative picks
+    int64 is at most 47 (f_k), far below 63.  The check before the first byte
+    refuses anything else with the first m out of range."""
     if err := _terms_error(args.terms):
         return _usage_error(err)
     target = _SLUGS[args.target]
@@ -141,8 +147,12 @@ def cmd_series(args) -> int:
     except CrossCheckFailure as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return 1
-    square = target.index_kind == "square"
     x = seq.array
+    if x.dtype != np.int64 or x.min() < 0:
+        bad = next((m for m, v in enumerate(x.tolist(), 1) if not 0 <= v < 1 << 63), None)
+        raise AssertionError(f"series {target.value}: {x.dtype} counts, first outside "
+                             f"0 <= a(m) < 2^63 at m = {bad}")
+    square = target.index_kind == "square"
     if args.format == "json":
         # the bytes of json.dumps(obj) with obj["terms"] the whole sequence
         head = json.dumps({"target": target.value, "index_kind": target.index_kind, "terms": []})
@@ -159,12 +169,7 @@ def cmd_series(args) -> int:
         else:  # each row begins with the newline that ends the row before
             ms = np.arange(lo + 1, lo + 1 + len(counts), dtype=np.int64)
             fields = [("\n", ms), (sep, ms * ms if square else ms), (sep, counts)]
-        if counts.dtype == np.int64 and counts.min() >= 0:
-            text = _encode(fields)
-        else:  # exact Python ints, or a negative value: % formatting
-            cells = zip(*(column.tolist() for _, column in fields))
-            row = "".join(prefix + "%d" for prefix, _ in fields)
-            text = row * len(counts) % tuple(v for cell in cells for v in cell)
+        text = _encode(fields)
         out.write(text[len(fields[0][0]):] if lo == 0 else text)
     out.write(end)
     return 0

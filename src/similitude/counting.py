@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import chi5, chi8, factorize
 from .dirichlet import (CoeffSeq, convolve, dilate, dirichlet_inverse,
-                        from_multiplicative, shift)
+                        from_multiplicative, ones, shift)
 from .quadfield import Ring, splitting_sign
 
 
@@ -46,9 +46,9 @@ class Target(enum.Enum):
 
     @property
     def index_kind(self) -> str:
-        """'square' when a(m) counts objects of index m^2, else 'plain'."""
-        plain = (Target.RIEMANN, Target.DEDEKIND_TAU, Target.DEDEKIND_SQRT2)
-        return "plain" if self in plain else "square"
+        """'plain' for the field zeta series (Euler rule 1), whose a(m) counts
+        ideals of index m; else 'square', a(m) counting objects of index m^2."""
+        return "plain" if _EULER[self][1] is _one else "square"
 
 
 def g(n, r: int):
@@ -98,8 +98,6 @@ _EULER = {
     Target.F_K: (Ring.SQRT2, g, None),
 }
 
-_SIMILARITY = (Target.F_J, Target.F_Z4, Target.F_I, Target.F_K)
-
 
 def _ppower(target: Target, p, e: int):
     """The coefficient of the target at the prime power p^e.  At e = 1, p may
@@ -131,7 +129,7 @@ def coeff(target: Target, m: int) -> int:
 
 def ssm_count(target: Target, m: int) -> int:
     """Number of similarity sublattices/submodules of index m^2 (0 when none)."""
-    if target not in _SIMILARITY:
+    if _EULER[target][1] is not g:
         raise ValueError(f"{target.value} is not a similarity-counting target")
     return coeff(target, m)
 
@@ -144,34 +142,30 @@ def closed_sequence(target: Target, n: int) -> CoeffSeq:
     return from_multiplicative(lambda p, e: _ppower(target, p, e), n)
 
 
-def _ones(n: int) -> np.ndarray:
-    return np.ones(n, np.int64)
-
-
-def _index2(n: int, c: int) -> np.ndarray:
+def _index2(n: int, c: int) -> CoeffSeq:
     """1 + c 2^(-s): the value c at m = 2."""
     x = np.zeros(n, np.int64)
     x[0] = 1
     x[1:2] = c  # nothing when n == 1
-    return x
+    return CoeffSeq(x)
 
 
-def _index2_inverse(n: int, c: int) -> np.ndarray:
+def _index2_inverse(n: int, c: int) -> CoeffSeq:
     """(1 + c 2^(-s))^(-1): the value (-c)^k at m = 2^k."""
     x = np.zeros(n, np.int64)
     for k in range(n.bit_length()):
         x[2**k - 1] = (-c) ** k
-    return x
+    return CoeffSeq(x)
 
 
-def _dilated_inverse(x: np.ndarray, n: int) -> np.ndarray:
-    """The inverse of dilate(x, 2) at n terms.  Inverting commutes with
-    s -> 2s, so it is dilate(inverse(x), 2), which reads only x(1..isqrt(n))."""
-    r = math.isqrt(n)
-    inv = dirichlet_inverse(x[:r])
-    padded = np.zeros(n, inv.dtype)
+def _dilated_inverse(a: CoeffSeq) -> CoeffSeq:
+    """The inverse of dilate(a, 2).  Inverting commutes with s -> 2s, so it
+    is dilate(inverse(a), 2), which reads only a(1..isqrt(len(a)))."""
+    r = math.isqrt(len(a))
+    inv = dirichlet_inverse(CoeffSeq(a.array[:r])).array
+    padded = np.zeros(len(a), inv.dtype)
     padded[:r] = inv
-    return dilate(padded, 2)
+    return dilate(CoeffSeq(padded), 2)
 
 
 _BASE_FIELD = {
@@ -180,19 +174,19 @@ _BASE_FIELD = {
 }
 
 
-def _engine(target: Target, n: int) -> np.ndarray:
+def _engine(target: Target, n: int) -> CoeffSeq:
     if target is Target.RIEMANN:
-        return _ones(n)
+        return ones(n)
     if target is Target.DEDEKIND_TAU:
-        return convolve(_ones(n), chi5(np.arange(1, n + 1)))
+        return convolve(ones(n), CoeffSeq(chi5(np.arange(1, n + 1))))
     if target is Target.DEDEKIND_SQRT2:
-        return convolve(_ones(n), chi8(np.arange(1, n + 1)))
+        return convolve(ones(n), CoeffSeq(chi8(np.arange(1, n + 1))))
     if target is Target.ZETA_J:
-        return convolve(convolve(_index2(n, -2), _ones(n)), shift(_ones(n)))
+        return convolve(convolve(_index2(n, -2), ones(n)), shift(ones(n)))
     if target is Target.F_J:
         zj = _engine(Target.ZETA_J, n)
         sq = convolve(convolve(zj, zj), _index2_inverse(n, 1))
-        return convolve(sq, _dilated_inverse(_ones(n), n))
+        return convolve(sq, _dilated_inverse(ones(n)))
     if target is Target.F_Z4:
         return convolve(_index2(n, 2), _engine(Target.F_J, n))
     if target in _BASE_FIELD:
@@ -200,7 +194,7 @@ def _engine(target: Target, n: int) -> np.ndarray:
         zeta = convolve(base, shift(base))
         if target in (Target.ZETA_I, Target.ZETA_K):
             return zeta
-        return convolve(convolve(zeta, zeta), _dilated_inverse(base, n))
+        return convolve(convolve(zeta, zeta), _dilated_inverse(base))
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -211,10 +205,10 @@ def engine_sequence(target: Target, n: int) -> CoeffSeq:
 
     In the "square" indexing, arguments 2s come for free, s -> 2s-1 is shift,
     4s is dilation by 2, and the correction factors (1 - 2^(1-2s)),
-    (1 + 4^(-s)), (1 + 2/4^s) live at m = 2.  The work is done on arrays,
-    and no inverse is taken of more than isqrt(n) terms.
+    (1 + 4^(-s)), (1 + 2/4^s) live at m = 2.  No inverse is taken of more
+    than isqrt(n) terms.
     """
-    return CoeffSeq(_engine(target, n))
+    return _engine(target, n)
 
 
 def series(target: Target, n: int) -> CoeffSeq:

@@ -5,11 +5,9 @@ inverse, dilation (s -> k*s), and shift (s -> s-1) act on coefficients;
 multiplicative sequences are assembled from prime-power data by one array
 kernel over a prime sieve, which also decides multiplicativity.
 
-Convolution, inverse, dilation and shift also take 1-D NumPy arrays and then
-return one, which is how the generating-function engine keeps its intermediates.
-An array is int64 only while an a-priori bound shows that no value or
-partial sum can leave int64; otherwise it holds exact Python ints
-(dtype=object), so nothing ever wraps.  A CoeffSeq's array is either kind.
+Each operation takes and returns CoeffSeqs.  An array is int64 only while an
+a-priori bound shows that no value or partial sum can leave int64; otherwise
+it holds exact Python ints (dtype=object), so nothing ever wraps.
 """
 
 from __future__ import annotations
@@ -49,10 +47,6 @@ class CoeffSeq:
             return NotImplemented
         return len(self) == len(other) and np.array_equal(self.array, other.array)
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.array)
-
     def __getitem__(self, m: int) -> int:
         if not 1 <= m <= len(self.array):
             raise IndexError(f"m = {m} outside 1..{len(self.array)}")
@@ -78,23 +72,9 @@ def as_array(values) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
-def _array(a) -> np.ndarray:
-    return a if isinstance(a, np.ndarray) else a.array
-
-
-def _like(a, out: np.ndarray):
-    """out in the kind of the operand a: an array for an array, else a CoeffSeq."""
-    return out if isinstance(a, np.ndarray) else CoeffSeq(out)
-
-
 def _magnitude(x: np.ndarray) -> int:
     """max |x(m)| as a Python int."""
     return max(int(x.max()), -int(x.min())) if len(x) else 0
-
-
-def _check_lengths(a, b):
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
 def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -120,23 +100,21 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def convolve(a, b):
-    """c(m) = sum over d | m of a(d) * b(m/d).
-
-    Takes two CoeffSeqs and gives a CoeffSeq, or two 1-D arrays and gives
-    an array."""
-    _check_lengths(a, b)
-    return _like(a, _convolve(_array(a), _array(b)))
+def convolve(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
+    """c(m) = sum over d | m of a(d) * b(m/d)."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return CoeffSeq(_convolve(a.array, b.array))
 
 
-def dirichlet_inverse(a):
+def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
     """b with convolve(a, b) the convolution identity (1, 0, 0, ...); needs a(1) in {1, -1}.
 
     b(m) = -a(1) sum of a(d) b(m/d) over d | m, d > 1, in exact Python ints.
     acc[m - 1] gathers -sum, and becomes b(m) once every e < m is done: each
     final b(e) is subtracted times a(d) from m = d e, d >= 2, in one strided
-    update.  Takes a CoeffSeq and gives one, or a 1-D array and gives one."""
-    x = _array(a)
+    update."""
+    x = a.array
     lead = int(x[0])
     if lead not in (1, -1):
         raise ValueError("not invertible: leading coefficient must be +-1")
@@ -148,29 +126,29 @@ def dirichlet_inverse(a):
         if b:
             acc[2 * e - 1 :: e] -= b * x[1 : n // e]
     acc[n // 2 :] *= lead  # these m have no multiple 2m <= n left to update
-    return _like(a, as_array(acc))
+    return CoeffSeq(as_array(acc))
 
 
-def dilate(a, k: int):
+def dilate(a: CoeffSeq, k: int) -> CoeffSeq:
     """b(m^k) = a(m), zero off k-th powers: realizes s -> k*s."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    x = _array(a)
+    x = a.array
     n = len(x)
     r = int(n ** (1 / k)) + 1  # then down to the largest r with r^k <= n
     while r**k > n:
         r -= 1
     out = np.zeros_like(x)
     out[np.arange(1, r + 1) ** k - 1] = x[:r]
-    return _like(a, out)
+    return CoeffSeq(out)
 
 
-def shift(a):
+def shift(a: CoeffSeq) -> CoeffSeq:
     """b(m) = m * a(m): realizes s -> s - 1."""
-    x = _array(a)
+    x = a.array
     n = len(x)
     dtype = np.int64 if _magnitude(x) * n < _INT64_LIMIT else object
-    return _like(a, x.astype(dtype, copy=False) * np.arange(1, n + 1).astype(dtype))
+    return CoeffSeq(x.astype(dtype, copy=False) * np.arange(1, n + 1).astype(dtype))
 
 
 def _apply_prime_powers(out: np.ndarray, factors, op) -> None:
@@ -233,7 +211,7 @@ def is_multiplicative(a: CoeffSeq) -> bool:
     """a(1) = 1 and a = the kernel's rebuild of a from its prime powers.  That
     is a(mk) = a(m) a(k) for all coprime m, k with mk <= N: the product rule
     gives every such pair, and the pairs give it one prime power at a time."""
-    n, x = a.n_terms, a.array
+    n, x = len(a), a.array
     return n == 0 or (a[1] == 1 and from_multiplicative(lambda p, e: x[p**e - 1], n) == a)
 
 
@@ -242,8 +220,8 @@ def partial_sum(a: CoeffSeq, x: int) -> int:
 
     An int64 array is summed in int64 when x * max|a(m)| < 2^63, which bounds
     every partial sum; above that, and for object arrays, in Python ints."""
-    if x > a.n_terms:
-        raise ValueError(f"partial sum to {x} exceeds truncation {a.n_terms}")
+    if x > len(a):
+        raise ValueError(f"partial sum to {x} exceeds truncation {len(a)}")
     head = a.array[: max(x, 0)]
     if head.dtype == object or len(head) * _magnitude(head) >= _INT64_LIMIT:
         return sum(head.tolist())

@@ -337,14 +337,16 @@ def is_similar_sublattice(key: LatticeKey, lattice: Order) -> bool:
     """True iff the key (in the order's key coordinates: rank 4 over Z, 8 over
     Z[w]) is an inflated isometric image of the order, i.e. one spanned by a
     frame; a non-square index has no frames.  A square index m^2 runs the
-    census, which refuses m beyond the order's max_m."""
+    census, which refuses m beyond the order's max_m.  The key must be a
+    Hermite normal form whose index is the product of its diagonal."""
     dim = lattice.rank
     if key.rank != dim:
         raise ValueError(f"{lattice.name} keys have rank {dim}, not {key.rank}")
     h = key.hnf
     if (any(h[i][i] <= 0 for i in range(dim))
             or any(h[i][j] != 0 for i in range(dim) for j in range(i + 1, dim))
-            or any(not 0 <= h[i][j] < h[j][j] for i in range(dim) for j in range(i))):
+            or any(not 0 <= h[i][j] < h[j][j] for i in range(dim) for j in range(i))
+            or key.index != math.prod(h[i][i] for i in range(dim))):
         raise ValueError("not a sublattice key: bad Hermite normal form")
     m = math.isqrt(key.index)
     return m * m == key.index and key in _frames(lattice, m)[1]

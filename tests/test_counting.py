@@ -7,7 +7,7 @@ from similitude import counting
 from similitude.counting import (CrossCheckFailure, Target, _dilated_inverse,
                                  _index2, _index2_inverse, closed_sequence,
                                  coeff, engine_sequence, g, series, ssm_count)
-from similitude.dirichlet import (CoeffSeq, as_array, coeff_seq, convolve,
+from similitude.dirichlet import (CoeffSeq, coeff_seq, convolve,
                                   dilate, dirichlet_inverse, is_multiplicative,
                                   shift)
 from similitude.quadfield import Ring, is_representable_index
@@ -79,8 +79,12 @@ def test_ssm_count_examples():
     assert ssm_count(Target.F_I, 4) == 10
     assert ssm_count(Target.F_K, 8) == 66
     assert ssm_count(Target.F_J, 3) == 8
-    with pytest.raises(ValueError, match="similarity-counting"):
-        ssm_count(Target.RIEMANN, 2)
+    for target in Target:  # exactly the f_ targets count similarity sublattices or submodules
+        if target.value.startswith("f_"):
+            assert ssm_count(target, 1) == 1
+        else:
+            with pytest.raises(ValueError, match="similarity-counting"):
+                ssm_count(target, 2)
 
 
 def test_ssm_vanishes_iff_not_representable():
@@ -125,6 +129,8 @@ def test_index_kinds():
     assert Target.DEDEKIND_TAU.index_kind == "plain"
     assert Target.ZETA_J.index_kind == "square"
     assert Target.F_K.index_kind == "square"
+    plain = {Target.RIEMANN, Target.DEDEKIND_TAU, Target.DEDEKIND_SQRT2}
+    assert {t for t in Target if t.index_kind == "plain"} == plain
 
 
 def test_engine_matches_closed_forms():
@@ -174,17 +180,17 @@ def test_cross_check_failure_reports_index(monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 3000), st.integers(-3, 3))
 def test_index2_inverse_is_the_full_inverse(n, c):
-    full = dirichlet_inverse(coeff_seq(_index2(n, c).tolist()))
-    assert _index2_inverse(n, c).tolist() == full.array.tolist()
+    full = dirichlet_inverse(_index2(n, c))
+    assert _index2_inverse(n, c).array.tolist() == full.array.tolist()
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 3000), st.sampled_from((1, -1)),
        st.lists(st.integers(-50, 50), min_size=60, max_size=60))
 def test_dilated_inverse_is_the_full_inverse(n, lead, tail):
-    x = as_array(([lead] + tail + [0] * n)[:n])
-    full = dirichlet_inverse(coeff_seq(dilate(x, 2).tolist()))
-    assert _dilated_inverse(x, n).tolist() == full.array.tolist()
+    x = coeff_seq(([lead] + tail + [0] * n)[:n])
+    full = dirichlet_inverse(dilate(x, 2))
+    assert _dilated_inverse(x).array.tolist() == full.array.tolist()
 
 
 @settings(max_examples=8, deadline=None)

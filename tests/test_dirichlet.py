@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from similitude.arith import factorize, smallest_prime_factor_sieve
 from similitude.counting import Target, _ppower, closed_sequence
-from similitude.dirichlet import (CoeffSeq, _convolve, as_array, coeff_seq,
+from similitude.dirichlet import (CoeffSeq, _convolve, coeff_seq,
                                   convolve, dilate, dirichlet_inverse,
                                   from_multiplicative, is_multiplicative, ones,
                                   partial_sum, shift)
@@ -55,9 +55,9 @@ def reference_from_multiplicative(ppower, n):
 
 def reference_is_multiplicative(a):
     """The pairwise test a(mk) = a(m) a(k) over coprime m, k, kept as the reference."""
-    if a.n_terms and a[1] != 1:
+    if len(a) and a[1] != 1:
         return False
-    n = a.n_terms
+    n = len(a)
     va = a.array.tolist()
     for m in range(2, n + 1):
         am = va[m - 1]
@@ -257,11 +257,12 @@ def test_convolve_zero_operand_beside_huge_one():
 
 
 def test_shift_and_dilate_on_arrays_stay_exact():
-    x = as_array([2**62, -(2**62), 3])
-    assert x.dtype == np.int64
-    assert shift(x).tolist() == [2**62, -(2**63), 9]
-    assert shift(as_array([2**70])).tolist() == [2**70]
-    assert dilate(as_array(list(range(1, 11))), 2).tolist() == [1, 0, 0, 2, 0, 0, 0, 0, 3, 0]
+    x = coeff_seq([2**62, -(2**62), 3])
+    assert x.array.dtype == np.int64
+    assert shift(x).array.dtype == object  # 2^62 * 3 leaves int64
+    assert shift(x).array.tolist() == [2**62, -(2**63), 9]
+    assert shift(coeff_seq([2**70])).array.tolist() == [2**70]
+    assert dilate(coeff_seq(range(1, 11)), 2).array.tolist() == [1, 0, 0, 2, 0, 0, 0, 0, 3, 0]
 
 
 # N < 25 puts 3 (and below 9, also 5 and 7) above sqrt(N), so the array path
@@ -312,7 +313,7 @@ def _multiplicative_seqs(draw):
 def test_is_multiplicative_matches_pairwise_reference(a, data):
     assert reference_is_multiplicative(a)
     assert is_multiplicative(a)
-    m = data.draw(st.integers(1, a.n_terms))
+    m = data.draw(st.integers(1, len(a)))
     delta = data.draw(st.integers(-3, 3).filter(bool))
     vals = a.array.tolist()
     vals[m - 1] += delta

@@ -314,6 +314,13 @@ def test_bad_key_rejected():
     unreduced = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # spans Z^4, 1 not reduced mod 1
     with pytest.raises(ValueError, match="Hermite"):
         is_similar_sublattice(LatticeKey(4, unreduced, 1), Z4)
+    # the HNF of 2 Z^4 has index 16; a key that declares another index is refused
+    # before its index picks the census's m (9 gave False, 0 and 961 a bound error)
+    doubled = lattice_key([[2 * (i == j) for j in range(4)] for i in range(4)], 4)
+    assert doubled.index == 16 and is_similar_sublattice(doubled, Z4)
+    for index in (9, 0, 961):
+        with pytest.raises(ValueError, match="Hermite"):
+            is_similar_sublattice(LatticeKey(4, doubled.hnf, index), Z4)
 
 
 @pytest.mark.parametrize("lattice,ms", [

@@ -96,3 +96,14 @@ def test_only_quat_builds_quaternions():
                      if isinstance(node, ast.Call)
                      and "Quat" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
             assert calls == [], f"{path.name} builds a Quat at line(s) {calls}"
+
+
+def test_dirichlet_operations_take_only_coeff_seqs():
+    # a sequence has one form through the algebra: outside CoeffSeq's own
+    # constructor, no function of dirichlet dispatches on a bare ndarray
+    tree = ast.parse((Path(similitude.__file__).resolve().parent / "dirichlet.py").read_text())
+    dispatch = [f"{fn.name} (line {node.lineno})" for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and "ndarray" in ast.unparse(node.args[-1])]
+    assert dispatch == []
