@@ -113,14 +113,14 @@ def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
     b(m) = -a(1) sum of a(d) b(m/d) over d | m, d > 1, in exact Python ints.
     acc[m - 1] gathers -sum, and becomes b(m) once every e < m is done: each
     final b(e) is subtracted times a(d) from m = d e, d >= 2, in one strided
-    update."""
+    update.  For n = 0 every slice is empty: the empty sequence is its own inverse."""
     x = a.array
-    lead = int(x[0])
+    lead = int(x[0]) if len(x) else 1
     if lead not in (1, -1):
         raise ValueError("not invertible: leading coefficient must be +-1")
     n, x = len(x), x.astype(object)
     acc = np.zeros(n, object)
-    acc[0] = 1
+    acc[:1] = 1
     for e in range(1, n // 2 + 1):
         b = acc[e - 1] = lead * acc[e - 1]
         if b:

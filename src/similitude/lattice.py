@@ -2,7 +2,8 @@
 
 Basis vectors are rows.  The normal form is lower triangular with positive
 diagonal and below-diagonal entries reduced modulo the diagonal above them,
-so two finite-index submodules are equal iff their keys are equal.
+so two finite-index submodules are equal iff their forms are: a key is its
+form alone, checked when built (ValueError), and its index is prod h_ii.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LatticeKey:
-    rank: int
     hnf: tuple[tuple[int, ...], ...]
-    index: int
 
     def __post_init__(self):
-        if len(self.hnf) != self.rank or any(len(r) != self.rank for r in self.hnf):
-            raise ValueError("hnf must be a rank x rank matrix")
+        h = self.hnf
+        if not all(len(r) == len(h) and r[i] > 0 and not any(r[i + 1:])
+                   and all(0 <= r[j] < h[j][j] for j in range(i)) for i, r in enumerate(h)):
+            raise ValueError(f"not a Hermite normal form: {h}")
+
+    index = property(lambda self: math.prod(r[i] for i, r in enumerate(self.hnf)))
 
 
 def hnf_rows(rows, dim: int) -> tuple[tuple[int, ...], ...]:
@@ -59,18 +62,29 @@ def hnf_rows(rows, dim: int) -> tuple[tuple[int, ...], ...]:
 
 
 def lattice_key(rows, dim: int) -> LatticeKey:
-    h = hnf_rows(rows, dim)
-    index = math.prod(h[i][i] for i in range(dim))
-    return LatticeKey(dim, h, index)
+    return LatticeKey(hnf_rows(rows, dim))
 
 
-def hnf_contains(hnf: tuple[tuple[int, ...], ...], vecs) -> np.ndarray:
-    """Row mask of the integer rows of `vecs` (int64) that lie in the lattice
-    with row basis `hnf`."""
-    v = np.array(vecs, dtype=np.int64)
-    ok = np.ones(len(v), dtype=bool)
-    for i in range(len(hnf) - 1, -1, -1):
-        q, rem = np.divmod(v[:, i], hnf[i][i])
-        ok &= rem == 0
-        v -= np.outer(q, hnf[i])
-    return ok
+def hnf_solve(hnf: tuple[tuple[int, ...], ...], x) -> tuple[np.ndarray, np.ndarray]:
+    """(q, inside): x = q H on the rows of x in the lattice with row basis
+    H = `hnf`, which `inside` marks; exact for object x, else int64.
+    Back-substitution from the last column: step i takes q_i = v_i // h_ii
+    and subtracts q_i H_i from v (x at the start), leaving v_i mod h_ii in
+    column i, where no later H_j is nonzero: a row is inside iff no
+    remainder is left.  With M = max|x|, v_j = x_j - sum_{i>j} q_i h_ij and
+    0 <= h_ij < h_jj give |q_j| <= M + 1 + sum_{i>j} |q_i|, so by induction
+    |q_j| <= 2^(n-1-j) (M + 1), and each partial v_j and product q_i h_ij is
+    at most h_jj 2^(n-1-j) (M + 1): int64 is exact while max h_ii 2^(n-1)
+    (M + 1) < 2^63 (asserted).  In the kind test of `oracle.enumerate_ssm`,
+    h_ii <= m^2 <= 900, max|T| <= 3 and n <= 8 give M <= 21,600: under 2^32."""
+    v, n = np.array(x), len(hnf)
+    if v.dtype != object:
+        v = v.astype(np.int64, copy=False)
+        big_x = max(int(v.max(initial=0)), -int(v.min(initial=0)))
+        top = ((1 << 63) - 1) // (max(r[i] for i, r in enumerate(hnf)) << (n - 1)) - 1
+        assert big_x <= top, f"hnf_solve: max|x| = {big_x} is above the int64 bound {top}"
+    h, q = np.array(hnf, dtype=v.dtype), np.zeros_like(v)
+    for i in range(n - 1, -1, -1):
+        q[:, i] = v[:, i] // h[i, i]
+        v -= np.outer(q[:, i], h[i])
+    return q, (v == 0).all(axis=1)

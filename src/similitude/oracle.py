@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeKey, hnf_contains, lattice_key
+from .lattice import LatticeKey, hnf_solve, lattice_key
 from .orders import CUBIAN, ICOSIAN, Order, key_basis, solve, structure, times
 from .orders import D4STAR, Z4  # noqa: F401  (re-exported: the oracle's public names)
 from .quadfield import QuadInt, Ring, is_representable_index
@@ -334,20 +334,11 @@ def _frames(lattice: Order, m: int) -> tuple[int, frozenset[LatticeKey]]:
 
 
 def is_similar_sublattice(key: LatticeKey, lattice: Order) -> bool:
-    """True iff the key (in the order's key coordinates: rank 4 over Z, 8 over
-    Z[w]) is an inflated isometric image of the order, i.e. one spanned by a
-    frame; a non-square index has no frames.  A square index m^2 runs the
-    census, which refuses m beyond the order's max_m.  The key must be a
-    Hermite normal form whose index is the product of its diagonal."""
-    dim = lattice.rank
-    if key.rank != dim:
-        raise ValueError(f"{lattice.name} keys have rank {dim}, not {key.rank}")
-    h = key.hnf
-    if (any(h[i][i] <= 0 for i in range(dim))
-            or any(h[i][j] != 0 for i in range(dim) for j in range(i + 1, dim))
-            or any(not 0 <= h[i][j] < h[j][j] for i in range(dim) for j in range(i))
-            or key.index != math.prod(h[i][i] for i in range(dim))):
-        raise ValueError("not a sublattice key: bad Hermite normal form")
+    """True iff the key (in key coordinates: rank 4 over Z, 8 over Z[w]) is
+    an inflated isometric image of the order, spanned by a frame: its index
+    is a square m^2 and the census, which refuses m > max_m, finds it."""
+    if len(key.hnf) != lattice.rank:
+        raise ValueError(f"{lattice.name} keys have rank {lattice.rank}, not {len(key.hnf)}")
     m = math.isqrt(key.index)
     return m * m == key.index and key in _frames(lattice, m)[1]
 
@@ -373,9 +364,8 @@ def enumerate_ssm(lattice: Order, m: int) -> list[SSM]:
     mult = np.concatenate([t[:, :4].transpose(1, 0, 2), t[:4]])
     out = []
     for key in _frames(lattice, m)[1]:
-        h = np.array(key.hnf, dtype=np.int64)
-        products = (h @ mult).reshape(-1, h.shape[1])
-        r, l = hnf_contains(key.hnf, products).reshape(2, -1).all(axis=1)
+        products = (np.array(key.hnf) @ mult).reshape(-1, len(key.hnf))
+        r, l = hnf_solve(key.hnf, products)[1].reshape(2, -1).all(axis=1)
         out.append(SSM(key, ("product", "left-ideal", "right-ideal", "two-sided")[2 * r + l]))
     out.sort(key=lambda s: s.key.hnf)
     return out

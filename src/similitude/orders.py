@@ -6,21 +6,20 @@ Each order is one table row: its name, its base ring, one Z[w]-basis of
 units and the largest m its census runs.  This module alone decides the
 key basis (`key_basis`: rows, then over Z[w] w times the rows), the rank of
 key coordinates (`Order.rank`: 4 over Z, 8 over Z[w]) and membership
-(`solve`: adj x = 0 mod det).  Its arithmetic runs on integer rows of doubled
-coordinates (`_product`, `_reduced_norm`; a `Quat` argument is converted
-once), as does the multiplication table on the key basis (`structure`) that
-the kind test and the key of a two-sided product a*O*b read.
+(`solve`: adj x = 0 mod det, adj by `lattice.hnf_solve` from the HNF).  Its
+arithmetic runs on integer rows of doubled coordinates (`_product`,
+`_reduced_norm`; a `Quat` argument is converted once), as does the product
+table on the key basis (`structure`) that the kind test and a*O*b keys read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeKey, hnf_rows, lattice_key
+from .lattice import LatticeKey, hnf_rows, hnf_solve, lattice_key
 from .quadfield import QuadInt, Ring
 from .quat import Quat
 
@@ -96,18 +95,13 @@ def _doubled_coords(order: Order, quat: Quat):
 def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[np.ndarray, int]:
     """(adj, det) for the nonsingular integer matrix B with the given
     columns: det = |det B| and adj = det * B^{-1} (Python ints).  The HNF of
-    [B | I] is [H | U] with H = U B lower triangular and U unimodular, so
-    det = prod diag H, B^{-1} = H^{-1} U, and det * H^{-1} (= adj H, so
-    integral) comes by exact forward substitution."""
+    [B | I] is [H | U] with H = U B and U unimodular, so det = prod diag H,
+    B^{-1} = H^{-1} U, and det * H^{-1} = adj H solves q H = det * I."""
     n = len(columns)
     hu = hnf_rows([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(zip(*columns))], n)
-    h, u = [r[:n] for r in hu], [r[n:] for r in hu]
-    det = math.prod(h[i][i] for i in range(n))
-    x = []  # rows of det * H^{-1}
-    for i in range(n):
-        x.append([(det * (i == k) - sum(h[i][j] * x[j][k] for j in range(i))) // h[i][i]
-                  for k in range(n)])
-    return np.array(x, dtype=object) @ np.array(u, dtype=object), det
+    key = LatticeKey(tuple(r[:n] for r in hu))
+    x, _ = hnf_solve(key.hnf, key.index * np.eye(n, dtype=object))
+    return x @ np.array([r[n:] for r in hu], dtype=object), key.index
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +123,8 @@ def solve(order: Order, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     adj, det = _data(order)
     if x.dtype != object:
         big_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))  # np.abs(x) would copy the rows
-        assert int(np.abs(adj).max()) * x.shape[1] * big_x < 1 << 63
+        top = ((1 << 63) - 1) // (int(np.abs(adj).max()) * x.shape[1])  # max|adj| rank max|x| < 2^63
+        assert big_x <= top, f"{order.name} solve: max|x| = {big_x} is above the int64 bound {top}"
     c = x @ adj.astype(x.dtype, copy=False).T
     return c // det, (c % det == 0).all(axis=1)
 

@@ -111,6 +111,13 @@ def test_inverse_requires_unit_lead():
         dirichlet_inverse(coeff_seq([2, 0, 0]))
 
 
+def test_empty_sequence_passes_through_every_operation():
+    empty = coeff_seq([])
+    for out in (convolve(empty, empty), dirichlet_inverse(empty), dilate(empty, 2), shift(empty)):
+        assert out == empty
+    assert is_multiplicative(empty)
+
+
 def test_dilate_and_shift():
     n = 100
     d = dilate(ones(n), 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from similitude.lattice import LatticeKey, hnf_contains, hnf_rows, lattice_key
+from similitude.lattice import LatticeKey, hnf_rows, hnf_solve, lattice_key
 
 
 def random_unimodular_ops(rng, rows, steps=12):
@@ -93,12 +94,71 @@ def test_rank_deficient_rejected():
 
 def test_membership():
     h = hnf_rows([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)], 4)
-    assert hnf_contains(h, [(1, 1, 1, 1), (2, 0, 0, 0), (1, 0, 0, 0)]).tolist() == [True, True, False]
+    assert hnf_solve(h, [(1, 1, 1, 1), (2, 0, 0, 0), (1, 0, 0, 0)])[1].tolist() == [True, True, False]
     sub = hnf_rows([(4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)], 4)
-    assert hnf_contains(h, sub).all()
-    assert not hnf_contains(sub, h).all()
+    assert hnf_solve(h, sub)[1].all()
+    assert not hnf_solve(sub, h)[1].all()
+
+
+def random_hnf(rng, n, top):
+    """A random full-rank HNF of size n with diagonal entries up to `top`."""
+    diag = [rng.randint(1, top) for _ in range(n)]
+    return tuple(tuple(rng.randrange(diag[j]) if j < i else diag[i] * (i == j) for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_hnf_solve_returns_the_coordinates(dtype):
+    # member rows q H come back as q; adding r with 0 < r_j < h_jj in one
+    # column leaves a remainder, so the row is outside
+    rng = random.Random(17)
+    for n in (1, 4, 8):
+        for _ in range(30):
+            h = random_hnf(rng, n, 12)
+            q = np.array([[rng.randint(-50, 50) for _ in range(n)] for _ in range(20)], dtype=dtype)
+            x = q @ np.array(h, dtype=dtype)
+            coords, inside = hnf_solve(h, x)
+            assert coords.dtype == x.dtype and coords.tolist() == q.tolist() and inside.all()
+            j = next((j for j in range(n) if h[j][j] > 1), None)
+            if j is not None:
+                x[:, j] += rng.randint(1, h[j][j] - 1)
+                assert not hnf_solve(h, x)[1].any()
+
+
+def test_int64_hnf_solve_holds_its_bound():
+    # rows up to the bound max h_ii 2^(n-1) (max|x| + 1) < 2^63 give the
+    # exact object solve's result; a row one past it is refused
+    rng = random.Random(23)
+    np_rng = np.random.default_rng(23)
+    for n in (4, 8):
+        for _ in range(20):
+            h = random_hnf(rng, n, 1000)
+            top = ((1 << 63) - 1) // (max(h[i][i] for i in range(n)) << (n - 1)) - 1
+            x = np_rng.integers(-top, top, (50, n), endpoint=True)
+            x[0], x[1] = top, -top
+            coords, inside = hnf_solve(h, x)
+            exact, exact_inside = hnf_solve(h, x.astype(object))
+            assert coords.tolist() == exact.tolist() and inside.tolist() == exact_inside.tolist()
+            x[0, 0] = -top - 1
+            message = rf"hnf_solve: max\|x\| = {top + 1} is above the int64 bound {top}$"
+            with pytest.raises(AssertionError, match=message):
+                hnf_solve(h, x)
+    # narrower integer rows are solved in int64: -2^31 // 3 * 3 leaves int32
+    x = np.array([[-1 << 31, 0]], dtype=np.int32)
+    coords, inside = hnf_solve(((3, 0), (2, 5)), x)
+    assert coords.dtype == np.int64 and coords.tolist() == [[-715827883, 0]] and not inside[0]
 
 
 def test_key_shape_validation():
-    with pytest.raises(ValueError, match="rank"):
-        LatticeKey(4, ((1, 0), (0, 1)), 1)
+    assert [f.name for f in dataclasses.fields(LatticeKey)] == ["hnf"]
+    key = LatticeKey(((2, 0, 0), (1, 3, 0), (0, 2, 5)))
+    assert key.index == 30 and len(key.hnf) == 3
+    for bad in (((1, 0), (0, 1, 0)),  # not square
+                ((1, 0), (0, 1), (0, 0)),  # not square
+                ((1, 1), (0, 1)),  # nonzero above the diagonal
+                ((1, 0), (0, 0)),  # zero on the diagonal
+                ((-1, 0), (0, 1)),  # negative diagonal
+                ((2, 0), (2, 1)),  # 2 not reduced modulo 2
+                ((2, 0), (-1, 1))):  # -1 not reduced modulo 2
+        with pytest.raises(ValueError, match="Hermite normal form"):
+            LatticeKey(bad)

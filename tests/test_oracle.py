@@ -8,7 +8,7 @@ import pytest
 
 import similitude.oracle as oracle
 from similitude.counting import Target, coeff, ssm_count
-from similitude.lattice import LatticeKey, hnf_contains, lattice_key
+from similitude.lattice import LatticeKey, hnf_solve, lattice_key
 from similitude.oracle import (CUBIAN, D4STAR, ICOSIAN, Z4, _frames, _lambdas, _norm_vectors,
                                count_ssl_bruteforce, enumerate_ssm_cubian,
                                enumerate_ssm_icosian, is_similar_sublattice)
@@ -31,7 +31,7 @@ def enumerate_sublattices(index):
             it = iter(below)  # entries (i, j), j < i, in row-major order
             rows = tuple(tuple(next(it) if j < i else diag[i] * (i == j) for j in range(4))
                          for i in range(4))
-            keys.append(LatticeKey(4, rows, index))
+            keys.append(LatticeKey(rows))
     return keys
 
 
@@ -64,7 +64,7 @@ def reference_search(lattice, lam):
             quad = [a, fb[f], fc[f], fd[f]]
             rows = key_basis(lattice, coords[quad])
             key = lattice_key(rows.tolist(), coords.shape[1])
-            shell = hnf_contains(key.hnf, coords)
+            shell = hnf_solve(key.hnf, coords)[1]
             assert shell[quad].all() and key not in keys
             keys.add(key)
             shells = np.vstack([shells, shell])
@@ -116,7 +116,8 @@ def test_is_similar_over_the_quadratic_rings():
             assert keys and all(is_similar_sublattice(k, lattice) for k in keys)
     for lattice, d in ((ICOSIAN, 4), (CUBIAN, 2)):
         diag = (d, d) + (1,) * 6
-        key = LatticeKey(8, tuple(tuple(diag[i] * (i == j) for j in range(8)) for i in range(8)), d * d)
+        key = LatticeKey(tuple(tuple(diag[i] * (i == j) for j in range(8)) for i in range(8)))
+        assert key.index == d * d
         assert key not in _frames(lattice, d)[1]
         assert not is_similar_sublattice(key, lattice)
     rank4 = lattice_key([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
@@ -310,17 +311,13 @@ def test_icosian_errors():
 
 def test_bad_key_rejected():
     with pytest.raises(ValueError, match="Hermite"):
-        is_similar_sublattice(LatticeKey(4, ((1, 1, 0, 0),) * 4, 1), Z4)
+        is_similar_sublattice(LatticeKey(((1, 1, 0, 0),) * 4), Z4)
     unreduced = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # spans Z^4, 1 not reduced mod 1
     with pytest.raises(ValueError, match="Hermite"):
-        is_similar_sublattice(LatticeKey(4, unreduced, 1), Z4)
-    # the HNF of 2 Z^4 has index 16; a key that declares another index is refused
-    # before its index picks the census's m (9 gave False, 0 and 961 a bound error)
+        is_similar_sublattice(LatticeKey(unreduced), Z4)
+    # the index is read off the HNF: 16 for 2 Z^4
     doubled = lattice_key([[2 * (i == j) for j in range(4)] for i in range(4)], 4)
     assert doubled.index == 16 and is_similar_sublattice(doubled, Z4)
-    for index in (9, 0, 961):
-        with pytest.raises(ValueError, match="Hermite"):
-            is_similar_sublattice(LatticeKey(4, doubled.hnf, index), Z4)
 
 
 @pytest.mark.parametrize("lattice,ms", [
@@ -336,7 +333,7 @@ def test_blocked_search_equals_reference(monkeypatch, lattice, ms):
     def shell_spy(table, units, rows):
         hits = real_shell(table, units, rows)
         key = lattice_key(rows.tolist(), rows.shape[1])
-        assert np.sort(hits).tolist() == np.flatnonzero(hnf_contains(key.hnf, coords)).tolist()
+        assert np.sort(hits).tolist() == np.flatnonzero(hnf_solve(key.hnf, coords)[1]).tolist()
         assert len(hits) == len(units)
         found.append(key)
         return hits

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from similitude.lattice import hnf_contains, hnf_rows, lattice_key
+from similitude.lattice import hnf_rows, hnf_solve, lattice_key
 from similitude.oracle import _lambdas, _norm_vectors, enumerate_ssm
 from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _inverse_scaled,
-                               _product, _reduced_norm, coordinates, element, is_member,
+                               _product, _reduced_norm, element, is_member,
                                key_basis, module_lattice, solve, structure)
 from similitude.quadfield import QuadInt, Ring
 from similitude.quat import Quat
@@ -206,7 +205,7 @@ def test_inclusion_chain_indices():
     l_key = lattice_key([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), k_coords], 4)
     assert l_key.index == 2
     assert x_key.index == 4
-    assert hnf_contains(l_key.hnf, x_key.hnf).all()
+    assert hnf_solve(l_key.hnf, x_key.hnf)[1].all()
 
 
 # ring laws of the multiplication table, on key coordinates
@@ -217,9 +216,26 @@ def table_product(t, x, y):
                      t.astype(object)).tolist()
 
 
-def key_quat(order, c):
-    """The element with key coordinates c, as a sum of key-basis quaternions."""
-    return functools.reduce(lambda p, q: p + q, (z * ci for z, ci in zip(key_quats(order), c)))
+def hamilton(ring, x, y):
+    """Doubled coordinates of the product of the elements with doubled
+    coordinates x and y (over Z[w]: rational parts, then w parts), by the
+    Hamilton formulas over QuadInt: (X/2)(Y/2) doubled is XY/2."""
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = (
+        [QuadInt(ring, a, b) for a, b in zip(v[:4], list(v[4:]) or [0] * 4)] for v in (x, y))
+    xy = (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+          a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+          a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+          a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    assert not any(e.a % 2 or e.b % 2 for e in xy), "the product left the doubled coordinates"
+    return ([e.a // 2 for e in xy] + [e.b // 2 for e in xy])[:len(x)]
+
+
+def key_coordinates(order, v):
+    """The key coordinates of the element with doubled coordinates v, which
+    must lie in the order."""
+    c, inside = solve(order, np.array([v], dtype=object))
+    assert inside[0]
+    return c[0].tolist()
 
 
 key_vectors = st.lists(st.integers(-4, 4), min_size=8, max_size=8)
@@ -273,9 +289,11 @@ def test_structure_agrees_with_quaternion_products(name, x, y):
     order = ORDERS[name]
     t = structure(order)
     x, y = x[:len(t)], y[:len(t)]
-    p, q = key_quat(order, x), key_quat(order, y)
-    assert list(coordinates(order, p)) == x
-    assert list(coordinates(order, p * q)) == table_product(t, x, y)
+    z = key_basis(order, np.array(order.units))
+    p, q = (np.array(v) @ z for v in (x, y))  # doubled coordinates
+    assert key_coordinates(order, p) == x
+    pq = hamilton(order.ring, p.tolist(), q.tolist())
+    assert key_coordinates(order, pq) == table_product(t, x, y)
 
 
 def test_reduced_norm_examples():
@@ -296,7 +314,7 @@ def test_integer_product_equals_the_quaternion_product():
         xy = _product(order.ring, x, y)
         assert xy.dtype == np.int64 and xy.shape == x.shape
         for a, b, ab in zip(x.tolist(), y.tolist(), xy.tolist()):
-            assert as_quat(order.ring, ab) == as_quat(order.ring, a) * as_quat(order.ring, b)
+            assert ab == hamilton(order.ring, a, b)
             assert (_reduced_norm(order.ring, ab)
                     == _reduced_norm(order.ring, a) * _reduced_norm(order.ring, b))
 
@@ -314,7 +332,8 @@ def test_int64_solve_holds_its_bound():
         exact, exact_inside = solve(order, x.astype(object))
         assert coords.tolist() == exact.tolist() and inside.tolist() == exact_inside.tolist()
         x[0, 0] = top + 1
-        with pytest.raises(AssertionError):
+        message = rf"{order.name} solve: max\|x\| = {top + 1} is above the int64 bound {top}$"
+        with pytest.raises(AssertionError, match=message):
             solve(order, x)
 
 
