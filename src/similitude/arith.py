@@ -141,6 +141,12 @@ def odd_divisor_sums(n: int) -> np.ndarray:
     return sums
 
 
+def magnitude(x: np.ndarray) -> int:
+    """max |x| over an integer array of any shape and dtype, as a Python int
+    (0 when empty).  It reads the extremes, as np.abs(x) would copy x."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
 def _residue_rule(table: tuple[int, ...], m):
     """table[m % period]: a Python int for an int m, elementwise for an integer array."""
     r = m % len(table)

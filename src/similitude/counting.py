@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .arith import chi5, chi8, factorize
-from .dirichlet import (CoeffSeq, convolve, dilate, dirichlet_inverse,
-                        from_multiplicative, ones, shift)
+from .arith import factorize
+from .dirichlet import (CoeffSeq, convolve, dirichlet_inverse, from_multiplicative,
+                        ones, shift)
 from .quadfield import Ring, splitting_sign
 
 
@@ -142,59 +142,67 @@ def closed_sequence(target: Target, n: int) -> CoeffSeq:
     return from_multiplicative(lambda p, e: _ppower(target, p, e), n)
 
 
-def _index2(n: int, c: int) -> CoeffSeq:
-    """1 + c 2^(-s): the value c at m = 2."""
-    x = np.zeros(n, np.int64)
-    x[0] = 1
-    x[1:2] = c  # nothing when n == 1
-    return CoeffSeq(x)
+# -- the engine ------------------------------------------------------------
+#
+# A finite correction factor is a list of (j, v) pairs, the Dirichlet
+# polynomial sum v j^(-s), which convolve applies without building it.
+
+def _index2(c: int) -> list[tuple[int, int]]:
+    """1 + c 2^(-s)."""
+    return [(1, 1), (2, c)]
 
 
-def _index2_inverse(n: int, c: int) -> CoeffSeq:
-    """(1 + c 2^(-s))^(-1): the value (-c)^k at m = 2^k."""
-    x = np.zeros(n, np.int64)
-    for k in range(n.bit_length()):
-        x[2**k - 1] = (-c) ** k
-    return CoeffSeq(x)
+def _index2_inverse(n: int, c: int) -> list[tuple[int, int]]:
+    """(1 + c 2^(-s))^(-1) to N = n: the value (-c)^k at 2^k <= n."""
+    return [(1 << k, (-c) ** k) for k in range(n.bit_length())]
 
 
-def _dilated_inverse(a: CoeffSeq) -> CoeffSeq:
-    """The inverse of dilate(a, 2).  Inverting commutes with s -> 2s, so it
-    is dilate(inverse(a), 2), which reads only a(1..isqrt(len(a)))."""
-    r = math.isqrt(len(a))
-    inv = dirichlet_inverse(CoeffSeq(a.array[:r])).array
-    padded = np.zeros(len(a), inv.dtype)
-    padded[:r] = inv
-    return dilate(CoeffSeq(padded), 2)
+def _dilated_inverse(head: CoeffSeq) -> list[tuple[int, int]]:
+    """(sum a(m) m^(-2s))^(-1) to N = r^2 from the head a(1..r).  Inverting
+    commutes with s -> 2s, so it is sum b(m) m^(-2s) with b the inverse of
+    the head: the pairs (m^2, b(m)) with b(m) != 0."""
+    b = dirichlet_inverse(head)
+    return [(m * m, v) for m, v in enumerate(b.array.tolist(), 1) if v]
 
 
+def _character(chi, n: int) -> CoeffSeq:
+    """chi(1..n) for a character of period dividing 40 (chi5, chi8), tiled
+    from its first 40 values: the column is the only n-array built."""
+    return CoeffSeq(np.tile(chi(np.arange(1, 41)), -(-n // 40))[:n])
+
+
+# each similarity series' order zeta, and each order's base-field zeta
+_ZETA = {Target.F_J: Target.ZETA_J, Target.F_I: Target.ZETA_I, Target.F_K: Target.ZETA_K}
 _BASE_FIELD = {
+    Target.F_J: Target.RIEMANN,
     Target.ZETA_I: Target.DEDEKIND_TAU, Target.F_I: Target.DEDEKIND_TAU,
     Target.ZETA_K: Target.DEDEKIND_SQRT2, Target.F_K: Target.DEDEKIND_SQRT2,
 }
 
 
 def _engine(target: Target, n: int) -> CoeffSeq:
+    """Each step holds at most three n-arrays, its operands and its result:
+    a name is dropped once it is read for the last time.  The head of a
+    sequence is the sequence of the head, so the dilated inverse of a base
+    field's zeta is built from isqrt(n) terms of its own."""
     if target is Target.RIEMANN:
         return ones(n)
-    if target is Target.DEDEKIND_TAU:
-        return convolve(ones(n), CoeffSeq(chi5(np.arange(1, n + 1))))
-    if target is Target.DEDEKIND_SQRT2:
-        return convolve(ones(n), CoeffSeq(chi8(np.arange(1, n + 1))))
+    if target in (Target.DEDEKIND_TAU, Target.DEDEKIND_SQRT2):
+        return convolve(ones(n), _character(_EULER[target][0].character, n))
     if target is Target.ZETA_J:
-        return convolve(convolve(_index2(n, -2), ones(n)), shift(ones(n)))
-    if target is Target.F_J:
-        zj = _engine(Target.ZETA_J, n)
-        sq = convolve(convolve(zj, zj), _index2_inverse(n, 1))
-        return convolve(sq, _dilated_inverse(ones(n)))
-    if target is Target.F_Z4:
-        return convolve(_index2(n, 2), _engine(Target.F_J, n))
-    if target in _BASE_FIELD:
+        return convolve(convolve(ones(n), _index2(-2)), CoeffSeq(np.arange(1, n + 1)))
+    if target in (Target.ZETA_I, Target.ZETA_K):
         base = _engine(_BASE_FIELD[target], n)
-        zeta = convolve(base, shift(base))
-        if target in (Target.ZETA_I, Target.ZETA_K):
-            return zeta
-        return convolve(convolve(zeta, zeta), _dilated_inverse(base))
+        return convolve(base, shift(base))
+    if target is Target.F_Z4:
+        return convolve(_engine(Target.F_J, n), _index2(2))
+    if target in _ZETA:  # the order's zeta squared over the dilated base-field zeta
+        zeta = _engine(_ZETA[target], n)
+        sq = convolve(zeta, zeta)
+        del zeta
+        if target is Target.F_J:
+            sq = convolve(sq, _index2_inverse(n, 1))
+        return convolve(sq, _dilated_inverse(_engine(_BASE_FIELD[target], math.isqrt(n))))
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -205,18 +213,24 @@ def engine_sequence(target: Target, n: int) -> CoeffSeq:
 
     In the "square" indexing, arguments 2s come for free, s -> 2s-1 is shift,
     4s is dilation by 2, and the correction factors (1 - 2^(1-2s)),
-    (1 + 4^(-s)), (1 + 2/4^s) live at m = 2.  No inverse is taken of more
-    than isqrt(n) terms.
+    (1 + 4^(-s)), (1 + 2/4^s) live at m = 2.  Each finite factor, the
+    inverses of (1 + 4^(-s)) and of a dilated series included, is a short
+    list of (j, v) pairs that convolve applies without building it, and
+    no inverse is taken of more than isqrt(n) terms.  So at most three
+    n-arrays are alive at once, two operands and a result, beside blocks of
+    at most 2^14 entries and arrays of isqrt(n) terms.
     """
     return _engine(target, n)
 
 
 def series(target: Target, n: int) -> CoeffSeq:
-    """Coefficients a(1..n), built both ways and verified equal."""
+    """Coefficients a(1..n), built both ways and verified equal.  The engine
+    goes first: while it runs (at most three n-arrays) nothing else is alive,
+    and the closed form then adds its one n-array to the engine's result."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    closed = closed_sequence(target, n)
     engine = engine_sequence(target, n)
+    closed = closed_sequence(target, n)
     if closed != engine:
         bad = int(np.flatnonzero(closed.array != engine.array)[0]) + 1
         raise CrossCheckFailure(target, bad, closed[bad], engine[bad])

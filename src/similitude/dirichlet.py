@@ -1,13 +1,16 @@
 """Coefficient algebra for Dirichlet series truncated at N terms.
 
-A CoeffSeq holds a(1..N) as one read-only 1-D NumPy array.  Convolution,
-inverse, dilation (s -> k*s), and shift (s -> s-1) act on coefficients;
-multiplicative sequences are assembled from prime-power data by one array
-kernel over a prime sieve, which also decides multiplicativity.
+A CoeffSeq holds a(1..N) as one read-only 1-D NumPy array.  Convolution
+(by another sequence, or by a finite Dirichlet polynomial given as (j, v)
+pairs), inverse, dilation (s -> k*s), and shift (s -> s-1) act on
+coefficients; multiplicative sequences are assembled from prime-power data
+by one array kernel over a prime sieve, which also decides multiplicativity.
 
 Each operation takes and returns CoeffSeqs.  An array is int64 only while an
 a-priori bound shows that no value or partial sum can leave int64; otherwise
 it holds exact Python ints (dtype=object), so nothing ever wraps.
+Convolution and shift allocate no N-sized array but their result, and every
+strided update goes through blocks of at most _BLOCK entries.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import magnitude, primes_up_to
 
 _INT64_LIMIT = 1 << 63
+_BLOCK = 1 << 14  # entries of the largest temporary a strided update builds
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +76,28 @@ def as_array(values) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
-def _magnitude(x: np.ndarray) -> int:
-    """max |x(m)| as a Python int."""
-    return max(int(x.max()), -int(x.min())) if len(x) else 0
+def _add_scaled(out: np.ndarray, x: np.ndarray, j: int, v, e0: int = 1) -> None:
+    """out(j e) += v x(e) for e0 <= e <= len(out) / j (out(m) at out[m - 1]),
+    one strided update per block of at most _BLOCK values of e."""
+    top = len(out) // j
+    for lo in range(e0 - 1, top, _BLOCK):
+        hi = min(lo + _BLOCK, top)
+        out[j * (lo + 1) - 1 : j * hi : j] += v * x[lo:hi]
+
+
+def _head_bound_fits(mx: int, my: int, hx: int, hy: int, s: int) -> bool:
+    """Whether _convolve may run in int64: mx, my are max|x|, max|y| and hx,
+    hy the same maxima over the first s = isqrt(n) entries only.
+
+    Every term _convolve adds to c(m) is x(d) y(m/d) with d <= s (the x
+    side) or y(d) x(m/d) with d <= s < m/d (the y side).  An x-side term is
+    at most hx my and a y-side term at most hy mx, and each side adds at
+    most one term per d <= s, so at most s.  So every partial sum of c(m),
+    and every single product, is at most s (hx my + hy mx), which must stay
+    below 2^63; mx and my must fit int64 themselves to be cast.  As hx <= mx
+    and hy <= my, this admits all that 2 (s + 1) mx my < 2^63 admits, and
+    far more when the large values of an operand lie past its head."""
+    return mx < _INT64_LIMIT and my < _INT64_LIMIT and s * (hx * my + hy * mx) < _INT64_LIMIT
 
 
 def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -82,26 +105,57 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     split (Tenenbaum, Introduction to Analytic and Probabilistic Number
     Theory, I.3): with s = isqrt(n), every factorisation m = d e <= n has
     d <= s, or else e <= s < d, never both d, e > s.  So the loop runs over
-    d <= s only, with one strided slice update for each side.
+    d <= s only, with one blocked strided update for each side.  out starts
+    as x(1) y, the x side of d = 1, so the only n-array allocated is the
+    result; int64 under _head_bound_fits, else exact Python ints.
     """
     n = len(x)
     s = math.isqrt(n)
-    # c(m) sums d(m) <= 2 sqrt(m) < 2 (s + 1) products, each at most mx * my
-    mx, my = _magnitude(x), _magnitude(y)
-    fits = mx < _INT64_LIMIT and my < _INT64_LIMIT and mx * my * 2 * (s + 1) < _INT64_LIMIT
+    fits = _head_bound_fits(magnitude(x), magnitude(y), magnitude(x[:s]), magnitude(y[:s]), s)
     dtype = np.int64 if fits else object
     x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
-    out = np.zeros(n, dtype)
+    out = x[:1] * y  # an empty x[:1] only when n = 0
     for d in range(1, s + 1):
-        if x[d - 1]:  # m = d e for every e <= n / d
-            out[d - 1 :: d] += x[d - 1] * y[: n // d]
+        if d > 1 and x[d - 1]:  # m = d e for every e <= n / d
+            _add_scaled(out, y, d, x[d - 1])
         if y[d - 1]:  # m = e d for s < e <= n / d
-            out[(s + 1) * d - 1 :: d] += y[d - 1] * x[s : n // d]
+            _add_scaled(out, x, d, y[d - 1], s + 1)
     return out
 
 
-def convolve(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
-    """c(m) = sum over d | m of a(d) * b(m/d)."""
+def _support_bound_fits(mx: int, total: int) -> bool:
+    """Whether _convolve_finite may run in int64: mx is max|x| and total the
+    sum of |v| over the pairs (j, v) with j <= n.  Each pair adds at most one
+    term v x(m/j) to c(m), so every partial sum of c(m), and every product,
+    is at most mx * total, which must stay below 2^63; mx and each v must
+    fit int64 themselves."""
+    return mx < _INT64_LIMIT and total < _INT64_LIMIT and mx * total < _INT64_LIMIT
+
+
+def _convolve_finite(x: np.ndarray, poly) -> np.ndarray:
+    """c(m) = sum of v x(m/j) over the pairs (j, v) of poly with j | m: x
+    times the finite Dirichlet polynomial sum v j^(-s).  Pairs with j > n
+    reach no m and are dropped.  Each pair costs one blocked strided update
+    over n / j entries; int64 under _support_bound_fits, else exact ints."""
+    n = len(x)
+    poly = [(j, v) for j, v in poly if j <= n]
+    if any(j < 1 for j, _ in poly):
+        raise ValueError("a Dirichlet polynomial's indices j must be >= 1")
+    fits = _support_bound_fits(magnitude(x), sum(abs(v) for _, v in poly))
+    dtype = np.int64 if fits else object
+    x, out = x.astype(dtype, copy=False), np.zeros(n, dtype)
+    for j, v in poly:
+        if v:
+            _add_scaled(out, x, j, v)
+    return out
+
+
+def convolve(a: CoeffSeq, b) -> CoeffSeq:
+    """c(m) = sum over d | m of a(d) * b(m/d).  b is a CoeffSeq of the same
+    length, or a finite Dirichlet polynomial sum v j^(-s) given as its
+    (j, v) pairs, which is never built as an array (_convolve_finite)."""
+    if not isinstance(b, CoeffSeq):
+        return CoeffSeq(_convolve_finite(a.array, b))
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return CoeffSeq(_convolve(a.array, b.array))
@@ -147,22 +201,31 @@ def shift(a: CoeffSeq) -> CoeffSeq:
     """b(m) = m * a(m): realizes s -> s - 1."""
     x = a.array
     n = len(x)
-    dtype = np.int64 if _magnitude(x) * n < _INT64_LIMIT else object
-    return CoeffSeq(x.astype(dtype, copy=False) * np.arange(1, n + 1).astype(dtype))
+    dtype = np.int64 if magnitude(x) * n < _INT64_LIMIT else object
+    out = np.arange(1, n + 1, dtype=np.int64).astype(dtype, copy=False)
+    out *= x.astype(dtype, copy=False)  # in place: the result is the only n-array
+    return CoeffSeq(out)
 
 
 def _apply_prime_powers(out: np.ndarray, factors, op) -> None:
     """out[m] = op(out[m], v(p^e)) at every m <= n with p^e || m, for each
-    (p, [v(p), v(p^2), ...]) in factors: one strided op over out[p::p]."""
+    (p, [v(p), v(p^2), ...]) in factors: one strided op over out[p::p] per
+    block of at most _BLOCK multiples of p, its factors written to one
+    buffer that every block reuses."""
     n = len(out) - 1
+    buf = np.empty(min(n // 2, _BLOCK), out.dtype)
     for p, pv in factors:
-        fac = np.full(n // p, pv[0], out.dtype)  # fac[j] belongs to m = p (j + 1)
-        q = p
-        for v in pv[1:]:  # p^e | m exactly when p^(e-1) | j + 1
-            fac[q - 1 :: q] = v
-            q *= p
-        view = out[p::p]
-        op(view, fac, out=view)
+        top = n // p  # fac[j - lo] belongs to m = p (j + 1), lo <= j < hi
+        for lo in range(0, top, _BLOCK):
+            hi = min(lo + _BLOCK, top)
+            fac = buf[: hi - lo]
+            fac[:] = pv[0]
+            q = p
+            for v in pv[1:]:  # p^e | m exactly when p^(e-1) | j + 1, i.e. j = -(lo + 1) mod p^(e-1)
+                fac[-(lo + 1) % q :: q] = v
+                q *= p
+            view = out[p * (lo + 1) : p * hi + 1 : p]
+            op(view, fac, out=view)
 
 
 def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
@@ -177,7 +240,9 @@ def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
     Exact: |a(m)| and its partial products are below 2^b(m), b(m) the sum of
     the bit lengths of |a(p^e)| over p^e || m.  The same kernel sums those
     first, and the values are int64 only when every b(m) <= 63, else exact
-    Python ints (dtype=object)."""
+    Python ints (dtype=object).  The int16 bit lengths are released before
+    the values are allocated, so the values are the one n-array left alive
+    beside blocks of at most _BLOCK entries and arrays of the large primes."""
     for p in (2, 3):
         if ppower(p, 0) != 1:
             raise ValueError(f"ppower({p}, 0) must be 1")
@@ -196,7 +261,8 @@ def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
     large = primes[cut:]
     big = np.broadcast_to(ppower(large, 1), large.shape)
     kmax = n // int(large[0]) if len(large) else 0
-    top = max(int(bits.max()), int(bits[: kmax + 1].max()) + min(_magnitude(big).bit_length(), 64))
+    top = max(int(bits.max()), int(bits[: kmax + 1].max()) + min(magnitude(big).bit_length(), 64))
+    del bits
     vals = np.ones(n + 1, np.int64 if top <= 63 else object)
     _apply_prime_powers(vals, factors, np.multiply)
     big = big.astype(vals.dtype)
@@ -223,6 +289,6 @@ def partial_sum(a: CoeffSeq, x: int) -> int:
     if x > len(a):
         raise ValueError(f"partial sum to {x} exceeds truncation {len(a)}")
     head = a.array[: max(x, 0)]
-    if head.dtype == object or len(head) * _magnitude(head) >= _INT64_LIMIT:
+    if head.dtype == object or len(head) * magnitude(head) >= _INT64_LIMIT:
         return sum(head.tolist())
     return int(head.sum())

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import magnitude
+
 
 @dataclass(frozen=True)
 class LatticeKey:
@@ -80,7 +82,7 @@ def hnf_solve(hnf: tuple[tuple[int, ...], ...], x) -> tuple[np.ndarray, np.ndarr
     v, n = np.array(x), len(hnf)
     if v.dtype != object:
         v = v.astype(np.int64, copy=False)
-        big_x = max(int(v.max(initial=0)), -int(v.min(initial=0)))
+        big_x = magnitude(v)
         top = ((1 << 63) - 1) // (max(r[i] for i, r in enumerate(hnf)) << (n - 1)) - 1
         assert big_x <= top, f"hnf_solve: max|x| = {big_x} is above the int64 bound {top}"
     h, q = np.array(hnf, dtype=v.dtype), np.zeros_like(v)

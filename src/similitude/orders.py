@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import magnitude
 from .lattice import LatticeKey, hnf_rows, hnf_solve, lattice_key
 from .quadfield import QuadInt, Ring
 from .quat import Quat
@@ -116,13 +117,14 @@ def solve(order: Order, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key coordinates adj x / det of the rows x of doubled coordinates, and
     which rows lie in the order: those with adj x = 0 mod det.  In the dtype
     of x: object for exact Python ints, or int64 while max|adj| * rank *
-    max|x| < 2^63 (asserted), which bounds adj x.  For the four orders
-    |adj| <= 16 and det is 8 or 16; the int64 callers are `structure`
-    (|x| <= 4) and `oracle._norm_vectors` (|x| <= 6r <= 6,144), so
-    |adj x| < 2^20."""
+    max|x| < 2^63 (asserted), which bounds adj x; narrower integer rows are
+    solved as int64.  For the four orders |adj| <= 16 and det is 8 or 16;
+    the int64 callers are `structure` (|x| <= 4) and `oracle._norm_vectors`
+    (|x| <= 6r <= 6,144), so |adj x| < 2^20."""
     adj, det = _data(order)
     if x.dtype != object:
-        big_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))  # np.abs(x) would copy the rows
+        x = x.astype(np.int64, copy=False)  # narrower rows would wrap in their own dtype
+        big_x = magnitude(x)
         top = ((1 << 63) - 1) // (int(np.abs(adj).max()) * x.shape[1])  # max|adj| rank max|x| < 2^63
         assert big_x <= top, f"{order.name} solve: max|x| = {big_x} is above the int64 bound {top}"
     c = x @ adj.astype(x.dtype, copy=False).T

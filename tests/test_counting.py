@@ -1,9 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from similitude import counting
+from similitude import arith, counting
 from similitude.counting import (CrossCheckFailure, Target, _dilated_inverse,
                                  _index2, _index2_inverse, closed_sequence,
                                  coeff, engine_sequence, g, series, ssm_count)
@@ -177,11 +180,20 @@ def test_cross_check_failure_reports_index(monkeypatch):
     assert str(info.value) == "f_j: closed form 12 != engine 13 at m = 5"
 
 
+def expand(pairs, n):
+    """The first n coefficients of the Dirichlet polynomial sum v j^(-s)."""
+    out = [0] * n
+    for j, v in pairs:
+        if j <= n:
+            out[j - 1] += v
+    return out
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 3000), st.integers(-3, 3))
 def test_index2_inverse_is_the_full_inverse(n, c):
-    full = dirichlet_inverse(_index2(n, c))
-    assert _index2_inverse(n, c).array.tolist() == full.array.tolist()
+    full = dirichlet_inverse(coeff_seq(expand(_index2(c), n)))
+    assert expand(_index2_inverse(n, c), n) == full.array.tolist()
 
 
 @settings(max_examples=15, deadline=None)
@@ -190,7 +202,32 @@ def test_index2_inverse_is_the_full_inverse(n, c):
 def test_dilated_inverse_is_the_full_inverse(n, lead, tail):
     x = coeff_seq(([lead] + tail + [0] * n)[:n])
     full = dirichlet_inverse(dilate(x, 2))
-    assert _dilated_inverse(x).array.tolist() == full.array.tolist()
+    pairs = _dilated_inverse(CoeffSeq(x.array[: math.isqrt(n)]))
+    assert all(v for _, v in pairs)  # only the nonzero b(r) are kept
+    assert expand(pairs, n) == full.array.tolist()
+
+
+def test_engine_holds_at_most_three_n_arrays():
+    # engine_sequence's docstring: every step holds at most three live
+    # n-arrays (two operands and a result) beside one block of at most 2^14
+    # int64 entries (128 KiB) and a few arrays of isqrt(n) terms; series runs
+    # it before the closed form, which adds one n-array to the engine's
+    # result.  So series peaks below 3 * 8n bytes + 1 MiB.  The closed form
+    # (from_multiplicative's docstring) holds its int64 values (8n bytes),
+    # the int16 bit lengths (2n bytes) only before them, one block, and at
+    # most four int64 arrays of the pi(n) ~ 0.08n primes (the primes, their
+    # rule values and one product of each): about 10.5n, below 1.5 * 8n bytes.
+    n = 10**6
+    for target in (Target.F_J, Target.F_Z4, Target.F_I, Target.F_K):
+        for build, bound in ((series, 3 * 8 * n + 2**20), (closed_sequence, 1.5 * 8 * n)):
+            arith.primes_up_to.cache_clear()  # the sieve is part of the peak
+            tracemalloc.start()
+            try:
+                build(target, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (target, build.__name__, peak, bound)
 
 
 @settings(max_examples=8, deadline=None)

@@ -243,15 +243,76 @@ def test_convolve_matches_reference_loop(ops):
 
 
 def test_convolve_picks_int64_only_under_the_bound():
-    n = 100  # 2 (isqrt(n) + 1) = 22 terms at most per coefficient
+    n = 100  # isqrt(n) = 10 terms at most per side, 20 per coefficient
     small = np.full(n, 2**29, np.int64)
-    assert _convolve(small, small).dtype == np.int64  # 2^58 * 22 < 2^63
+    assert _convolve(small, small).dtype == np.int64  # 2^58 * 20 < 2^63
     big = np.full(n, 2**30, np.int64)
-    out = _convolve(big, big)  # 2^60 * 22 >= 2^63
+    out = _convolve(big, big)  # 2^60 * 20 >= 2^63
     assert out.dtype == object
     # d(64) = 7 products of 2^60: beyond int64, and exact
     assert out[63] == 7 * 2**60
     assert out.tolist() == reference_convolve(big.tolist(), big.tolist())
+
+
+def test_head_bound_admits_a_large_tail_behind_a_small_head():
+    # n = 100, s = 10: with |x|, |y| <= 1 on the head (m <= 10) and <= t on
+    # the tail, _head_bound_fits asks 10 (1 t + 1 t) = 20 t < 2^63
+    n = 100
+    top = (2**63 - 1) // 20
+    for t, dtype in ((top, np.int64), (top + 1, object)):
+        x = [1, -1, 0, 1, 1, -1, 1, 0, -1, 1] + [(-1) ** m * (t - m) for m in range(n - 10)]
+        y = [1, 1, -1, 0, 1, 1, -1, -1, 0, 1] + [(-1) ** (m // 3) * t for m in range(n - 10)]
+        out = _convolve(np.array(x, np.int64), np.array(y, np.int64))
+        assert out.dtype == dtype, t
+        assert out.tolist() == reference_convolve(x, y)
+        # the old bound, 2 (s + 1) max|x| max|y| < 2^63, refused even t = top
+        assert 22 * t * t >= 2**63
+
+
+def _expand(pairs, n):
+    """The first n coefficients of the Dirichlet polynomial sum v j^(-s)."""
+    out = [0] * n
+    for j, v in pairs:
+        if j <= n:
+            out[j - 1] += v
+    return out
+
+
+@st.composite
+def _finite_operands(draw):
+    """A dense or object operand and a dense or sparse polynomial whose
+    indices reach past n, with repeated indices and zero values."""
+    n = draw(st.integers(1, 300))
+    span_a, span_v = draw(st.sampled_from(_SPANS)), draw(st.sampled_from(_SPANS))
+    a = draw(st.lists(st.integers(-span_a, span_a), min_size=n, max_size=n))
+    dense = draw(st.booleans())
+    js = (st.integers(1, n) if dense else st.sampled_from([1, 2, 4, 9, 16, 97, n, n + 1, 2 * n + 5]))
+    pairs = draw(st.lists(st.tuples(js, st.integers(-span_v, span_v)),
+                          min_size=0, max_size=(2 * n if dense else 8)))
+    return a, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_finite_operands(), st.booleans())
+def test_convolve_by_pairs_matches_reference_loop(ops, as_object):
+    a, pairs = ops
+    seq = CoeffSeq(np.array(a, object)) if as_object else coeff_seq(a)
+    out = convolve(seq, pairs)
+    assert out.array.tolist() == reference_convolve(a, _expand(pairs, len(a)))
+
+
+def test_support_bound_picks_int64_at_its_edge():
+    # each pair adds one term to each m: max|x| * sum |v| < 2^63
+    n, pairs = 64, [(1, 1), (2, -3), (3, 2), (64, -1), (65, 2**70)]  # 65 > n is dropped
+    top = (2**63 - 1) // 7
+    for t, dtype in ((top, np.int64), (top + 1, object)):
+        x = [t if m % 3 else -t for m in range(n)]
+        out = convolve(coeff_seq(x), pairs)
+        assert out.array.dtype == dtype, t
+        assert out.array.tolist() == reference_convolve(x, _expand(pairs, n))
+    with pytest.raises(ValueError, match="j must be >= 1"):
+        convolve(ones(4), [(0, 1)])
+    assert convolve(coeff_seq([]), [(1, 1)]) == coeff_seq([])
 
 
 def test_convolve_zero_operand_beside_huge_one():

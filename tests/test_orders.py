@@ -337,6 +337,15 @@ def test_int64_solve_holds_its_bound():
             solve(order, x)
 
 
+def test_narrow_integer_rows_solve_as_int64():
+    # int32 rows once multiplied in int32: 2 * 2^27 wrapped to -2^27
+    x = np.array([[2**28, 0, 0, 0]], dtype=np.int32)
+    coords, inside = solve(Z4, x)
+    exact, exact_inside = solve(Z4, x.astype(object))
+    assert coords.tolist() == exact.tolist() == [[2**27, 0, 0, 0]]
+    assert inside.tolist() == exact_inside.tolist() == [True]
+
+
 # the key-basis inverse from the Hermite normal form
 
 def fraction_inverse(columns):
