@@ -17,19 +17,21 @@ import math
 
 import numpy as np
 
-from .arith import factorize
+from .arith import chi5, chi8, factorize
 from .dirichlet import (CoeffSeq, convolve, dirichlet_inverse, from_multiplicative,
                         ones, shift)
 from .quadfield import Ring, splitting_sign
 
 
 class CrossCheckFailure(Exception):
-    """Closed form and engine construction disagree; carries the first bad index."""
+    """The closed form and the engine give the target two different N-term
+    sequences; carries the target, N and the first m where they differ."""
 
-    def __init__(self, target: "Target", index: int, closed: int, engine: int):
-        self.target = target
-        self.index = index
-        super().__init__(f"{target.value}: closed form {closed} != engine {engine} at m = {index}")
+    def __init__(self, target: "Target", closed: CoeffSeq, engine: CoeffSeq):
+        m = int(np.flatnonzero(closed.array != engine.array)[0]) + 1
+        self.target, self.n, self.index = target, len(closed), m
+        super().__init__(f"{target.value}, N = {len(closed)}: closed form {closed[m]} != "
+                         f"engine {engine[m]} at m = {m}")
 
 
 class Target(enum.Enum):
@@ -52,17 +54,13 @@ class Target(enum.Enum):
 
 
 def g(n, r: int):
-    """(r+1) n^r + 2 (1 - (r+1) n^r + r n^(r+1)) / (n-1)^2, always an integer.
-    n may also be an int64 array whose n^(r+1) stays within int64; a Python
-    int takes plain comparisons, which are much cheaper than NumPy reductions."""
-    array = isinstance(n, np.ndarray)
-    if (np.any(n <= 1) if array else n <= 1) or r < 0:
+    """(r+1) n^r + 2 sum_{k<r} (k+1) n^k, the finite sum that the paper's
+    (r+1) n^r + 2 (1 - (r+1) n^r + r n^(r+1)) / (n-1)^2 abbreviates.  n may
+    also be an int64 array whose (3r+1) n^r, above every partial sum, fits
+    int64; a Python int takes a plain comparison, far cheaper than np.any."""
+    if (np.any(n <= 1) if isinstance(n, np.ndarray) else n <= 1) or r < 0:
         raise ValueError("g(n, r) needs n >= 2 and r >= 0")
-    num = 2 * (1 - (r + 1) * n**r + r * n ** (r + 1))
-    q, rem = divmod(num, (n - 1) ** 2)
-    if np.any(rem) if array else rem:
-        raise AssertionError("g(n, r) numerator must be divisible by (n-1)^2")
-    return (r + 1) * n**r + q
+    return (r + 1) * n**r + 2 * sum((k + 1) * n**k for k in range(r))
 
 
 # -- the Euler-factor table -------------------------------------------------
@@ -121,10 +119,7 @@ def coeff(target: Target, m: int) -> int:
     """The coefficient a(m) of the target, from the factorization of m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = 1
-    for p, e in factorize(m):
-        out *= _ppower(target, p, e)
-    return out
+    return math.prod(_ppower(target, p, e) for p, e in factorize(m))
 
 
 def ssm_count(target: Target, m: int) -> int:
@@ -171,29 +166,30 @@ def _character(chi, n: int) -> CoeffSeq:
     return CoeffSeq(np.tile(chi(np.arange(1, 41)), -(-n // 40))[:n])
 
 
-# each similarity series' order zeta, and each order's base-field zeta
+# the engine's own inputs: each real quadratic field's character, each
+# similarity series' order zeta, and each order zeta's base-field zeta
+_CHARACTER = {Target.DEDEKIND_TAU: chi5, Target.DEDEKIND_SQRT2: chi8}
 _ZETA = {Target.F_J: Target.ZETA_J, Target.F_I: Target.ZETA_I, Target.F_K: Target.ZETA_K}
-_BASE_FIELD = {
-    Target.F_J: Target.RIEMANN,
-    Target.ZETA_I: Target.DEDEKIND_TAU, Target.F_I: Target.DEDEKIND_TAU,
-    Target.ZETA_K: Target.DEDEKIND_SQRT2, Target.F_K: Target.DEDEKIND_SQRT2,
-}
+_BASE_FIELD = {Target.ZETA_J: Target.RIEMANN, Target.ZETA_I: Target.DEDEKIND_TAU,
+               Target.ZETA_K: Target.DEDEKIND_SQRT2}
 
 
 def _engine(target: Target, n: int) -> CoeffSeq:
-    """Each step holds at most three n-arrays, its operands and its result:
-    a name is dropped once it is read for the last time.  The head of a
+    """A name is dropped once it is read for the last time.  The head of a
     sequence is the sequence of the head, so the dilated inverse of a base
-    field's zeta is built from isqrt(n) terms of its own."""
+    field's zeta is built from isqrt(n) terms of its own.  zeta_J stays int64
+    for n < 2^41: with s = isqrt(n), the head bound of ones(n) by its shift
+    1..n is s (1 n + s 1) <= 2 n^(3/2) < 2^63, and the support bound of
+    sigma(m) <= m (1 + ln m) by (1 - 2 2^(-s)) is 3 n (1 + ln n) < 2^63."""
     if target is Target.RIEMANN:
         return ones(n)
-    if target in (Target.DEDEKIND_TAU, Target.DEDEKIND_SQRT2):
-        return convolve(ones(n), _character(_EULER[target][0].character, n))
-    if target is Target.ZETA_J:
-        return convolve(convolve(ones(n), _index2(-2)), CoeffSeq(np.arange(1, n + 1)))
-    if target in (Target.ZETA_I, Target.ZETA_K):
+    if target in _CHARACTER:
+        return convolve(ones(n), _character(_CHARACTER[target], n))
+    if target in _BASE_FIELD:  # zeta_F(2s) zeta_F(2s-1), by (1 - 2^(1-2s)) for the Hurwitz order
         base = _engine(_BASE_FIELD[target], n)
-        return convolve(base, shift(base))
+        zeta = convolve(base, shift(base))
+        del base
+        return convolve(zeta, _index2(-2)) if target is Target.ZETA_J else zeta
     if target is Target.F_Z4:
         return convolve(_engine(Target.F_J, n), _index2(2))
     if target in _ZETA:  # the order's zeta squared over the dilated base-field zeta
@@ -202,14 +198,16 @@ def _engine(target: Target, n: int) -> CoeffSeq:
         del zeta
         if target is Target.F_J:
             sq = convolve(sq, _index2_inverse(n, 1))
-        return convolve(sq, _dilated_inverse(_engine(_BASE_FIELD[target], math.isqrt(n))))
+        return convolve(sq, _dilated_inverse(_engine(_BASE_FIELD[_ZETA[target]], math.isqrt(n))))
     raise ValueError(f"unknown target {target!r}")
 
 
 def engine_sequence(target: Target, n: int) -> CoeffSeq:
     """The same coefficients built from the generating-function identities by
     convolution, inverse, dilation, and shift, using no prime-power rules at
-    all: the field zeta factors enter as zeta(s) * L(s, chi).
+    all: the field zeta factors enter as zeta(s) * L(s, chi).  It reads its
+    own inputs, never the Euler table or a Ring row: no single fault in the
+    closed form's data moves both routes of the cross-check together.
 
     In the "square" indexing, arguments 2s come for free, s -> 2s-1 is shift,
     4s is dilation by 2, and the correction factors (1 - 2^(1-2s)),
@@ -232,6 +230,5 @@ def series(target: Target, n: int) -> CoeffSeq:
     engine = engine_sequence(target, n)
     closed = closed_sequence(target, n)
     if closed != engine:
-        bad = int(np.flatnonzero(closed.array != engine.array)[0]) + 1
-        raise CrossCheckFailure(target, bad, closed[bad], engine[bad])
+        raise CrossCheckFailure(target, closed, engine)
     return closed

@@ -45,6 +45,8 @@ def test_factorize_splits_large_cofactors():
     # a composite cofactor beyond the proven primality bound is still refused
     with pytest.raises(ValueError, match="primality bound"):
         factorize((2**61 - 1) ** 2)
+    with pytest.raises(ValueError, match="m >= 1"):
+        factorize(0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -43,6 +43,8 @@ def test_zeta_special_values_modest_truncation():
                  "dedekind_sqrt2_2", "dedekind_sqrt2_4"):
         check = zeta_special_value_check(name, n_terms=20_000)
         assert check.relative_error < 1e-5, check
+    with pytest.raises(ValueError, match="unknown zeta value 'zeta_3'"):
+        zeta_special_value_check("zeta_3")
 
 
 def test_estimate_constant_trend():

@@ -126,6 +126,9 @@ def test_constants_rejects_bad_terms(capsys):
     assert code == 2
     assert out == ""
     assert "terms must be >= 1" in err
+    code, out, err = run(capsys, "constants", "--estimate", "--terms", "15")
+    assert (code, out) == (2, "")
+    assert "terms must be >= 16 for estimates" in err
 
 
 @pytest.mark.parametrize("command", (["series", "--target", "f_j"], ["verify"],
@@ -273,9 +276,10 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         return seq
 
     monkeypatch.setattr(cli_mod, "closed_sequence", broken)
-    code, out, _ = run(capsys, "verify", "--target", "f_j", "--terms", "50")
+    code, out, err = run(capsys, "verify", "--target", "f_j", "--terms", "50")
     assert code == 1
     assert "FAIL engine-vs-closed-form" in out
+    assert err == "FAIL f_j, N = 50: closed form 1 != engine 8 at m = 3\n"
 
 
 def test_verify_multiplicativity_checks_the_engine(capsys, monkeypatch):
@@ -300,13 +304,14 @@ def test_series_cross_check_failure_exits_one(capsys, monkeypatch):
     from similitude.counting import CrossCheckFailure, Target
 
     def explode(target, n):
-        raise CrossCheckFailure(Target.F_J, 3, 8, 7)
+        raise CrossCheckFailure(Target.F_J, coeff_seq([1, 1, 8, 1, 12]),
+                                coeff_seq([1, 1, 7, 1, 12]))
 
     monkeypatch.setattr(cli_mod, "series", explode)
     code, out, err = run(capsys, "series", "--target", "f_j", "--terms", "5")
     assert code == 1
     assert out == ""
-    assert "FAIL" in err and "m = 3" in err
+    assert err == "FAIL f_j, N = 5: closed form 8 != engine 7 at m = 3\n"
 
 
 def _child_env() -> dict[str, str]:

@@ -16,11 +16,23 @@ from similitude.dirichlet import (CoeffSeq, coeff_seq, convolve,
 from similitude.quadfield import Ring, is_representable_index
 
 
+def paper_g(n: int, r: int) -> int:
+    """The paper's closed formula (r+1) n^r + 2 (1 - (r+1) n^r + r n^(r+1)) / (n-1)^2."""
+    num = 2 * (1 - (r + 1) * n**r + r * n ** (r + 1))
+    assert num % (n - 1) ** 2 == 0
+    return (r + 1) * n**r + num // (n - 1) ** 2
+
+
 def test_g_examples():
     assert g(3, 2) == 41
     assert g(5, 1) == 12
     for n in (2, 3, 5, 7, 11):
         assert g(n, 0) == 1
+    ns = range(2, 51)
+    for r in range(9):  # (3r+1) 50^r < 2^63
+        expected = [paper_g(n, r) for n in ns]
+        assert [g(n, r) for n in ns] == expected, r
+        assert g(np.array(ns, np.int64), r).tolist() == expected, r
     with pytest.raises(ValueError):
         g(1, 2)
     with pytest.raises(ValueError):
@@ -29,7 +41,7 @@ def test_g_examples():
 
 def test_g_scalar_and_array_branches_agree():
     ns = [2, 3, 5, 7, 11, 13, 97, 1009]
-    for r in range(5):  # 1009^(r+1) and the numerator stay within int64
+    for r in range(5):  # (3r+1) 1009^r stays within int64
         out = g(np.array(ns, np.int64), r)
         assert out.tolist() == [g(n, r) for n in ns], r
         assert all(type(g(n, r)) is int for n in ns)
@@ -140,6 +152,8 @@ def test_engine_matches_closed_forms():
     n = 3000
     for target in Target:
         assert engine_sequence(target, n) == closed_sequence(target, n), target
+    with pytest.raises(ValueError, match="unknown target 'f_x'"):
+        engine_sequence("f_x", n)
 
 
 def test_engine_composition_spot_values():
@@ -176,8 +190,94 @@ def test_cross_check_failure_reports_index(monkeypatch):
     with pytest.raises(CrossCheckFailure) as info:
         series(Target.F_J, 12)
     assert info.value.index == 5
+    assert info.value.n == 12
     assert info.value.target is Target.F_J
-    assert str(info.value) == "f_j: closed form 12 != engine 13 at m = 5"
+    assert str(info.value) == "f_j, N = 12: closed form 12 != engine 13 at m = 5"
+
+
+# -- the runtime cross-check's sensitivity: a single fault in either route's
+# data must make series raise at the N that verify uses (mutation testing,
+# DeMillo, Lipton and Sayward, Computer 11, 1978)
+
+MUTATION_N = 10**4
+
+# single faults that change no coefficient, each with the reason
+EQUIVALENT_MUTANTS = {
+    (Target.RIEMANN, (Ring.RATIONAL, counting._one, 1)):
+        "the rule 1 already gives 1 at 2^e over Z",
+    (Target.DEDEKIND_SQRT2, (Ring.SQRT2, counting._one, 1)):
+        "2 ramifies in Z[sqrt2], where the rule 1 already gives 1 at 2^e",
+}
+
+
+def cross_check_outcome(target):
+    """'caught' when series raises CrossCheckFailure, 'unseen' when it
+    returns, else the name of the exception it raises."""
+    try:
+        series(target, MUTATION_N)
+    except CrossCheckFailure:
+        return "caught"
+    except Exception as exc:  # a fault that crashes a route is not caught by the check
+        return type(exc).__name__
+    return "unseen"
+
+
+def test_cross_check_catches_every_single_fault_of_the_euler_table(monkeypatch):
+    # each row (base ring, rule h, value at 2^e): another ring, another
+    # rule, or another value at 2^e out of None and 0-3
+    mutants = []
+    for target, (ring, h, at2) in counting._EULER.items():
+        mutants += [(target, (r, h, at2)) for r in Ring if r is not ring]
+        mutants += [(target, (ring, rule, at2)) for rule in (counting._one, counting._sigma, g)
+                    if rule is not h]
+        mutants += [(target, (ring, h, v)) for v in (None, 0, 1, 2, 3) if v != at2]
+    assert len(mutants) == 80
+    outcomes = {}
+    for target, row in mutants:
+        with monkeypatch.context() as patch:
+            patch.setitem(counting._EULER, target, row)
+            outcomes[target, row] = cross_check_outcome(target)
+    assert {k: v for k, v in outcomes.items() if k in EQUIVALENT_MUTANTS} == dict.fromkeys(
+        EQUIVALENT_MUTANTS, "unseen")
+    missed = {k: v for k, v in outcomes.items() if k not in EQUIVALENT_MUTANTS and v != "caught"}
+    assert missed == {}
+
+
+def test_cross_check_catches_swapped_characters(monkeypatch):
+    swaps = ((Ring.GOLDEN, arith.chi8, (Target.DEDEKIND_TAU, Target.ZETA_I, Target.F_I)),
+             (Ring.SQRT2, arith.chi5, (Target.DEDEKIND_SQRT2, Target.ZETA_K, Target.F_K)))
+    missed = {}
+    for ring, wrong, targets in swaps:
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "character", wrong)
+            for target in targets:
+                if (outcome := cross_check_outcome(target)) != "caught":
+                    missed[ring, target] = outcome
+    assert missed == {}
+
+
+def test_cross_check_catches_engine_constant_faults(monkeypatch):
+    index2, index2_inverse = counting._index2, counting._index2_inverse
+    hurwitz = (Target.ZETA_J, Target.F_J, Target.F_Z4)
+    similarity = (Target.F_J, Target.F_Z4, Target.F_I, Target.F_K)
+    mutants = {  # name -> (function, its faulty stand-in, the targets that read it)
+        "_index2 c + 1": ("_index2", lambda c: index2(c + 1), hurwitz),
+        "_index2 c - 1": ("_index2", lambda c: index2(c - 1), hurwitz),
+        "_index2_inverse c + 1": ("_index2_inverse", lambda n, c: index2_inverse(n, c + 1),
+                                  hurwitz[1:]),
+        "_index2_inverse c - 1": ("_index2_inverse", lambda n, c: index2_inverse(n, c - 1),
+                                  hurwitz[1:]),
+        "_index2_inverse dropped": ("_index2_inverse", lambda n, c: [(1, 1)], hurwitz[1:]),
+        "_dilated_inverse dropped": ("_dilated_inverse", lambda head: [(1, 1)], similarity),
+    }
+    missed = {}
+    for name, (attr, faulty, targets) in mutants.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, attr, faulty)
+            for target in targets:
+                if (outcome := cross_check_outcome(target)) != "caught":
+                    missed[name, target] = outcome
+    assert missed == {}
 
 
 def expand(pairs, n):

@@ -131,6 +131,8 @@ def test_dilate_and_shift():
     dk = dilate(a, 3)
     for m in range(1, 5):
         assert dk[m**3] == a[m]
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        dilate(a, 0)
 
 
 def test_from_multiplicative():
@@ -170,6 +172,9 @@ def test_coeff_seq_equality_is_by_value_across_dtypes():
     assert big == CoeffSeq(np.array([1, 2**70], object))
     assert big != coeff_seq([1, 2**70 + 1])
     assert big[2] == 2**70 and type(small[1]) is int
+    for m in (0, 4):
+        with pytest.raises(IndexError, match=f"m = {m} outside 1..3"):
+            small[m]
     with pytest.raises(TypeError, match="unhashable"):
         hash(small)
 

@@ -226,6 +226,12 @@ def test_census_failure_names_the_class(monkeypatch):
     with pytest.raises(AssertionError, match=r"cubian m=2 lambda=2\+1r2: 13825 frames "
                                              r"!= \|Aut\| 2304 \* 6 SSMs"):
         oracle.census.__wrapped__(CUBIAN, 2)
+    # both lambda classes of norm 7 searched as the first must trip the overlap check
+    first, second = oracle._lambdas(Ring.SQRT2, 7)
+    monkeypatch.setattr(oracle, "_search",
+                        lambda lattice, lam: real(lattice, first if lam == second else lam))
+    with pytest.raises(AssertionError, match="cubian m=7: an SSM appears under two lambda classes"):
+        oracle.census.__wrapped__(CUBIAN, 7)
 
 
 def test_norm_vectors_refuse_large_lambda_before_allocating():

@@ -86,6 +86,23 @@ def test_ring_rules_and_order_decisions_have_one_owner():
     assert private == []
 
 
+def test_engine_reads_none_of_the_closed_form():
+    # the cross-check's two routes are independent only if the engine takes
+    # its characters and base fields from its own maps: no engine function
+    # or map names the Euler table, its evaluators or a Ring row
+    engine = {"_engine", "engine_sequence", "_character", "_index2", "_index2_inverse",
+              "_dilated_inverse", "_CHARACTER", "_ZETA", "_BASE_FIELD"}
+    closed_form = {"_EULER", "_ppower", "coeff", "closed_sequence", "splitting_sign", "Ring"}
+    tree = ast.parse((Path(similitude.__file__).resolve().parent / "counting.py").read_text())
+    defs = {getattr(d, "name", None) or getattr(d.targets[0], "id", None): d for d in tree.body
+            if isinstance(d, ast.FunctionDef) or isinstance(d, ast.Assign) and len(d.targets) == 1}
+    assert engine <= defs.keys()
+    reads = [f"{name} (line {node.lineno}): {ref}" for name in sorted(engine)
+             for node in ast.walk(defs[name])
+             if (ref := getattr(node, "id", None) or getattr(node, "attr", None)) in closed_form]
+    assert reads == []
+
+
 def test_only_quat_builds_quaternions():
     # order arithmetic runs on integer rows of doubled coordinates; a Quat is
     # built only by quat.py itself (the functions that take one convert it)

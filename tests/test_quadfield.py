@@ -29,6 +29,13 @@ def test_norm_examples():
     assert QuadInt(RAT, -7).norm() == -7
 
 
+def test_elements_stay_in_their_ring():
+    with pytest.raises(ValueError, match="no omega component"):
+        QuadInt(RAT, 1, 1)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        TAU + QuadInt(SQ2, 0, 1)
+
+
 def test_conjugate_examples():
     assert TAU.conjugate() == QuadInt(GOLD, 1, -1)  # 1 - tau
     assert QuadInt(RAT, 3).conjugate() == QuadInt(RAT, 3)
@@ -154,6 +161,8 @@ def test_representable_index():
     assert not is_representable_index(6, SQ2)  # 3 inert, odd power
     assert is_representable_index(12, RAT)
     assert is_representable_index(1, GOLD)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        is_representable_index(0, GOLD)
     # matches a direct search over the norm form x^2 + xy - y^2
     rep = set()
     for x in range(-60, 61):
