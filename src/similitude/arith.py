@@ -161,3 +161,22 @@ def chi5(m):
 def chi8(m):
     """Quadratic character mod 8: +1 at +-1, -1 at +-3, else 0; of an int or an int array."""
     return _residue_rule((0, 1, 0, -1, 0, -1, 0, 1), m)
+
+
+_TWO = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) by a % 8, and (2/a) at odd a (Cohen's tab2)
+
+
+def kronecker(d: int, n: int) -> int:
+    """The Kronecker symbol (d/n) for n >= 1 by the binary Jacobi algorithm
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
+    if n < 1:
+        raise ValueError("kronecker requires n >= 1")
+    a, b, k = d, n, 1
+    while b % 2 == 0:  # (d/n) = (d/2) (d/(n/2)), and (d/2) = 0 at even d
+        b, k = b // 2, k * _TWO[a % 8]
+    while a:  # (a/b) for odd b > 0
+        while a % 2 == 0:
+            a, k = a // 2, k * _TWO[b % 8]
+        k = -k if a & b & 2 else k  # reciprocity: a, b = 3 mod 4 (& is two's complement)
+        a, b = b % abs(a), abs(a)
+    return k if b == 1 else 0

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .arith import chi5, chi8, factorize
+from .arith import factorize, kronecker
 from .dirichlet import (CoeffSeq, convolve, dirichlet_inverse, from_multiplicative,
                         ones, shift)
 from .quadfield import Ring, splitting_sign
@@ -160,15 +160,15 @@ def _dilated_inverse(head: CoeffSeq) -> list[tuple[int, int]]:
     return [(m * m, v) for m, v in enumerate(b.array.tolist(), 1) if v]
 
 
-def _character(chi, n: int) -> CoeffSeq:
-    """chi(1..n) for a character of period dividing 40 (chi5, chi8), tiled
-    from its first 40 values: the column is the only n-array built."""
-    return CoeffSeq(np.tile(chi(np.arange(1, 41)), -(-n // 40))[:n])
+def _character(d: int, n: int) -> CoeffSeq:
+    """The Kronecker symbol (d/m) for m = 1..n, of a real quadratic field's
+    discriminant d, tiled from one period m = 1..d: the only n-array built."""
+    return CoeffSeq(np.tile(np.array([kronecker(d, m) for m in range(1, d + 1)]), -(-n // d))[:n])
 
 
-# the engine's own inputs: each real quadratic field's character, each
+# the engine's own inputs: each real quadratic field's discriminant, each
 # similarity series' order zeta, and each order zeta's base-field zeta
-_CHARACTER = {Target.DEDEKIND_TAU: chi5, Target.DEDEKIND_SQRT2: chi8}
+_DISCRIMINANT = {Target.DEDEKIND_TAU: 5, Target.DEDEKIND_SQRT2: 8}
 _ZETA = {Target.F_J: Target.ZETA_J, Target.F_I: Target.ZETA_I, Target.F_K: Target.ZETA_K}
 _BASE_FIELD = {Target.ZETA_J: Target.RIEMANN, Target.ZETA_I: Target.DEDEKIND_TAU,
                Target.ZETA_K: Target.DEDEKIND_SQRT2}
@@ -183,8 +183,8 @@ def _engine(target: Target, n: int) -> CoeffSeq:
     sigma(m) <= m (1 + ln m) by (1 - 2 2^(-s)) is 3 n (1 + ln n) < 2^63."""
     if target is Target.RIEMANN:
         return ones(n)
-    if target in _CHARACTER:
-        return convolve(ones(n), _character(_CHARACTER[target], n))
+    if target in _DISCRIMINANT:
+        return convolve(ones(n), _character(_DISCRIMINANT[target], n))
     if target in _BASE_FIELD:  # zeta_F(2s) zeta_F(2s-1), by (1 - 2^(1-2s)) for the Hurwitz order
         base = _engine(_BASE_FIELD[target], n)
         zeta = convolve(base, shift(base))
@@ -205,9 +205,9 @@ def _engine(target: Target, n: int) -> CoeffSeq:
 def engine_sequence(target: Target, n: int) -> CoeffSeq:
     """The same coefficients built from the generating-function identities by
     convolution, inverse, dilation, and shift, using no prime-power rules at
-    all: the field zeta factors enter as zeta(s) * L(s, chi).  It reads its
-    own inputs, never the Euler table or a Ring row: no single fault in the
-    closed form's data moves both routes of the cross-check together.
+    all: the field zeta factors enter as zeta(s) L(s, (d/.)), d the field's
+    discriminant.  It reads its own inputs, never the Euler table, a Ring row
+    or chi5/chi8: no single fault in the closed form's data moves both routes.
 
     In the "square" indexing, arguments 2s come for free, s -> 2s-1 is shift,
     4s is dilation by 2, and the correction factors (1 - 2^(1-2s)),

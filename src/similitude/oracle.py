@@ -86,8 +86,8 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
     packed value determines its (a, b), and a pair matches 4 lam exactly
     when both parts agree; the rational parts stay below 12T, the packed
     values below 2^48.  Over Z, b = 0 and T = 2 lam.  The int64 `solve`
-    then meets |X| <= 6r <= 6,144, |adj| <= 16 (det 8 or 16) and rank <= 8,
-    so |adj X| <= 8 * 16 * 6,144 < 2^20 (`solve` asserts its bound).
+    then meets |X| <= 6r <= 6,144, max|U| <= 2 and rank n <= 8, so its
+    |q| <= 2^7 * 6,145 < 2^20 and |q U| < 2 * 2^8 * 6,145 < 2^22 (asserted).
     """
     big_t = (lam + lam.conjugate()).a
     if big_t >= 1 << 20:

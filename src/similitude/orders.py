@@ -6,7 +6,7 @@ Each order is one table row: its name, its base ring, one Z[w]-basis of
 units and the largest m its census runs.  This module alone decides the
 key basis (`key_basis`: rows, then over Z[w] w times the rows), the rank of
 key coordinates (`Order.rank`: 4 over Z, 8 over Z[w]) and membership
-(`solve`: adj x = 0 mod det, adj by `lattice.hnf_solve` from the HNF).  Its
+(`solve`: `lattice.hnf_solve` on the key basis's HNF, coordinates q U).  Its
 arithmetic runs on integer rows of doubled coordinates (`_product`,
 `_reduced_norm`; a `Quat` argument is converted once), as does the product
 table on the key basis (`structure`) that the kind test and a*O*b keys read.
@@ -93,42 +93,30 @@ def _doubled_coords(order: Order, quat: Quat):
     return (tuple(f * n.a for n in quat.nums) + tuple(f * n.b for n in quat.nums))[:order.rank]
 
 
-def _inverse_scaled(columns: list[tuple[int, ...]]) -> tuple[np.ndarray, int]:
-    """(adj, det) for the nonsingular integer matrix B with the given
-    columns: det = |det B| and adj = det * B^{-1} (Python ints).  The HNF of
-    [B | I] is [H | U] with H = U B and U unimodular, so det = prod diag H,
-    B^{-1} = H^{-1} U, and det * H^{-1} = adj H solves q H = det * I."""
-    n = len(columns)
-    hu = hnf_rows([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(zip(*columns))], n)
-    key = LatticeKey(tuple(r[:n] for r in hu))
-    x, _ = hnf_solve(key.hnf, key.index * np.eye(n, dtype=object))
-    return x @ np.array([r[n:] for r in hu], dtype=object), key.index
-
-
 @lru_cache(maxsize=None)
-def _data(order: Order) -> tuple[np.ndarray, int]:
-    """(adj, det) of the key basis, adj read-only and of Python ints."""
-    adj, det = _inverse_scaled(key_basis(order, np.array(order.units, dtype=np.int64)).tolist())
-    adj.flags.writeable = False
-    return adj, det
+def _data(order: Order) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """(H, U) for the key basis K: [H | U] is the HNF of [K | I], so H = U K; U read-only int64."""
+    k, n = key_basis(order, np.array(order.units, dtype=np.int64)).tolist(), order.rank
+    hu = hnf_rows([r + [int(i == j) for j in range(n)] for i, r in enumerate(k)], n)
+    u = np.array([r[n:] for r in hu], dtype=np.int64)
+    u.flags.writeable = False
+    return tuple(r[:n] for r in hu), u
 
 
 def solve(order: Order, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Key coordinates adj x / det of the rows x of doubled coordinates, and
-    which rows lie in the order: those with adj x = 0 mod det.  In the dtype
-    of x: object for exact Python ints, or int64 while max|adj| * rank *
-    max|x| < 2^63 (asserted), which bounds adj x; narrower integer rows are
-    solved as int64.  For the four orders |adj| <= 16 and det is 8 or 16;
-    the int64 callers are `structure` (|x| <= 4) and `oracle._norm_vectors`
-    (|x| <= 6r <= 6,144), so |adj x| < 2^20."""
-    adj, det = _data(order)
+    """Key coordinates c (x = c K) of the rows x of doubled coordinates, and
+    which rows lie in the order: `hnf_solve` gives x = q H for the HNF H = U K
+    of the key basis K, so c = q U.  In the dtype of x: object for exact ints,
+    else int64.  `hnf_solve` bounds |q_j| <= 2^(n-1-j) (M + 1), M = max|x|, so
+    |c| < 2^n (M + 1) max|U| < 2^63 (asserted).  For the four orders max|U| <= 2
+    and n <= 8: the int64 callers `structure` (|x| <= 4) and
+    `oracle._norm_vectors` (|x| <= 6,144) meet |q| < 2^20 and |c| < 2^22."""
+    h, u = _data(order)
     if x.dtype != object:
-        x = x.astype(np.int64, copy=False)  # narrower rows would wrap in their own dtype
-        big_x = magnitude(x)
-        top = ((1 << 63) - 1) // (int(np.abs(adj).max()) * x.shape[1])  # max|adj| rank max|x| < 2^63
+        big_x, top = magnitude(x), ((1 << 63) - 1) // (magnitude(u) << order.rank) - 1
         assert big_x <= top, f"{order.name} solve: max|x| = {big_x} is above the int64 bound {top}"
-    c = x @ adj.astype(x.dtype, copy=False).T
-    return c // det, (c % det == 0).all(axis=1)
+    q, inside = hnf_solve(h, x)
+    return q @ u.astype(q.dtype, copy=False), inside
 
 
 def _sign_table() -> np.ndarray:

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from similitude.arith import (PRIMALITY_LIMIT, chi5, chi8, factorize, is_prime,
+from similitude.arith import (PRIMALITY_LIMIT, chi5, chi8, factorize, is_prime, kronecker,
                               odd_divisor_sums, primes_up_to)
 from similitude.counting import Target, coeff, ssm_count
 
@@ -83,3 +85,27 @@ def test_odd_divisor_sums():
         assert sums[0] == 0
         for m in range(1, n + 1):
             assert sums[m] == sum(d for d in range(1, m + 1, 2) if m % d == 0), (n, m)
+
+
+def test_kronecker_equals_the_quadratic_characters():
+    # (5/m) and (8/m), the engine's characters, are chi5 and chi8, which
+    # the closed form reads
+    m = np.arange(1, 10**4 + 1)
+    assert [kronecker(5, k) for k in m.tolist()] == chi5(m).tolist()
+    assert [kronecker(8, k) for k in m.tolist()] == chi8(m).tolist()
+
+
+def test_kronecker_against_its_definition():
+    # Euler's criterion d^((p-1)/2) = (d/p) mod p at odd primes p, the rule
+    # (d/2) = 0, +1 or -1 as d is even, +-1 or +-3 mod 8, and complete
+    # multiplicativity in n, for d of either sign
+    primes = [p for p in primes_up_to(200).tolist() if p > 2]
+    for d in range(-60, 61):
+        for p in primes:
+            assert kronecker(d, p) % p == pow(d, (p - 1) // 2, p), (d, p)
+        assert kronecker(d, 2) == (0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1), d
+        assert kronecker(d, 1) == 1
+        for n in (4, 6, 9, 12, 15, 45, 64, 90, 105):
+            assert kronecker(d, n) == math.prod(kronecker(d, p) ** e for p, e in factorize(n)), (d, n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        kronecker(5, 0)

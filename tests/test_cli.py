@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -365,3 +366,18 @@ def test_console_entry_freezes_the_collector_before_exit():
     proc = _cli_process("series", "--target", "riemann", "--terms", "3", code=hook)
     assert (proc.returncode, proc.stdout) == (0, "1 1 1\n2 2 1\n3 3 1\n")
     assert proc.stderr == "frozen True\n"
+
+
+def test_benchmark_commands_print_their_reference_digests(capsys):
+    # the benchmark checks every command's stdout against a sha256 in
+    # perfbench/reference.json (keyed by its argument list); any drift in the
+    # output fails here, before a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())
+    assert len(reference) == 9
+    drift = {}
+    for argv, digest in reference.items():
+        code, out, _ = run(capsys, *argv.split())
+        if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, digest):
+            drift[argv] = code
+    assert drift == {}

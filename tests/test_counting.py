@@ -243,17 +243,84 @@ def test_cross_check_catches_every_single_fault_of_the_euler_table(monkeypatch):
     assert missed == {}
 
 
+RING_TARGETS = {Ring.GOLDEN: (Target.DEDEKIND_TAU, Target.ZETA_I, Target.F_I),
+                Ring.SQRT2: (Target.DEDEKIND_SQRT2, Target.ZETA_K, Target.F_K)}
+
+
 def test_cross_check_catches_swapped_characters(monkeypatch):
-    swaps = ((Ring.GOLDEN, arith.chi8, (Target.DEDEKIND_TAU, Target.ZETA_I, Target.F_I)),
-             (Ring.SQRT2, arith.chi5, (Target.DEDEKIND_SQRT2, Target.ZETA_K, Target.F_K)))
+    swaps = ((Ring.GOLDEN, arith.chi8), (Ring.SQRT2, arith.chi5))
     missed = {}
-    for ring, wrong, targets in swaps:
+    for ring, wrong in swaps:
         with monkeypatch.context() as patch:
             patch.setattr(ring, "character", wrong)
-            for target in targets:
+            for target in RING_TARGETS[ring]:
                 if (outcome := cross_check_outcome(target)) != "caught":
                     missed[ring, target] = outcome
     assert missed == {}
+
+
+CHI_TABLES = {Ring.GOLDEN: ("chi5", (0, 1, -1, -1, 1)),
+              Ring.SQRT2: ("chi8", (0, 1, 0, -1, 0, -1, 0, 1))}
+
+
+def test_cross_check_catches_character_table_faults(monkeypatch):
+    # a fault in chi5's or chi8's residue table reaches only the closed form
+    # (the engine reads the Kronecker symbol of its own discriminant): each
+    # single change of an entry, and chi8 read as (-4/n), must be caught on
+    # the field zeta, the order zeta and the f_* of its ring.  The faulty
+    # table replaces every reference to the character: arith's and the Ring row's
+    mutants = [(Ring.SQRT2, (0, 1, 0, -1, 0, 1, 0, -1))]
+    for ring, (name, table) in CHI_TABLES.items():
+        assert (arith._residue_rule(table, np.arange(40)) == getattr(arith, name)(np.arange(40))).all()
+        mutants += [(ring, table[:i] + (v,) + table[i + 1:])
+                    for i in range(len(table)) for v in (-1, 0, 1) if v != table[i]]
+    assert len(mutants) == 1 + 10 + 16
+    outcomes = {}
+    for ring, table in mutants:
+        with monkeypatch.context() as patch:
+            character = lambda m, table=table: arith._residue_rule(table, m)
+            patch.setattr(arith, CHI_TABLES[ring][0], character)
+            patch.setattr(ring, "character", character)
+            for target in RING_TARGETS[ring]:
+                outcomes[table, target] = cross_check_outcome(target)
+    # no prime is 0, 4 or 6 mod 8: a change of chi8 there reaches no coefficient
+    chi8 = CHI_TABLES[Ring.SQRT2][1]
+    equivalent = {(table, target) for table, target in outcomes
+                  if len(table) == 8 and all(table[r] == chi8[r] for r in (1, 2, 3, 5, 7))}
+    assert len(equivalent) == 6 * 3
+    assert {k: v for k, v in outcomes.items() if v != "caught"} == dict.fromkeys(equivalent, "unseen")
+
+
+def test_cross_check_catches_kronecker_faults(monkeypatch):
+    # a fault in kronecker reaches only the engine.  Each single change of
+    # one value of a period, (d/m) for d = 5, 8 and m <= d, must be caught
+    # on the three targets of its ring; so must kronecker's (d/2) table
+    # _TWO negated, on both rings.  Two outcomes differ, each with its reason:
+    # - zeta_k does not see the negation: for d = 8 it strips three 2s from
+    #   every odd m, which negates the whole character and with it the engine's
+    #   zeta_sqrt2, and zeta_K(s) = zeta_sqrt2(2s) zeta_sqrt2(2s-1) is a
+    #   product of two of them;
+    # - with (d/1) = 0 the engine's field zeta has a(1) = 0, and the f_*
+    #   stop with dirichlet_inverse's ValueError before the comparison
+    kronecker = arith.kronecker
+    mutants = {}  # name -> (module, name in it, its faulty stand-in, the targets that read it)
+    for ring, d in ((Ring.GOLDEN, 5), (Ring.SQRT2, 8)):
+        for m in range(1, d + 1):
+            for v in {-1, 0, 1} - {kronecker(d, m)}:
+                fault = lambda e, k, d=d, m=m, v=v: v if (e, k) == (d, m) else kronecker(e, k)
+                mutants[f"({d}/{m}) = {v}"] = (counting, "kronecker", fault, RING_TARGETS[ring])
+    assert len(mutants) == 2 * 5 + 2 * 8
+    mutants["(d/2) flipped"] = (arith, "_TWO", tuple(-v for v in arith._TWO),
+                                RING_TARGETS[Ring.GOLDEN] + RING_TARGETS[Ring.SQRT2])
+    outcomes = {}
+    for name, (module, attr, fault, targets) in mutants.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attr, fault)
+            for target in targets:
+                outcomes[name, target] = cross_check_outcome(target)
+    assert {k: v for k, v in outcomes.items() if v != "caught"} == {
+        ("(d/2) flipped", Target.ZETA_K): "unseen",
+        ("(5/1) = 0", Target.F_I): "ValueError", ("(8/1) = 0", Target.F_K): "ValueError"}
 
 
 def test_cross_check_catches_engine_constant_faults(monkeypatch):

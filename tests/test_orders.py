@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from similitude.lattice import hnf_rows, hnf_solve, lattice_key
 from similitude.oracle import _lambdas, _norm_vectors, enumerate_ssm
-from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _inverse_scaled,
-                               _product, _reduced_norm, element, is_member,
-                               key_basis, module_lattice, solve, structure)
+from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _product,
+                               _reduced_norm, element, is_member, key_basis,
+                               module_lattice, solve, structure)
 from similitude.quadfield import QuadInt, Ring
 from similitude.quat import Quat
 
@@ -320,12 +320,12 @@ def test_integer_product_equals_the_quaternion_product():
 
 
 def test_int64_solve_holds_its_bound():
-    # rows up to the int64 bound of `solve` give the exact object solve's
-    # result; a row one past it is refused
+    # rows up to the int64 bound of `solve`, max|U| 2^n (max|x| + 1) < 2^63,
+    # give the exact object solve's result; a row one past it is refused
     rng = np.random.default_rng(5)
     for order in ORDERS.values():
-        adj, _ = _data(order)
-        top = ((1 << 63) - 1) // (int(np.abs(adj).max()) * order.rank)
+        u = _data(order)[1]
+        top = ((1 << 63) - 1) // (int(np.abs(u).max()) << order.rank) - 1
         x = rng.integers(-top, top, (50, order.rank), endpoint=True)
         x[0, 0] = top
         coords, inside = solve(order, x)
@@ -368,20 +368,29 @@ def fraction_inverse(columns):
     return [row[n:] for row in m], det
 
 
-def test_inverse_scaled_equals_the_fraction_inverse():
-    rng = random.Random(11)
-    for n in (4, 8):
-        for _ in range(40):
-            columns = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            try:
-                inv, det = fraction_inverse(columns)
-            except StopIteration:  # no pivot: B is singular
-                continue
-            adj, d = _inverse_scaled(columns)
-            assert d == abs(det)
-            assert [[Fraction(x, d) for x in row] for row in adj] == inv
+def test_solve_equals_the_fraction_inverse():
+    # x = c K for the key basis K: c = x K^-1 by Gauss-Jordan over the
+    # rationals, and x lies in the order iff c is integral; on members
+    # (integer combinations of K) and on random rows, int64 and object
+    rng = np.random.default_rng(11)
+    for order in ORDERS.values():
+        k = key_basis(order, np.array(order.units, dtype=np.int64))
+        inv, _ = fraction_inverse(k.T.tolist())  # B = K: the columns of K are the rows of K^T
+        members = rng.integers(-50, 51, (30, order.rank)) @ k
+        x = np.vstack([members, rng.integers(-50, 51, (60, order.rank)), members[:10] + k[0] // 2])
+        want = [[sum(Fraction(a) * inv[i][j] for i, a in enumerate(row)) for j in range(order.rank)]
+                for row in x.tolist()]
+        want_inside = [all(c.denominator == 1 for c in row) for row in want]
+        assert 30 <= sum(want_inside) < len(x)
+        for rows in (x, x.astype(object)):
+            coords, inside = solve(order, rows)
+            assert inside.tolist() == want_inside, order.name
+            assert [c for c, i in zip(coords.tolist(), want_inside) if i] == [
+                [int(v) for v in c] for c, i in zip(want, want_inside) if i], order.name
 
 
+# (det, adj) of each key basis K, adj = det (K^-1)^T, as the Gauss-Jordan
+# solve gave them: a reference that no program path reads
 ADJ_DET = {
     "z4": (16, ((8, 0, 0, 0), (0, 8, 0, 0), (0, 0, 8, 0), (0, 0, 0, 8))),
     "d4star": (8, ((4, 0, 0, -4), (0, 4, 0, -4), (0, 0, 4, -4), (0, 0, 0, 8))),
@@ -396,12 +405,23 @@ ADJ_DET = {
 }
 
 
-def test_order_adjugates_are_fixed():
-    # the (adj, det) of each key basis, as the Gauss-Jordan solve gave them
+def test_solve_agrees_with_the_order_adjugates():
+    # x = c K gives c = x adj^T / det: on random member rows solve is exactly
+    # that, and on random rows a row is inside iff x adj^T = 0 mod det.  The
+    # (H, U) that solve reads is H = U K with U int64 and read-only (shared
+    # through the cache)
+    rng = np.random.default_rng(13)
     for name, (det, adj) in ADJ_DET.items():
-        data_adj, data_det = _data(ORDERS[name])
-        assert (data_det, tuple(map(tuple, data_adj.tolist()))) == (det, adj), name
-        assert not data_adj.flags.writeable  # shared through the cache
+        order, adj = ORDERS[name], np.array(adj, dtype=object)
+        k = key_basis(order, np.array(order.units, dtype=np.int64))
+        x = rng.integers(-40, 41, (200, order.rank)) @ k
+        coords, inside = solve(order, x)
+        assert inside.all() and coords.tolist() == (x.astype(object) @ adj.T // det).tolist(), name
+        x = rng.integers(-40, 41, (200, order.rank))
+        assert solve(order, x)[1].tolist() == ((x.astype(object) @ adj.T) % det == 0).all(axis=1).tolist()
+        h, u = _data(order)
+        assert u.dtype == np.int64 and not u.flags.writeable
+        assert (u @ k).tolist() == [list(r) for r in h] and h == lattice_key(k.tolist(), order.rank).hnf
 
 
 # a*O*b against the census

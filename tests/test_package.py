@@ -86,20 +86,40 @@ def test_ring_rules_and_order_decisions_have_one_owner():
     assert private == []
 
 
+def _names(tree, names) -> list[str]:
+    """Each Name, Attribute or imported name in the tree that is one of the names."""
+    return [f"line {node.lineno}: {ref}" for node in ast.walk(tree)
+            if (ref := getattr(node, "id", None) or getattr(node, "attr", None)
+                or isinstance(node, ast.alias) and node.name) in names]
+
+
 def test_engine_reads_none_of_the_closed_form():
-    # the cross-check's two routes are independent only if the engine takes
-    # its characters and base fields from its own maps: no engine function
-    # or map names the Euler table, its evaluators or a Ring row
+    # the cross-check's two routes are independent only if each reads its
+    # own data: no engine function or map names the Euler table, its
+    # evaluators, a Ring row or the closed form's characters chi5 and chi8,
+    # and neither the closed form (_ppower, and quadfield, which holds the
+    # ring rows and splitting_sign) nor its characters name the engine's
+    # Kronecker symbol
     engine = {"_engine", "engine_sequence", "_character", "_index2", "_index2_inverse",
-              "_dilated_inverse", "_CHARACTER", "_ZETA", "_BASE_FIELD"}
-    closed_form = {"_EULER", "_ppower", "coeff", "closed_sequence", "splitting_sign", "Ring"}
-    tree = ast.parse((Path(similitude.__file__).resolve().parent / "counting.py").read_text())
-    defs = {getattr(d, "name", None) or getattr(d.targets[0], "id", None): d for d in tree.body
-            if isinstance(d, ast.FunctionDef) or isinstance(d, ast.Assign) and len(d.targets) == 1}
-    assert engine <= defs.keys()
-    reads = [f"{name} (line {node.lineno}): {ref}" for name in sorted(engine)
-             for node in ast.walk(defs[name])
-             if (ref := getattr(node, "id", None) or getattr(node, "attr", None)) in closed_form]
+              "_dilated_inverse", "_DISCRIMINANT", "_ZETA", "_BASE_FIELD"}
+    closed_form = {"_EULER", "_ppower", "coeff", "closed_sequence", "splitting_sign", "Ring",
+                   "chi5", "chi8"}
+    src = Path(similitude.__file__).resolve().parent
+    defs = {}
+    for module in ("counting", "arith"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        defs[module] = {getattr(d, "name", None) or getattr(d.targets[0], "id", None): d
+                        for d in tree.body if isinstance(d, ast.FunctionDef)
+                        or isinstance(d, ast.Assign) and len(d.targets) == 1}
+    assert engine <= defs["counting"].keys()
+    reads = [f"{name} {ref}" for name in sorted(engine)
+             for ref in _names(defs["counting"][name], closed_form)]
+    assert reads == []
+    kronecker = {"kronecker", "_TWO"}
+    reads = [f"quadfield {ref}" for ref in _names(ast.parse((src / "quadfield.py").read_text()), kronecker)]
+    closed = (("counting", "_ppower"), ("arith", "_residue_rule"), ("arith", "chi5"), ("arith", "chi8"))
+    reads += [f"{module}.{name} {ref}" for module, name in closed
+              for ref in _names(defs[module][name], kronecker)]
     assert reads == []
 
 
