@@ -21,7 +21,7 @@ if "numpy" not in _sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS
 from .asymptotics import (estimate_constant, l_value_at_one, target_constant,
                           zeta_special_value_check)
 from .counting import (CrossCheckFailure, Target, coeff, g,
-                       series, ssm_count)
+                       series, ssm_count, summatory)
 from .dirichlet import (CoeffSeq, coeff_seq, convolve, dilate,
                         dirichlet_inverse, from_multiplicative,
                         is_multiplicative, ones, partial_sum, shift)
@@ -41,5 +41,5 @@ __all__ = [
     "estimate_constant", "from_multiplicative", "g", "is_multiplicative",
     "is_representable_index", "is_similar_sublattice", "l_value_at_one", "module_lattice",
     "ones", "partial_sum", "series", "shift",
-    "ssm_count", "target_constant", "zeta_special_value_check",
+    "ssm_count", "summatory", "target_constant", "zeta_special_value_check",
 ]

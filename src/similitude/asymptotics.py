@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import chi5, chi8
-from .counting import Target, closed_sequence
-from .dirichlet import CoeffSeq, partial_sum
+from .counting import Target, closed_sequence, summatory
+from .dirichlet import CoeffSeq
 
 _TAU = (1 + math.sqrt(5)) / 2
 _LOG_TAU = math.log(_TAU)
@@ -56,9 +56,10 @@ def target_constant(name: str) -> float:
 
 
 def estimate_constant(name: str, n: int) -> float | None:
-    """partial_sum(A, n) / (n^alpha log(n)^logpower) for the constant's growth
-    route (A, alpha, logpower), with A the closed form of n terms; None for a
-    constant with no route."""
+    """A(n) / (n^alpha log(n)^logpower) for the constant's growth route
+    (target, alpha, logpower), with A(n) the target's exact partial sum
+    counting.summatory(target, n), which builds no n-term sequence; None for
+    a constant with no route."""
     target_constant(name)  # ValueError for an unknown name
     if (route := CONSTANTS[name][2]) is None:
         return None
@@ -66,7 +67,7 @@ def estimate_constant(name: str, n: int) -> float | None:
     denom = n**alpha * math.log(n) ** logpower
     if denom == 0:
         raise ValueError("degenerate growth model: zero denominator")
-    return partial_sum(closed_sequence(target, n), n) / denom
+    return summatory(target, n) / denom
 
 
 # l_value_at_one sums whole periods of chi below mod * _L_PERIODS

@@ -5,6 +5,9 @@ A CoeffSeq holds a(1..N) as one read-only 1-D NumPy array.  Convolution
 pairs), inverse, dilation (s -> k*s), and shift (s -> s-1) act on
 coefficients; multiplicative sequences are assembled from prime-power data
 by one array kernel over a prime sieve, which also decides multiplicativity.
+A multiplicative sequence's partial sum up to n needs no N-array at all: it
+is read off its values on the grid {n // i} (floor_grid), from the prime sums
+of prime_sums and one pass over the prime powers (multiplicative_sum).
 
 Each operation takes and returns CoeffSeqs.  An array is int64 only while an
 a-priori bound shows that no value or partial sum can leave int64; otherwise
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -292,3 +296,170 @@ def partial_sum(a: CoeffSeq, x: int) -> int:
     if head.dtype == object or len(head) * magnitude(head) >= _INT64_LIMIT:
         return sum(head.tolist())
     return int(head.sum())
+
+
+# -- partial sums on the grid {n // i} ----------------------------------------
+#
+# With r = isqrt(n), the values n // i (1 <= i <= n) are the v <= r and the
+# n // i for i <= r: about 2 sqrt(n) of them, and v // k = n // (i k) is on
+# the grid for every v = n // i on it.  Position v - 1 holds v <= r and
+# position 2r - i holds n // i (n // r = r may appear twice; both positions
+# hold the same value).
+#
+# Both passes over the grid below take the primes p <= r in steps.  A step for
+# p writes only the v >= p^2 and reads only the v <= n / p and v = p - 1, p.
+# So the primes above the cube root of n, whose squares exceed n / p for every
+# such p, never read what another of them writes: they share one step.  Each
+# prime up to the cube root takes a step of its own.  A step's pairs
+# (position, row) go through in groups of at most max(_BLOCK, 2 sqrt(n)).
+
+@lru_cache(maxsize=8)
+def floor_grid(n: int) -> np.ndarray:
+    """The grid values of n, ascending, as one cached read-only int64 array."""
+    r = math.isqrt(n)
+    v = np.concatenate([np.arange(1, r + 1), n // np.arange(r, 0, -1)])
+    v.flags.writeable = False
+    return v
+
+
+def _prime_steps(n: int) -> list[np.ndarray]:
+    """The primes p <= isqrt(n) in ascending steps: one step for each p with
+    p^3 <= n, and for 2, then one step for all the rest (all odd)."""
+    primes, c = primes_up_to(math.isqrt(n)), round(n ** (1 / 3))
+    c = c - (c**3 > n) + ((c + 1) ** 3 <= n)  # the integer cube root of n
+    cut = int(np.searchsorted(primes, max(c, 2), side="right"))
+    steps = [primes[i : i + 1] for i in range(cut)]
+    return steps + [primes[cut:]] if cut < len(primes) else steps
+
+
+def _pairs(n: int, p: np.ndarray, q: np.ndarray):
+    """For the rows k, the positions of the grid values v >= q[k] p[k] (no
+    row is empty, as q p <= n), in groups of whole rows of at most _BLOCK
+    pairs, or one row if it holds more: per group, those positions (dest),
+    the row of each (rows) and the positions of the v // q[k] (src)."""
+    v, r = floor_grid(n), math.isqrt(n)
+    lo = np.searchsorted(v, q * p)
+    counts = len(v) - lo
+    ends = np.cumsum(counts)
+    starts, cuts, size = ends - counts, [0], 0
+    for k, c in enumerate(counts.tolist()):
+        if size + c > _BLOCK and size:
+            cuts.append(k)
+            size = 0
+        size += c
+    for i, j in zip(cuts, cuts[1:] + [len(p)]) if len(p) else ():
+        rows = np.repeat(np.arange(i, j), counts[i:j])
+        dest = np.arange(starts[i], ends[j - 1]) + (lo - starts)[rows]
+        src = v[dest] // q[rows]  # above r only as n // (i q) at dest = 2r - i, with i q <= r
+        src = np.where(src <= r, src - 1, 2 * r - (2 * r - dest) * q[rows])
+        yield dest, rows, src
+
+
+def _prime_sums_fit(n: int) -> bool:
+    """Whether prime_sums may run in int64.  Every value it holds, start,
+    partial sum and product, is at most 2 n^2 in absolute value: a sum of
+    chi(m) m^k over distinct m <= v is at most v (v + 1) / 2, and so is each
+    term f(p) (G(v / p) - G(p - 1)) that Lucy's recurrence subtracts (it
+    sums the f(m) with least prime factor p), and the closed form of the
+    starting sums adds at most d^2 q^2 / 2 + 2 d^2 q + d^2 with q = v // d
+    and d <= n the period."""
+    return 2 * n * n < _INT64_LIMIT
+
+
+@lru_cache(maxsize=8)
+def prime_sums(n: int, chi: tuple[int, ...] = (1,)) -> np.ndarray:
+    """Row k (k = 0, 1) at each position of floor_grid(n): the sum of
+    chi(p) p^k over the primes p <= v, for the periodic, completely
+    multiplicative chi(m) = chi[m % d] given by one period (the default is
+    the principal character, chi(m) = 1).
+
+    Lucy's recurrence (Legendre's sieve on the grid, as in Lagarias, Miller
+    and Odlyzko, Math. Comp. 44, 1985): G(v) starts as the sum of f(m) =
+    chi(m) m^k over 2 <= m <= v, in closed form over whole periods; each
+    prime p <= isqrt(n), in ascending steps, removes the m whose least prime
+    factor is p, G(v) -= f(p) (G(v / p) - G(p - 1)) for v >= p^2.
+    O(n^(3/4)) operations on arrays of O(sqrt n) entries, int64 under
+    _prime_sums_fit, else exact Python ints.  The table is cached and
+    shared, so it is read-only."""
+    v, d = floor_grid(n), len(chi)
+    f = np.array(chi, np.int64)
+    period = np.roll(f, -1)  # chi(t) for t = 1..d
+    count = np.cumsum(np.r_[0, period])  # sum of chi(t) over 1 <= t <= 0..d
+    moment = np.cumsum(np.r_[0, period * np.arange(1, d + 1)])  # ... of chi(t) t
+    q, rem = np.divmod(v, d)
+    q = q.astype(np.int64 if _prime_sums_fit(n) else object)
+    # m = j d + t for j < q and t <= d, then m = q d + t for t <= rem
+    g0 = q * count[d] + count[rem]
+    g1 = d * count[d] * (q * (q - 1) // 2) + q * (moment[d] + d * count[rem]) + moment[rem]
+    table = np.stack([g0, g1]) - chi[1 % d]  # without m = 1
+    for ps in _prime_steps(n):
+        ps = ps[f[ps % d] != 0]
+        for dest, rows, src in _pairs(n, ps, ps):
+            fp, pk = f[ps % d][rows], ps[rows]
+            below = table[:, src] - table[:, pk - 2]
+            np.subtract.at(table, (slice(None), dest), np.stack([fp, fp * pk]) * below)
+    table.flags.writeable = False
+    return table
+
+
+def _pass_step_fits(top: int, reach: list[int], a: list[int], b: list[int]) -> bool:
+    """Whether a step of multiplicative_sum may run in int64: top is max|T|,
+    and row k adds a[k] (T(v / q) - T(p)) + b[k] to some T(v), with reach[k]
+    the largest |T(w)| over w <= n / q plus |T(p)|, a bound on the row's
+    differences.  A position takes at most one term from each row, so every
+    partial sum, product and scalar is at most top + the sum over k of
+    |a[k]| max(reach[k], 1) + |b[k]|, which must stay below 2^63.  (A
+    difference that wraps, where the bound leaves it out, meets a[k] = 0.)"""
+    return top + sum(abs(x) * max(y, 1) + abs(z) for x, y, z in zip(a, reach, b)) < _INT64_LIMIT
+
+
+def multiplicative_sum(ppower: Callable[[int, int], int], n: int, prime_sum: np.ndarray) -> int:
+    """Exact sum of a(m) over m <= n for the multiplicative a(prod p^e) =
+    prod ppower(p, e), given prime_sum, the sum of a(p) over the primes
+    p <= v at each position of floor_grid(n).
+
+    T starts as prime_sum.  For each prime p <= isqrt(n), from the largest
+    down, T(v) += a(p^e) (T(v / p^e) - T(p)) + a(p^(e+1)) for every v >=
+    p^(e+1), all e read from T before the step: then T(v) sums a(m) over
+    the 2 <= m <= v that are prime or have no prime factor below p (as
+    Deleglise and Rivat sum the Moebius function, Experiment. Math. 5, 1996),
+    and at the end a(1) = 1 joins T(n).  Each ppower(p, e), p^e <= n, is
+    read once, as from_multiplicative reads it: ppower(P, 1) once on the
+    int64 array P of the odd primes with P^3 > n (an array or a scalar must
+    come back), every other value as a Python int.
+
+    T is int64 while each step passes _pass_step_fits, else exact Python
+    ints.  The check reads peak, the prefix maxima of |T| over the grid,
+    which each int64 step renews on the suffix it wrote.  O(sqrt n) entries and
+    O(n^(3/4)) operations in all."""
+    if n < 1:
+        return 0
+    v, r = floor_grid(n), math.isqrt(n)
+    t = prime_sum.astype(np.int64 if magnitude(prime_sum) < _INT64_LIMIT else object)
+    peak = np.maximum.accumulate(np.abs(t))
+    for ps in reversed(_prime_steps(n)):
+        if ps[0] > 2 and ps[0] ** 3 > n:  # odd primes above the cube root: e = 1 on their array
+            big = np.broadcast_to(ppower(ps, 1), ps.shape).tolist()
+            rows = [(p, p, x, int(ppower(p, 2))) for p, x in zip(ps.tolist(), big)]
+        else:
+            p, pv = int(ps[0]), []
+            while p ** (len(pv) + 1) <= n:
+                pv.append(int(ppower(p, len(pv) + 1)))
+            rows = [(p, p**e, x, y) for e, (x, y) in enumerate(zip(pv, pv[1:]), 1)]
+        p, q, a, b = map(list, zip(*rows))
+        p, q = np.array(p), np.array(q)
+        here = t[p - 1]  # T(p)
+        if t.dtype != object:  # reach: peak at the position of n // q, plus |T(p)|
+            reach = map(sum, zip(peak[np.where(q <= r, 2 * r - q, n // q - 1)].tolist(),
+                                 np.abs(here).tolist()))
+            if not _pass_step_fits(int(peak[-1]), list(reach), a, b):
+                t, here = t.astype(object), here.astype(object)
+        a, b = np.array(a, t.dtype), np.array(b, t.dtype)
+        lo = np.searchsorted(v, int(p[0]) ** 2)  # the least v any row writes
+        step = np.zeros(len(v) - lo, t.dtype)
+        for dest, k, src in _pairs(n, p, q):
+            np.add.at(step, dest - lo, a[k] * (t[src] - here[k]) + b[k])
+        t[lo:] += step
+        if t.dtype != object:
+            peak[lo:] = np.maximum.accumulate(np.maximum(np.abs(t[lo:]), peak[lo - 1] if lo else 0))
+    return int(t[-1]) + 1

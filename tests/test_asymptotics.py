@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from similitude.arith import chi5, chi8
 from similitude.asymptotics import (CONSTANTS, estimate_constant, l_value_at_one,
                                     target_constant, zeta_special_value_check)
 from similitude.counting import Target, closed_sequence
-from similitude.dirichlet import partial_sum
+from similitude.dirichlet import floor_grid, partial_sum, prime_sums
 
 
 def test_target_constant_values():
@@ -84,3 +85,19 @@ def test_mean_value_consistency_modest():
     aj = closed_sequence(Target.ZETA_J, n)
     slope = partial_sum(aj, n) / n**2
     assert abs(slope / target_constant("slope_a_j") - 1) < 0.02
+
+
+def test_estimate_at_ten_million_terms_builds_no_n_array():
+    # the sum is read off the grid {n // i}, O(sqrt n) entries: about
+    # 1.8 MiB at N = 10^7, where the sieve, partial_sum(closed_sequence(f_k,
+    # N), N), peaks at about 97 MiB
+    estimate_constant("slope_f_k", 1000)  # first calls outside the trace
+    prime_sums.cache_clear()
+    floor_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        estimate_constant("slope_f_k", 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -315,6 +315,20 @@ def test_series_cross_check_failure_exits_one(capsys, monkeypatch):
     assert err == "FAIL f_j, N = 5: closed form 8 != engine 7 at m = 3\n"
 
 
+def test_engine_error_fails_with_the_target_and_n(capsys, monkeypatch):
+    # (5/1) = 0 leaves the engine's zeta_tau with a(1) = 0, so f_i stops in
+    # dirichlet_inverse (as in test_counting's Kronecker mutation test)
+    from similitude import counting
+
+    kronecker = counting.kronecker
+    monkeypatch.setattr(counting, "kronecker", lambda d, m: 0 if (d, m) == (5, 1) else kronecker(d, m))
+    fail = "FAIL f_i, N = 10000: engine failed: not invertible: leading coefficient must be +-1\n"
+    assert run(capsys, "series", "--target", "f_i", "--terms", "10000") == (1, "", fail)
+    assert run(capsys, "verify", "--target", "f_i", "--terms", "10000") == (
+        1, "FAIL engine-vs-closed-form target=f_i terms=10000\n"
+        "FAIL multiplicativity target=f_i terms=10000\n", fail)
+
+
 def _child_env() -> dict[str, str]:
     """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(similitude.__file__).resolve().parents[1])
@@ -381,3 +395,15 @@ def test_benchmark_commands_print_their_reference_digests(capsys):
         if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, digest):
             drift[argv] = code
     assert drift == {}
+
+
+# the sha256 of `constants --estimate --terms N`, recorded when every
+# estimate was partial_sum(closed_sequence(target, N), N)
+SCALE_DIGESTS = {10**6: "e386cbe7125048baa7554e453af571404e0b0c61408ba4fc18c78edd6e8fa508",
+                 10**7: "83cbb359d1156a1bfaa694beb82c69fa0a4edffd8eddca4e3ade87e28e49c803"}
+
+
+@pytest.mark.parametrize("terms", sorted(SCALE_DIGESTS))
+def test_constants_estimate_keeps_its_digest_at_scale(capsys, terms):
+    code, out, _ = run(capsys, "constants", "--estimate", "--terms", str(terms))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, SCALE_DIGESTS[terms])

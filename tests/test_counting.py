@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from similitude import arith, counting
 from similitude.counting import (CrossCheckFailure, Target, _dilated_inverse,
                                  _index2, _index2_inverse, closed_sequence,
-                                 coeff, engine_sequence, g, series, ssm_count)
+                                 coeff, engine_sequence, g, series, ssm_count, summatory)
 from similitude.dirichlet import (CoeffSeq, coeff_seq, convolve,
                                   dilate, dirichlet_inverse, is_multiplicative,
-                                  shift)
+                                  partial_sum, shift)
 from similitude.quadfield import Ring, is_representable_index
 
 
@@ -295,13 +295,12 @@ def test_cross_check_catches_kronecker_faults(monkeypatch):
     # a fault in kronecker reaches only the engine.  Each single change of
     # one value of a period, (d/m) for d = 5, 8 and m <= d, must be caught
     # on the three targets of its ring; so must kronecker's (d/2) table
-    # _TWO negated, on both rings.  Two outcomes differ, each with its reason:
-    # - zeta_k does not see the negation: for d = 8 it strips three 2s from
-    #   every odd m, which negates the whole character and with it the engine's
-    #   zeta_sqrt2, and zeta_K(s) = zeta_sqrt2(2s) zeta_sqrt2(2s-1) is a
-    #   product of two of them;
-    # - with (d/1) = 0 the engine's field zeta has a(1) = 0, and the f_*
-    #   stop with dirichlet_inverse's ValueError before the comparison
+    # _TWO negated, on both rings.  One outcome differs, with its reason:
+    # zeta_k does not see the negation: for d = 8 it strips three 2s from
+    # every odd m, which negates the whole character and with it the engine's
+    # zeta_sqrt2, and zeta_K(s) = zeta_sqrt2(2s) zeta_sqrt2(2s-1) is a
+    # product of two of them.  (With (d/1) = 0 the engine's field zeta has
+    # a(1) = 0, and the f_* stop in dirichlet_inverse: caught as well.)
     kronecker = arith.kronecker
     mutants = {}  # name -> (module, name in it, its faulty stand-in, the targets that read it)
     for ring, d in ((Ring.GOLDEN, 5), (Ring.SQRT2, 8)):
@@ -319,8 +318,7 @@ def test_cross_check_catches_kronecker_faults(monkeypatch):
             for target in targets:
                 outcomes[name, target] = cross_check_outcome(target)
     assert {k: v for k, v in outcomes.items() if v != "caught"} == {
-        ("(d/2) flipped", Target.ZETA_K): "unseen",
-        ("(5/1) = 0", Target.F_I): "ValueError", ("(8/1) = 0", Target.F_K): "ValueError"}
+        ("(d/2) flipped", Target.ZETA_K): "unseen"}
 
 
 def test_cross_check_catches_engine_constant_faults(monkeypatch):
@@ -402,3 +400,37 @@ def test_engine_holds_at_most_three_n_arrays():
 def test_engine_matches_closed_forms_at_random_n(n):
     for target in Target:
         assert engine_sequence(target, n) == closed_sequence(target, n), (target, n)
+
+
+# -- the partial sums on the grid {n // i} against the sieve
+
+def test_summatory_equals_the_cumulative_closed_form_at_every_small_n():
+    n = 500
+    sums = {t: [0] + np.cumsum(closed_sequence(t, n).array).tolist() for t in Target}
+    for m in range(n + 1):  # each m's prime sums are cached across the targets
+        assert {t: summatory(t, m) for t in Target} == {t: sums[t][m] for t in Target}, m
+
+
+# n = 1, 2, 3, a prime, and p^2 - 1, p^2, p^2 + 1, where p crosses isqrt(n);
+# also p^3 - 1, p^3, p^3 + 1, where p joins the primes that take a step each
+EDGE_N = sorted({1, 2, 3, 100_003} | {p**k + d for p in (2, 3, 5, 7, 31, 317) for d in (-1, 0, 1)
+                                      for k in (2, 3) if p**k < 10**6})
+
+
+@pytest.mark.parametrize("n", EDGE_N)
+def test_summatory_at_the_edges_of_its_prime_steps(n):
+    for target in Target:
+        assert summatory(target, n) == partial_sum(closed_sequence(target, n), n), target
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 2 * 10**5))
+def test_summatory_matches_the_sieve_at_random_n(n):
+    for target in Target:
+        assert summatory(target, n) == partial_sum(closed_sequence(target, n), n), (target, n)
+
+
+def test_summatory_at_a_million():
+    n = 10**6
+    for target in (Target.F_J, Target.F_I, Target.F_K):  # one per base ring
+        assert summatory(target, n) == partial_sum(closed_sequence(target, n), n), target

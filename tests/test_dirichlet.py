@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from similitude.arith import factorize, smallest_prime_factor_sieve
+from similitude import dirichlet
+from similitude.arith import factorize, primes_up_to, smallest_prime_factor_sieve
 from similitude.counting import Target, _ppower, closed_sequence
 from similitude.dirichlet import (CoeffSeq, _convolve, coeff_seq,
-                                  convolve, dilate, dirichlet_inverse,
-                                  from_multiplicative, is_multiplicative, ones,
-                                  partial_sum, shift)
+                                  convolve, dilate, dirichlet_inverse, floor_grid,
+                                  from_multiplicative, is_multiplicative, multiplicative_sum,
+                                  ones, partial_sum, prime_sums, shift)
 
 
 def epsilon(n):
@@ -392,3 +393,86 @@ def test_is_multiplicative_matches_pairwise_reference(a, data):
     vals[m - 1] += delta
     b = coeff_seq(vals)
     assert is_multiplicative(b) == reference_is_multiplicative(b)
+
+
+# -- partial sums on the grid {n // i}
+
+def test_floor_grid_holds_every_quotient_once_in_place():
+    for n in list(range(1, 200)) + [10**6, 10**6 + 1, 999_999]:
+        v, r = floor_grid(n).tolist(), math.isqrt(n)
+        assert sorted(set(v)) == sorted({n // i for i in range(1, min(n, 2 * r + 2) + 1)} | set(range(1, r + 1)))
+        assert v == sorted(v) and len(v) == 2 * r  # n // r = r is its only repeat
+        assert v[:r] == list(range(1, r + 1)) and v[r:] == [n // i for i in range(r, 0, -1)]
+    assert floor_grid(0).tolist() == []
+
+
+# one period of: the principal character, (5/m), (8/m), (-4/m) and (12/m)
+_CHARACTERS = [(1,), (0, 1, -1, -1, 1), (0, 1, 0, -1, 0, -1, 0, 1), (0, 1, 0, -1),
+               (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)]
+
+
+def reference_prime_sums(n, chi):
+    """Row k at each grid value v: the sum of chi(p) p^k over the primes p <= v, one prime at a time."""
+    primes = primes_up_to(n).tolist()
+    return [[sum(chi[p % len(chi)] * p**k for p in primes if p <= v) for v in floor_grid(n).tolist()]
+            for k in (0, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(0, 130), st.integers(131, 3000)), st.sampled_from(_CHARACTERS))
+def test_prime_sums_match_reference_on_both_paths(n, chi):
+    table = prime_sums(n, chi)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.tolist() == reference_prime_sums(n, chi)
+    with pytest.MonkeyPatch.context() as patch:  # the exact path, past the cache
+        patch.setattr(dirichlet, "_prime_sums_fit", lambda n: False)
+        wide = prime_sums.__wrapped__(n, chi)
+    assert wide.dtype == object and wide.tolist() == table.tolist()
+
+
+def test_prime_sums_int64_edge():
+    # every Lucy value is at most 2 n^2 in absolute value
+    top = math.isqrt((2**63 - 1) // 2)
+    assert dirichlet._prime_sums_fit(top) and 2 * top * top < 2**63
+    assert not dirichlet._prime_sums_fit(top + 1)
+
+
+def reference_prime_sum(ppower, n):
+    """The sum of ppower(p, 1) over the primes p <= v at each grid value v of n."""
+    primes = primes_up_to(n).tolist()
+    return np.array([sum(ppower(p, 1) for p in primes if p <= v) for v in floor_grid(n).tolist()],
+                    dtype=object)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_large_ppowers(), st.integers(0, 3000))
+def test_multiplicative_sum_matches_reference_beyond_int64(ppower, n):
+    expected = partial_sum(coeff_seq(reference_from_multiplicative(ppower, n)), n) if n else 0
+    assert multiplicative_sum(ppower, n, reference_prime_sum(ppower, n)) == expected
+
+
+def _edge_ppower(x):
+    """a(2) = 0, a(4) = x, a(2^e) = 0 for e >= 3, and 1 at each odd prime power."""
+    def ppower(p, e):
+        return 1 if isinstance(p, np.ndarray) or p > 2 or e == 0 else x * (e == 2)
+    return ppower
+
+
+def test_prime_power_pass_runs_int64_up_to_its_edge(monkeypatch):
+    # n = 100.  Before the step for 2, T(v) counts the odd 3 <= m <= v, so
+    # T(100) = 49, T(50) = 24 and T(25) = 12; the step adds x at every
+    # v >= 4 and x T(v / 4) at every v >= 8.  Its bound, 49 + x + 12 x, is
+    # the final T(100) itself, so the largest x it admits leaves T(100) in
+    # int64, and one more would wrap it
+    n, top = 100, (2**63 - 1 - 49) // 13
+    assert 49 + 13 * top < 2**63 <= 49 + 13 * (top + 1)
+    prime_sum = prime_sums(n)[0] - (floor_grid(n) >= 2)  # a(2) = 0
+    real, verdicts = dirichlet._pass_step_fits, []
+    monkeypatch.setattr(dirichlet, "_pass_step_fits",
+                        lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    for x, int64 in ((top, True), (top + 1, False), (2**60, False)):
+        verdicts.clear()
+        ppower = _edge_ppower(x)
+        expected = partial_sum(from_multiplicative(ppower, n), n)
+        assert multiplicative_sum(ppower, n, prime_sum) == expected == 50 + 13 * x
+        assert verdicts == [True] * 2 + [int64], x  # the steps for 5 and 7, 3, then 2
