@@ -77,10 +77,10 @@ def primes_up_to(n: int) -> np.ndarray:
     return primes
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    """The primes below 2**16 as Python ints: m % p stays exact for m >= 2**63."""
-    return tuple(primes_up_to(1 << 16).tolist())
+@lru_cache(maxsize=None)
+def _trial_primes(b: int) -> tuple[int, ...]:
+    """The primes below 2**b, b <= 16, as Python ints: m % p stays exact for m >= 2**63."""
+    return tuple(primes_up_to((1 << b) - 1).tolist())
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -103,13 +103,13 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Sorted prime factorization [(p, e), ...] of m >= 1: trial division by the
-    primes below 2**16, then Pollard rho on the cofactor.  A composite cofactor
-    beyond PRIMALITY_LIMIT raises ValueError from is_prime."""
+    """Sorted prime factorization [(p, e), ...] of m >= 1: trial division by the primes
+    below 2**min(16, isqrt(m).bit_length()) (every p <= sqrt(m) while m < 2**32), then
+    Pollard rho on the cofactor; a composite one beyond PRIMALITY_LIMIT raises ValueError."""
     if m < 1:
         raise ValueError("factorize requires m >= 1")
     out = []
-    for p in _trial_primes():
+    for p in _trial_primes(min(16, math.isqrt(m).bit_length())):
         if p * p > m:
             break
         if m % p == 0:

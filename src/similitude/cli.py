@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from collections import Counter
 
@@ -155,6 +154,7 @@ def cmd_series(args) -> int:
                              f"0 <= a(m) < 2^63 at m = {bad}")
     square = target.index_kind == "square"
     if args.format == "json":
+        import json  # here only, so that no other command pays for the import
         # the bytes of json.dumps(obj) with obj["terms"] the whole sequence
         head = json.dumps({"target": target.value, "index_kind": target.index_kind, "terms": []})
         start, end = head[:-2], head[-2:] + "\n"

@@ -19,7 +19,6 @@ strided update goes through blocks of at most _BLOCK entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -31,24 +30,24 @@ _INT64_LIMIT = 1 << 63
 _BLOCK = 1 << 14  # entries of the largest temporary a strided update builds
 
 
-@dataclass(frozen=True, eq=False)
 class CoeffSeq:
     """array[i] is the coefficient a(m) at m = i + 1.
 
     The array is 1-D, int64 or dtype=object (exact Python ints).  It is taken
     over, not copied: the constructor makes it read-only in place.  Equality
     is by value, so int64 and object arrays of the same integers are equal.
-    A CoeffSeq is not hashable."""
+    A CoeffSeq is immutable and not hashable."""
 
-    array: np.ndarray
-
+    __slots__ = ("_array",)
     __hash__ = None
 
-    def __post_init__(self):
-        x = self.array
-        if not isinstance(x, np.ndarray) or x.ndim != 1 or x.dtype not in (np.int64, object):
+    def __init__(self, array: np.ndarray):
+        if not isinstance(array, np.ndarray) or array.ndim != 1 or array.dtype not in (np.int64, object):
             raise TypeError("CoeffSeq needs a 1-D int64 or object array")
-        x.flags.writeable = False
+        array.flags.writeable = False
+        self._array = array
+
+    array = property(lambda self: self._array)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffSeq):
@@ -201,11 +200,18 @@ def dilate(a: CoeffSeq, k: int) -> CoeffSeq:
     return CoeffSeq(out)
 
 
+def _terms_fit(mx: int, n: int) -> bool:
+    """Whether shift and partial_sum may run in int64 on the n terms a(m), m <= n,
+    with mx = max|a(m)|: each product m a(m) of shift, and each partial sum of
+    the a(m), is at most n mx, which must stay below 2^63."""
+    return mx * n < _INT64_LIMIT
+
+
 def shift(a: CoeffSeq) -> CoeffSeq:
-    """b(m) = m * a(m): realizes s -> s - 1."""
+    """b(m) = m * a(m): realizes s -> s - 1; int64 under _terms_fit, else exact ints."""
     x = a.array
     n = len(x)
-    dtype = np.int64 if magnitude(x) * n < _INT64_LIMIT else object
+    dtype = np.int64 if _terms_fit(magnitude(x), n) else object
     out = np.arange(1, n + 1, dtype=np.int64).astype(dtype, copy=False)
     out *= x.astype(dtype, copy=False)  # in place: the result is the only n-array
     return CoeffSeq(out)
@@ -286,14 +292,12 @@ def is_multiplicative(a: CoeffSeq) -> bool:
 
 
 def partial_sum(a: CoeffSeq, x: int) -> int:
-    """Exact sum of a(m) for m <= x (x may not exceed the truncation).
-
-    An int64 array is summed in int64 when x * max|a(m)| < 2^63, which bounds
-    every partial sum; above that, and for object arrays, in Python ints."""
+    """Exact sum of a(m) for m <= x (x may not exceed the truncation): an
+    int64 array in int64 under _terms_fit, else in Python ints."""
     if x > len(a):
         raise ValueError(f"partial sum to {x} exceeds truncation {len(a)}")
     head = a.array[: max(x, 0)]
-    if head.dtype == object or len(head) * magnitude(head) >= _INT64_LIMIT:
+    if head.dtype == object or not _terms_fit(magnitude(head), len(head)):
         return sum(head.tolist())
     return int(head.sum())
 

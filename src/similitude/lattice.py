@@ -9,23 +9,23 @@ form alone, checked when built (ValueError), and its index is prod h_ii.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .arith import magnitude
 
 
-@dataclass(frozen=True)
-class LatticeKey:
-    hnf: tuple[tuple[int, ...], ...]
+class LatticeKey(namedtuple("LatticeKey", "hnf")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        h = self.hnf
-        if not all(len(r) == len(h) and r[i] > 0 and not any(r[i + 1:])
-                   and all(0 <= r[j] < h[j][j] for j in range(i)) for i, r in enumerate(h)):
-            raise ValueError(f"not a Hermite normal form: {h}")
+    def __new__(cls, hnf: tuple[tuple[int, ...], ...]):
+        if not all(len(r) == len(hnf) and r[i] > 0 and not any(r[i + 1:])
+                   and all(0 <= r[j] < hnf[j][j] for j in range(i)) for i, r in enumerate(hnf)):
+            raise ValueError(f"not a Hermite normal form: {hnf}")
+        return tuple.__new__(cls, (hnf,))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     index = property(lambda self: math.prod(r[i] for i, r in enumerate(self.hnf)))
 
 

@@ -20,8 +20,8 @@ every comparison is exact integer equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def _units(lattice: Order) -> np.ndarray:
     return _norm_vectors(lattice, QuadInt(lattice.ring, 1))[1]
 
 
-@dataclass(frozen=True)
-class LambdaClass:
+class LambdaClass(NamedTuple):
     lam: QuadInt
     vectors: int
     frames: int
@@ -349,8 +348,7 @@ def count_ssl_bruteforce(lattice: Order, m: int) -> int:
     return len(_frames(lattice, m)[1])
 
 
-@dataclass(frozen=True)
-class SSM:
+class SSM(NamedTuple):
     key: LatticeKey
     kind: str  # "left-ideal" | "right-ideal" | "two-sided" | "product"
 

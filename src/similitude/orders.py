@@ -14,8 +14,8 @@ table on the key basis (`structure`) that the kind test and a*O*b keys read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .quadfield import QuadInt, Ring
 from .quat import Quat
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(NamedTuple):
     """An order O over `ring`, given by a Z[w]-basis of units in doubled
     coordinates: 2x the 1,i,j,k coordinates, and over Z[w] the rational
     parts followed by the w parts.  Key coordinates are coordinates in the
@@ -182,8 +181,7 @@ def is_member(order: Order, quat: Quat) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrderElement:
+class OrderElement(NamedTuple):
     """A quaternion certified to lie in `order`, with its integral coordinates
     in the order's fixed basis."""
 

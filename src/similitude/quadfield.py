@@ -10,7 +10,7 @@ squaring, never by floating point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import chi5, chi8, factorize
 
@@ -43,17 +43,17 @@ def _sign_with_root(p: int, q: int, d: int) -> int:
     return sp if p * p > d * q * q else sq
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(namedtuple("QuadInt", "ring a b")):
     """a + b*omega in the ring of integers tagged by `ring`."""
 
-    ring: Ring
-    a: int
-    b: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ring is Ring.RATIONAL and self.b != 0:
+    def __new__(cls, ring: Ring, a: int, b: int = 0):
+        if ring is Ring.RATIONAL and b != 0:
             raise ValueError("integers over Z have no omega component")
+        return tuple.__new__(cls, (ring, a, b))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def _coerce(self, other) -> "QuadInt":
         if isinstance(other, int):

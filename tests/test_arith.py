@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from similitude import arith
 from similitude.arith import (PRIMALITY_LIMIT, chi5, chi8, factorize, is_prime, kronecker,
                               odd_divisor_sums, primes_up_to)
 from similitude.counting import Target, coeff, ssm_count
@@ -75,6 +76,36 @@ def test_factorize_beyond_int64():
     assert factorize(3 * p) == [(3, 1), (p, 1)]
     assert coeff(Target.F_I, p) == (1 + chi5(p)) * (2 * p + 2)
     assert coeff(Target.F_K, 3 * p) == coeff(Target.F_K, 3) * (1 + chi8(p)) * (2 * p + 2)
+
+
+def _trial_division(m):
+    """[(p, e), ...] of m >= 1 by dividing out every d = 2, 3, 4, ... with d^2 <= m."""
+    out, d = [], 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m, e = m // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(m, 1)] * (m > 1)
+
+
+def test_factorize_at_every_trial_table_edge(monkeypatch):
+    # factorize(m) tries the primes below 2^b, b = min(16, isqrt(m).bit_length()):
+    # the square of the largest prime below 2^b has that prime as its isqrt, so
+    # trial division alone must split it (65521^2 at b = 16), and Pollard rho is never asked
+    real = arith._prime_factors
+    monkeypatch.setattr(arith, "_prime_factors", lambda n: pytest.fail(f"Pollard asked for {n}"))
+    for b in range(1, 17):
+        below = [p for p in range(2 ** (b - 1), 2**b) if is_prime(p)]
+        if below:  # no prime lies below 2^1
+            p = below[-1]
+            assert factorize(p * p) == _trial_division(p * p) == [(p, 2)], b
+    monkeypatch.setattr(arith, "_prime_factors", real)
+    for m in (65521 * 65537, 2**32 - 1, 2**32, 2**32 + 15, 1, 2, 3, 4):
+        assert factorize(m) == _trial_division(m), m
+    assert factorize(2**32 - 1) == [(3, 1), (5, 1), (17, 1), (257, 1), (65537, 1)]
 
 
 def test_odd_divisor_sums():

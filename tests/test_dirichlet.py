@@ -196,16 +196,22 @@ def test_coeff_seq_array_is_read_only():
         CoeffSeq(np.ones((2, 2), np.int64))
 
 
-def test_partial_sum_is_exact_at_and_beyond_the_int64_bound():
+def test_partial_sum_is_exact_at_and_beyond_the_int64_bound(monkeypatch):
     n = 1000
     top = (2**63 - 1) // n  # the largest |a| that n terms sum in int64
+    assert dirichlet._terms_fit(top, n) and not dirichlet._terms_fit(top + 1, n)
+    real, verdicts = dirichlet._terms_fit, []
+    monkeypatch.setattr(dirichlet, "_terms_fit",
+                        lambda *args: verdicts.append(real(*args)) or verdicts[-1])
     # top + 1 takes the Python-int path; at 2^62 the sums themselves leave int64
     for v in (top, top + 1, -top, -top - 1, 2**62):
         vals = [v] * (n - 1) + [-v // 3]
         a = coeff_seq(vals)
         assert a.array.dtype == np.int64
+        verdicts.clear()
         for x in (0, 1, n // 2, n):
             assert partial_sum(a, x) == sum(vals[:x]), (v, x)
+        assert verdicts[-1] == (abs(v) <= top), v  # x = n: the sum of all n terms
     huge = [(-1) ** m * 2**70 + m for m in range(n)]
     assert partial_sum(coeff_seq(huge), n) == sum(huge)
     assert partial_sum(CoeffSeq(np.array([5, 6], object)), 2) == 11
@@ -331,6 +337,17 @@ def test_convolve_zero_operand_beside_huge_one():
 
 
 def test_shift_and_dilate_on_arrays_stay_exact():
+    # _terms_fit admits max|a| n < 2^63: the largest such |a| stays int64 and
+    # exact, one more goes to exact ints (n = 2^10 puts 2^63 itself at the edge)
+    n = 1024
+    top = (2**63 - 1) // n
+    assert (top + 1) * n == 2**63
+    assert dirichlet._terms_fit(top, n) and not dirichlet._terms_fit(top + 1, n)
+    for t, dtype in ((top, np.int64), (top + 1, object)):
+        vals = [t if m % 2 else -t for m in range(n)]
+        out = shift(coeff_seq(vals))
+        assert out.array.dtype == dtype, t
+        assert out.array.tolist() == [m * v for m, v in enumerate(vals, 1)]
     x = coeff_seq([2**62, -(2**62), 3])
     assert x.array.dtype == np.int64
     assert shift(x).array.dtype == object  # 2^62 * 3 leaves int64

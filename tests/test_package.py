@@ -1,13 +1,19 @@
 import ast
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import similitude
+from similitude import (CoeffSeq, LatticeKey, Order, QuadInt, Quat, Ring, Z4,
+                        coeff_seq)
+from similitude.oracle import SSM, LambdaClass
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -65,6 +71,63 @@ def test_cli_import_loads_no_fractions_or_decimal():
     # both cost start-up time in every command, and no code path needs them
     code = "import sys, similitude.cli\nprint(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     assert _python(code) == "[]\n"
+
+
+def test_start_up_loads_no_dataclasses_json_or_full_prime_table():
+    # a fresh CLI process pays for none of them: dataclasses generated code
+    # for each value class (4-6 ms), only `series --format json` imports
+    # json, and factorize(m) for m <= 10^4 sieves the primes below 2^7 only,
+    # never the 2^16 table (+0.3 MB of peak RSS in an oracle command)
+    code = """import sys, similitude.cli
+from similitude import arith
+print(sorted({'dataclasses', 'json'} & set(sys.modules)))
+asked, real = set(), arith.primes_up_to
+arith.primes_up_to = lambda n: asked.add(n) or real(n)
+assert all(arith.math.prod(p ** e for p, e in arith.factorize(m)) == m for m in range(1, 10**4 + 1))
+print(sorted(asked))"""
+    assert _python(code) == "[]\n[1, 3, 7, 15, 31, 63, 127]\n"
+
+
+def test_value_classes_compare_hash_and_stay_immutable():
+    # each value class compares and hashes by its fields, and hashes as the
+    # tuple of its fields (as a frozen dataclass did, so set and cache order
+    # are kept); no field can be set or deleted, and _replace checks its input
+    key = LatticeKey(((2, 0), (1, 3)))
+    lam = QuadInt(Ring.GOLDEN, 2, 1)
+    quat = Quat(Ring.RATIONAL, (1, 1, 0, 0))
+    pairs = [(lam, QuadInt(Ring.GOLDEN, 2, 2)), (key, LatticeKey(((2, 0), (0, 3)))),
+             (Z4, Z4._replace(max_m=60)),
+             (similitude.element(Z4, quat), similitude.element(Z4, quat * quat)),
+             (LambdaClass(lam, 120, 14400, frozenset({key})), LambdaClass(lam, 120, 14400, frozenset())),
+             (SSM(key, "two-sided"), SSM(key, "product"))]
+    for x, other in pairs:
+        y = type(x)(*x)
+        assert x == y and x is not y and hash(x) == hash(y) == hash(tuple(x)) and x != other
+        for field in x._fields:
+            with pytest.raises(AttributeError):
+                setattr(x, field, getattr(x, field))
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+        with pytest.raises(AttributeError):  # no __dict__ either
+            x.extra = 0
+    assert pickle.loads(pickle.dumps([lam, key, Z4])) == [lam, key, Z4]
+    with pytest.raises(ValueError, match="no omega component"):
+        QuadInt(Ring.RATIONAL, 1, 1)
+    with pytest.raises(ValueError, match="no omega component"):
+        QuadInt(Ring.RATIONAL, 1)._replace(b=1)
+    with pytest.raises(ValueError, match="Hermite normal form"):
+        key._replace(hnf=((2, 0), (2, 3)))
+    seq = coeff_seq([1, 2, 3])
+    assert seq == CoeffSeq(np.array([1, 2, 3], object)) != coeff_seq([1, 2, 4])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(seq)
+    assert copy.copy(seq) == copy.deepcopy(seq) == pickle.loads(pickle.dumps(seq)) == seq
+    for change in (lambda: setattr(seq, "array", seq.array), lambda: delattr(seq, "array"),
+                   lambda: setattr(seq, "other", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    with pytest.raises(TypeError, match="1-D int64 or object array"):
+        CoeffSeq(np.ones(3))
 
 
 def test_ring_rules_and_order_decisions_have_one_owner():
