@@ -18,6 +18,7 @@ _MR_BOUNDS = (  # (bound, k)
     (318665857834031151167461, 12), (3317044064679887385961981, 13),
 )
 PRIMALITY_LIMIT = _MR_BOUNDS[-1][0]
+_BLOCK = 1 << 14  # entries of the largest temporary a strided update builds
 
 
 def is_prime(n: int) -> bool:
@@ -130,14 +131,16 @@ def odd_divisor_sums(n: int) -> np.ndarray:
     Hyperbola split, s = isqrt(n): each divisor of m <= n is a d <= s, or an
     e > s whose cofactor m / e <= n / (s + 1) < s + 1 is.  Each odd d <= s
     adds d to its multiples in one strided update; each d <= s adds every
-    odd e > s to m = d e in one indexed update (the m are distinct)."""
+    odd e > s to m = d e, one strided update per block of at most _BLOCK
+    values of e."""
     s = math.isqrt(n)
     sums = np.zeros(n + 1, np.int64)
     for d in range(1, s + 1):
         if d % 2:
             sums[d::d] += d
-        e = np.arange((s + 1) | 1, n // d + 1, 2)
-        sums[d * e] += e
+        for lo in range((s + 1) | 1, n // d + 1, 2 * _BLOCK):
+            e = np.arange(lo, min(lo + 2 * _BLOCK, n // d + 1), 2)
+            sums[d * lo : d * e[-1] + 1 : 2 * d] += e
     return sums
 
 

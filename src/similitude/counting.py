@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .arith import factorize, kronecker, primes_up_to
+from .arith import factorize, kronecker
 from .dirichlet import (CoeffSeq, convolve, dirichlet_inverse, floor_grid, from_multiplicative,
                         multiplicative_sum, ones, prime_sums, shift)
 from .quadfield import Ring, splitting_sign
@@ -26,12 +26,13 @@ from .quadfield import Ring, splitting_sign
 
 class CrossCheckFailure(Exception):
     """The closed form and the engine do not give the target the same N-term
-    sequence: engine is the engine's sequence, which differs first at m =
-    index, or the ValueError that stopped the engine (index None).  Carries
-    the target and N."""
+    sequence: closed is the closed form's sequence, and engine the engine's,
+    which differs first at m = index, or the ValueError that stopped the
+    engine (index None).  Carries the target and N."""
 
     def __init__(self, target: "Target", closed: CoeffSeq, engine: CoeffSeq | ValueError):
         self.target, self.n, self.index = target, len(closed), None
+        self.closed, self.engine = closed, engine
         if isinstance(engine, ValueError):
             detail = f"engine failed: {engine}"
         else:
@@ -152,25 +153,22 @@ def summatory(target: Target, n: int) -> int:
     the ring's splitting character (0 over Z; its period is the field's
     discriminant d) and h(q, 1) = c0 + c1 q, so the prime sums are c0 and c1
     times those of dirichlet.prime_sums for the principal character and for
-    chi.  The form is compared with _ppower(p, 1) at every prime p <=
-    max(isqrt(n), 2), and the sums take the exact value wherever the two
-    differ (the Hurwitz targets' fixed value at 2).  dirichlet's
-    multiplicative_sum then adds the prime powers."""
+    chi.  The form differs from _ppower(p, 1) at p = 2 only (the Hurwitz
+    targets' fixed value there), so the grid values v >= 2 take the
+    difference once; a rule whose h(q, 1) is not linear in q raises
+    ValueError.  dirichlet's multiplicative_sum then adds the prime powers."""
     ring, h, _ = _EULER[target]
     c1 = h(3, 1) - h(2, 1)
     c0 = h(2, 1) - 2 * c1
+    if h(5, 1) != c0 + 5 * c1:
+        raise ValueError(f"{target.value}: summatory needs h(q, 1) linear in q")
     characters = [(1,)]
     if ring.character is not None:
         characters.append(tuple(ring.character(np.arange(ring.d)).tolist()))
     total = sum(np.multiply(rows[0], c0, dtype=object) + np.multiply(rows[1], c1, dtype=object)
                 for rows in (prime_sums(n, chi) for chi in characters))
-    ps, v = primes_up_to(max(math.isqrt(n), 2)), floor_grid(n)
-    exact = np.broadcast_to(_ppower(target, ps, 1), ps.shape).copy()
-    exact[0] = _ppower(target, 2, 1)  # only the scalar path holds the value at 2
-    form = (1 + splitting_sign(ps, ring)) * (c0 + c1 * ps)
-    for p, fix in zip(ps.tolist(), (exact - form).tolist()):
-        if fix:
-            total[np.searchsorted(v, p):] += fix
+    total[np.searchsorted(floor_grid(n), 2):] += (_ppower(target, 2, 1)
+                                                  - (1 + splitting_sign(2, ring)) * (c0 + 2 * c1))
     return multiplicative_sum(lambda p, e: _ppower(target, p, e), n, total)
 
 
@@ -259,11 +257,11 @@ def engine_sequence(target: Target, n: int) -> CoeffSeq:
 
 
 def series(target: Target, n: int) -> CoeffSeq:
-    """Coefficients a(1..n), built both ways and verified equal.  The engine
-    goes first: while it runs (at most three n-arrays) nothing else is alive,
-    and the closed form then adds its one n-array to the engine's result.
-    An engine that stops with a ValueError (a fault in its data can leave a
-    series with no inverse) fails the check too."""
+    """Coefficients a(1..n), built both ways and verified equal, for the CLI's
+    series and verify alike.  The engine goes first: while it runs (at most
+    three n-arrays) nothing else is alive, and the closed form then adds its
+    one n-array to the engine's result.  A stopped engine (a ValueError: a
+    fault in its data can leave a series with no inverse) fails it too."""
     if n < 1:
         raise ValueError("n must be >= 1")
     try:

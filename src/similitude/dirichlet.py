@@ -24,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import magnitude, primes_up_to
+from .arith import _BLOCK, magnitude, primes_up_to
 
 _INT64_LIMIT = 1 << 63
-_BLOCK = 1 << 14  # entries of the largest temporary a strided update builds
 
 
 class CoeffSeq:
@@ -48,6 +47,9 @@ class CoeffSeq:
         self._array = array
 
     array = property(lambda self: self._array)
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, read-only again
+        return CoeffSeq, (self._array,)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffSeq):

@@ -116,6 +116,13 @@ def test_odd_divisor_sums():
         assert sums[0] == 0
         for m in range(1, n + 1):
             assert sums[m] == sum(d for d in range(1, m + 1, 2) if m % d == 0), (n, m)
+    # at n = 10^5 the odd e > isqrt(n) of d = 1 fill four blocks of 2^14
+    # values, and those of d = 2 two
+    for n in (10**5, 10**5 + 1):
+        ref = np.zeros(n + 1, np.int64)
+        for d in range(1, n + 1, 2):
+            ref[d::d] += d
+        assert np.array_equal(odd_divisor_sums(n), ref), n
 
 
 def test_kronecker_equals_the_quadratic_characters():

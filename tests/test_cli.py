@@ -265,10 +265,11 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    import similitude.cli as cli_mod
+    # verify runs counting.series, so the fault goes into counting's closed form
+    from similitude import counting
     from similitude.dirichlet import ones
 
-    real = cli_mod.closed_sequence
+    real = counting.closed_sequence
 
     def broken(target, n):
         seq = real(target, n)
@@ -276,7 +277,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
             return ones(n)  # wrong on purpose
         return seq
 
-    monkeypatch.setattr(cli_mod, "closed_sequence", broken)
+    monkeypatch.setattr(counting, "closed_sequence", broken)
     code, out, err = run(capsys, "verify", "--target", "f_j", "--terms", "50")
     assert code == 1
     assert "FAIL engine-vs-closed-form" in out
@@ -284,17 +285,17 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_multiplicativity_checks_the_engine(capsys, monkeypatch):
-    import similitude.cli as cli_mod
+    from similitude import counting
     from similitude.dirichlet import coeff_seq
 
-    real = cli_mod.engine_sequence
+    real = counting.engine_sequence
 
     def broken(target, n):
         values = real(target, n).array.tolist()
         values[5] += 1  # a(6) != a(2) a(3): not multiplicative
         return coeff_seq(values)
 
-    monkeypatch.setattr(cli_mod, "engine_sequence", broken)
+    monkeypatch.setattr(counting, "engine_sequence", broken)
     code, out, _ = run(capsys, "verify", "--target", "riemann", "--terms", "50")
     assert code == 1
     assert "FAIL multiplicativity target=riemann terms=50" in out

@@ -395,6 +395,24 @@ def test_engine_holds_at_most_three_n_arrays():
             assert peak <= bound, (target, build.__name__, peak, bound)
 
 
+def test_verify_holds_at_most_three_n_arrays():
+    # verify runs series (above) and then, with the returned sequence alive,
+    # is_multiplicative's rebuild (one closed-form sieve) and, for zeta_j,
+    # the blocked odd-divisor sums: one n-array each
+    from similitude.cli import _verify_one
+
+    n = 10**6
+    for target in (Target.RIEMANN, Target.ZETA_J, Target.F_J):
+        arith.primes_up_to.cache_clear()  # the sieve is part of the peak
+        tracemalloc.start()
+        try:
+            assert all(ok for _, ok in _verify_one(target, n)), target
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 2**20, (target, peak / (8 * n))
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(1, 3000))
 def test_engine_matches_closed_forms_at_random_n(n):
@@ -428,6 +446,15 @@ def test_summatory_at_the_edges_of_its_prime_steps(n):
 def test_summatory_matches_the_sieve_at_random_n(n):
     for target in Target:
         assert summatory(target, n) == partial_sum(closed_sequence(target, n), n), (target, n)
+
+
+def test_summatory_refuses_a_rule_not_linear_at_primes(monkeypatch):
+    # summatory's prime sums can express only h(q, 1) = c0 + c1 q; a rule
+    # that is not would be summed right only where the grid's small primes
+    # reach, so it raises instead
+    monkeypatch.setitem(counting._EULER, Target.F_J, (Ring.RATIONAL, lambda q, e: q ** (2 * e), 1))
+    with pytest.raises(ValueError, match="f_j"):
+        summatory(Target.F_J, 1000)
 
 
 def test_summatory_at_a_million():

@@ -122,6 +122,8 @@ def test_value_classes_compare_hash_and_stay_immutable():
     with pytest.raises(TypeError, match="unhashable"):
         hash(seq)
     assert copy.copy(seq) == copy.deepcopy(seq) == pickle.loads(pickle.dumps(seq)) == seq
+    for x in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+        assert not x.array.flags.writeable  # each copy is rebuilt through the constructor
     for change in (lambda: setattr(seq, "array", seq.array), lambda: delattr(seq, "array"),
                    lambda: setattr(seq, "other", 0)):
         with pytest.raises(AttributeError):
@@ -184,6 +186,23 @@ def test_engine_reads_none_of_the_closed_form():
     reads += [f"{module}.{name} {ref}" for module, name in closed
               for ref in _names(defs[module][name], kronecker)]
     assert reads == []
+
+
+def test_the_cross_check_has_one_owner():
+    # counting.series alone runs both routes and compares them; verify calls
+    # it, so the CLI names neither route
+    src = Path(similitude.__file__).resolve().parent
+    routes = {"closed_sequence", "engine_sequence"}
+    assert _names(ast.parse((src / "cli.py").read_text()), routes) == []
+    owners = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                         for node in ast.walk(fn) if isinstance(node, ast.Call)}
+                if routes <= calls:
+                    owners.append(f"{path.stem}.{fn.name}")
+    assert owners == ["counting.series"]
 
 
 def test_only_quat_builds_quaternions():
