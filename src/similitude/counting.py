@@ -197,8 +197,12 @@ def _dilated_inverse(head: CoeffSeq) -> list[tuple[int, int]]:
 
 def _character(d: int, n: int) -> CoeffSeq:
     """The Kronecker symbol (d/m) for m = 1..n, of a real quadratic field's
-    discriminant d, tiled from one period m = 1..d: the only n-array built."""
-    return CoeffSeq(np.tile(np.array([kronecker(d, m) for m in range(1, d + 1)]), -(-n // d))[:n])
+    discriminant d, tiled from one period m = 1..d: the only n-array built.
+    A period with (d/1) != 1 raises, as zeta_K would square a sign away."""
+    period = [kronecker(d, m) for m in range(1, d + 1)]
+    if period[0] != 1:
+        raise ValueError(f"(d/1) = {period[0]} for d = {d}, where a character has 1")
+    return CoeffSeq(np.tile(np.array(period), -(-n // d))[:n])
 
 
 # the engine's own inputs: each real quadratic field's discriminant, each

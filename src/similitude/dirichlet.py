@@ -240,6 +240,12 @@ def _apply_prime_powers(out: np.ndarray, factors, op) -> None:
             op(view, fac, out=view)
 
 
+def _bits_fit(top: int) -> bool:
+    """Whether from_multiplicative may run in int64: top is the largest b(m),
+    and |a(m)| and its partial products are below 2^b(m) <= 2^63."""
+    return top <= 63
+
+
 def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
     """Assemble a(prod p_i^r_i) = prod ppower(p_i, r_i) for all m <= n.
 
@@ -251,9 +257,9 @@ def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
 
     Exact: |a(m)| and its partial products are below 2^b(m), b(m) the sum of
     the bit lengths of |a(p^e)| over p^e || m.  The same kernel sums those
-    first, and the values are int64 only when every b(m) <= 63, else exact
-    Python ints (dtype=object).  The int16 bit lengths are released before
-    the values are allocated, so the values are the one n-array left alive
+    first, and the values are int64 only when every b(m) <= 63 (_bits_fit),
+    else exact Python ints.  The int16 bit lengths are released before the
+    values are allocated, so the values are the one n-array left alive
     beside blocks of at most _BLOCK entries and arrays of the large primes."""
     for p in (2, 3):
         if ppower(p, 0) != 1:
@@ -275,7 +281,7 @@ def from_multiplicative(ppower: Callable[[int, int], int], n: int) -> CoeffSeq:
     kmax = n // int(large[0]) if len(large) else 0
     top = max(int(bits.max()), int(bits[: kmax + 1].max()) + min(magnitude(big).bit_length(), 64))
     del bits
-    vals = np.ones(n + 1, np.int64 if top <= 63 else object)
+    vals = np.ones(n + 1, np.int64 if _bits_fit(top) else object)
     _apply_prime_powers(vals, factors, np.multiply)
     big = big.astype(vals.dtype)
     counts = np.searchsorted(large, n // np.arange(1, kmax + 1), side="right")
@@ -307,17 +313,14 @@ def partial_sum(a: CoeffSeq, x: int) -> int:
 # -- partial sums on the grid {n // i} ----------------------------------------
 #
 # With r = isqrt(n), the values n // i (1 <= i <= n) are the v <= r and the
-# n // i for i <= r: about 2 sqrt(n) of them, and v // k = n // (i k) is on
-# the grid for every v = n // i on it.  Position v - 1 holds v <= r and
-# position 2r - i holds n // i (n // r = r may appear twice; both positions
-# hold the same value).
+# n // i for i <= r: about 2 sqrt(n) of them, ascending in floor_grid(n).
+# v // k = n // (i k) is on the grid for every v = n // i on it and every
+# k <= v, so floor_grid(n).searchsorted(w) is the position of any such w
+# (n // r = r may appear twice; both positions hold the same value).
 #
-# Both passes over the grid below take the primes p <= r in steps.  A step for
-# p writes only the v >= p^2 and reads only the v <= n / p and v = p - 1, p.
-# So the primes above the cube root of n, whose squares exceed n / p for every
-# such p, never read what another of them writes: they share one step.  Each
-# prime up to the cube root takes a step of its own.  A step's pairs
-# (position, row) go through in groups of at most max(_BLOCK, 2 sqrt(n)).
+# Both passes over the grid below take one step per prime p <= r.  A step
+# writes only the suffix v >= p^2, reading the values from before the step,
+# so each array a step builds holds at most 2 sqrt(n) entries.
 
 @lru_cache(maxsize=8)
 def floor_grid(n: int) -> np.ndarray:
@@ -326,39 +329,6 @@ def floor_grid(n: int) -> np.ndarray:
     v = np.concatenate([np.arange(1, r + 1), n // np.arange(r, 0, -1)])
     v.flags.writeable = False
     return v
-
-
-def _prime_steps(n: int) -> list[np.ndarray]:
-    """The primes p <= isqrt(n) in ascending steps: one step for each p with
-    p^3 <= n, and for 2, then one step for all the rest (all odd)."""
-    primes, c = primes_up_to(math.isqrt(n)), round(n ** (1 / 3))
-    c = c - (c**3 > n) + ((c + 1) ** 3 <= n)  # the integer cube root of n
-    cut = int(np.searchsorted(primes, max(c, 2), side="right"))
-    steps = [primes[i : i + 1] for i in range(cut)]
-    return steps + [primes[cut:]] if cut < len(primes) else steps
-
-
-def _pairs(n: int, p: np.ndarray, q: np.ndarray):
-    """For the rows k, the positions of the grid values v >= q[k] p[k] (no
-    row is empty, as q p <= n), in groups of whole rows of at most _BLOCK
-    pairs, or one row if it holds more: per group, those positions (dest),
-    the row of each (rows) and the positions of the v // q[k] (src)."""
-    v, r = floor_grid(n), math.isqrt(n)
-    lo = np.searchsorted(v, q * p)
-    counts = len(v) - lo
-    ends = np.cumsum(counts)
-    starts, cuts, size = ends - counts, [0], 0
-    for k, c in enumerate(counts.tolist()):
-        if size + c > _BLOCK and size:
-            cuts.append(k)
-            size = 0
-        size += c
-    for i, j in zip(cuts, cuts[1:] + [len(p)]) if len(p) else ():
-        rows = np.repeat(np.arange(i, j), counts[i:j])
-        dest = np.arange(starts[i], ends[j - 1]) + (lo - starts)[rows]
-        src = v[dest] // q[rows]  # above r only as n // (i q) at dest = 2r - i, with i q <= r
-        src = np.where(src <= r, src - 1, 2 * r - (2 * r - dest) * q[rows])
-        yield dest, rows, src
 
 
 def _prime_sums_fit(n: int) -> bool:
@@ -382,14 +352,13 @@ def prime_sums(n: int, chi: tuple[int, ...] = (1,)) -> np.ndarray:
     Lucy's recurrence (Legendre's sieve on the grid, as in Lagarias, Miller
     and Odlyzko, Math. Comp. 44, 1985): G(v) starts as the sum of f(m) =
     chi(m) m^k over 2 <= m <= v, in closed form over whole periods; each
-    prime p <= isqrt(n), in ascending steps, removes the m whose least prime
-    factor is p, G(v) -= f(p) (G(v / p) - G(p - 1)) for v >= p^2.
-    O(n^(3/4)) operations on arrays of O(sqrt n) entries, int64 under
-    _prime_sums_fit, else exact Python ints.  The table is cached and
-    shared, so it is read-only."""
+    prime p <= isqrt(n), in ascending order, removes the m whose least prime
+    factor is p, G(v) -= f(p) (G(v / p) - G(p - 1)) for v >= p^2, one slice
+    step read before it is written.  O(n^(3/4)) operations on arrays of
+    O(sqrt n) entries, int64 under _prime_sums_fit, else exact Python ints.
+    The table is cached and shared, so it is read-only."""
     v, d = floor_grid(n), len(chi)
-    f = np.array(chi, np.int64)
-    period = np.roll(f, -1)  # chi(t) for t = 1..d
+    period = np.roll(np.array(chi, np.int64), -1)  # chi(t) for t = 1..d
     count = np.cumsum(np.r_[0, period])  # sum of chi(t) over 1 <= t <= 0..d
     moment = np.cumsum(np.r_[0, period * np.arange(1, d + 1)])  # ... of chi(t) t
     q, rem = np.divmod(v, d)
@@ -398,12 +367,11 @@ def prime_sums(n: int, chi: tuple[int, ...] = (1,)) -> np.ndarray:
     g0 = q * count[d] + count[rem]
     g1 = d * count[d] * (q * (q - 1) // 2) + q * (moment[d] + d * count[rem]) + moment[rem]
     table = np.stack([g0, g1]) - chi[1 % d]  # without m = 1
-    for ps in _prime_steps(n):
-        ps = ps[f[ps % d] != 0]
-        for dest, rows, src in _pairs(n, ps, ps):
-            fp, pk = f[ps % d][rows], ps[rows]
-            below = table[:, src] - table[:, pk - 2]
-            np.subtract.at(table, (slice(None), dest), np.stack([fp, fp * pk]) * below)
+    for p in primes_up_to(math.isqrt(n)).tolist():
+        if fp := chi[p % d]:  # G(p - 1) sits at position p - 2
+            lo = v.searchsorted(p * p)
+            below = table[:, v.searchsorted(v[lo:] // p)] - table[:, p - 2, None]
+            table[:, lo:] -= [[fp], [fp * p]] * below
     table.flags.writeable = False
     return table
 
@@ -430,9 +398,7 @@ def multiplicative_sum(ppower: Callable[[int, int], int], n: int, prime_sum: np.
     the 2 <= m <= v that are prime or have no prime factor below p (as
     Deleglise and Rivat sum the Moebius function, Experiment. Math. 5, 1996),
     and at the end a(1) = 1 joins T(n).  Each ppower(p, e), p^e <= n, is
-    read once, as from_multiplicative reads it: ppower(P, 1) once on the
-    int64 array P of the odd primes with P^3 > n (an array or a scalar must
-    come back), every other value as a Python int.
+    read once, as a Python int.
 
     T is int64 while each step passes _pass_step_fits, else exact Python
     ints.  The check reads peak, the prefix maxima of |T| over the grid,
@@ -440,32 +406,25 @@ def multiplicative_sum(ppower: Callable[[int, int], int], n: int, prime_sum: np.
     O(n^(3/4)) operations in all."""
     if n < 1:
         return 0
-    v, r = floor_grid(n), math.isqrt(n)
+    v = floor_grid(n)
     t = prime_sum.astype(np.int64 if magnitude(prime_sum) < _INT64_LIMIT else object)
     peak = np.maximum.accumulate(np.abs(t))
-    for ps in reversed(_prime_steps(n)):
-        if ps[0] > 2 and ps[0] ** 3 > n:  # odd primes above the cube root: e = 1 on their array
-            big = np.broadcast_to(ppower(ps, 1), ps.shape).tolist()
-            rows = [(p, p, x, int(ppower(p, 2))) for p, x in zip(ps.tolist(), big)]
-        else:
-            p, pv = int(ps[0]), []
-            while p ** (len(pv) + 1) <= n:
-                pv.append(int(ppower(p, len(pv) + 1)))
-            rows = [(p, p**e, x, y) for e, (x, y) in enumerate(zip(pv, pv[1:]), 1)]
-        p, q, a, b = map(list, zip(*rows))
-        p, q = np.array(p), np.array(q)
-        here = t[p - 1]  # T(p)
-        if t.dtype != object:  # reach: peak at the position of n // q, plus |T(p)|
-            reach = map(sum, zip(peak[np.where(q <= r, 2 * r - q, n // q - 1)].tolist(),
-                                 np.abs(here).tolist()))
-            if not _pass_step_fits(int(peak[-1]), list(reach), a, b):
-                t, here = t.astype(object), here.astype(object)
-        a, b = np.array(a, t.dtype), np.array(b, t.dtype)
-        lo = np.searchsorted(v, int(p[0]) ** 2)  # the least v any row writes
+    for p in reversed(primes_up_to(math.isqrt(n)).tolist()):
+        pv = []
+        while p ** (len(pv) + 1) <= n:
+            pv.append(int(ppower(p, len(pv) + 1)))
+        q = [p**e for e in range(1, len(pv))]  # row e reads T(v / p^e) and writes the v >= p^(e+1)
+        here = int(t[p - 1])  # T(p)
+        if t.dtype != object:  # reach: peak at the position of n // p^e, plus |T(p)|
+            reach = [x + abs(here) for x in peak[v.searchsorted([n // k for k in q])].tolist()]
+            if not _pass_step_fits(int(peak[-1]), reach, pv[:-1], pv[1:]):
+                t = t.astype(object)
+        ws = v.searchsorted([p * k for k in q]).tolist()
+        lo = ws[0]  # the least v any row writes, p^2
         step = np.zeros(len(v) - lo, t.dtype)
-        for dest, k, src in _pairs(n, p, q):
-            np.add.at(step, dest - lo, a[k] * (t[src] - here[k]) + b[k])
+        for k, w, x, y in zip(q, ws, pv, pv[1:]):
+            step[w - lo :] += x * (t[v.searchsorted(v[w:] // k)] - here) + y
         t[lo:] += step
         if t.dtype != object:
-            peak[lo:] = np.maximum.accumulate(np.maximum(np.abs(t[lo:]), peak[lo - 1] if lo else 0))
+            peak[lo:] = np.maximum.accumulate(np.maximum(np.abs(t[lo:]), peak[lo - 1]))
     return int(t[-1]) + 1

@@ -284,6 +284,18 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert err == "FAIL f_j, N = 50: closed form 1 != engine 8 at m = 3\n"
 
 
+def test_verify_zeta_k_alone_sees_a_negated_kronecker_period(capsys, monkeypatch):
+    # with (d/2) negated, the engine's whole zeta_sqrt2 column changes sign,
+    # which zeta_K squares away; the engine refuses the period at (8/1) = -1
+    from similitude import arith
+
+    monkeypatch.setattr(arith, "_TWO", tuple(-v for v in arith._TWO))
+    code, out, err = run(capsys, "verify", "--target", "zeta_k", "--terms", "1000")
+    assert code == 1
+    assert "FAIL engine-vs-closed-form" in out
+    assert err.startswith("FAIL zeta_k, N = 1000: engine failed: (d/1) = -1 for d = 8")
+
+
 def test_verify_multiplicativity_checks_the_engine(capsys, monkeypatch):
     from similitude import counting
     from similitude.dirichlet import coeff_seq
@@ -317,13 +329,13 @@ def test_series_cross_check_failure_exits_one(capsys, monkeypatch):
 
 
 def test_engine_error_fails_with_the_target_and_n(capsys, monkeypatch):
-    # (5/1) = 0 leaves the engine's zeta_tau with a(1) = 0, so f_i stops in
-    # dirichlet_inverse (as in test_counting's Kronecker mutation test)
+    # (5/1) = 0 is no character, so the engine's zeta_tau, and with it f_i,
+    # stops in _character (as in test_counting's Kronecker mutation test)
     from similitude import counting
 
     kronecker = counting.kronecker
     monkeypatch.setattr(counting, "kronecker", lambda d, m: 0 if (d, m) == (5, 1) else kronecker(d, m))
-    fail = "FAIL f_i, N = 10000: engine failed: not invertible: leading coefficient must be +-1\n"
+    fail = "FAIL f_i, N = 10000: engine failed: (d/1) = 0 for d = 5, where a character has 1\n"
     assert run(capsys, "series", "--target", "f_i", "--terms", "10000") == (1, "", fail)
     assert run(capsys, "verify", "--target", "f_i", "--terms", "10000") == (
         1, "FAIL engine-vs-closed-form target=f_i terms=10000\n"

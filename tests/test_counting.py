@@ -295,12 +295,10 @@ def test_cross_check_catches_kronecker_faults(monkeypatch):
     # a fault in kronecker reaches only the engine.  Each single change of
     # one value of a period, (d/m) for d = 5, 8 and m <= d, must be caught
     # on the three targets of its ring; so must kronecker's (d/2) table
-    # _TWO negated, on both rings.  One outcome differs, with its reason:
-    # zeta_k does not see the negation: for d = 8 it strips three 2s from
-    # every odd m, which negates the whole character and with it the engine's
-    # zeta_sqrt2, and zeta_K(s) = zeta_sqrt2(2s) zeta_sqrt2(2s-1) is a
-    # product of two of them.  (With (d/1) = 0 the engine's field zeta has
-    # a(1) = 0, and the f_* stop in dirichlet_inverse: caught as well.)
+    # _TWO negated, on both rings.  For d = 8 that negation strips three 2s
+    # from every odd m, which negates the whole character, and zeta_K(s) =
+    # zeta_sqrt2(2s) zeta_sqrt2(2s-1) would square it away: zeta_k sees it
+    # only because the engine refuses a period with (d/1) != 1.
     kronecker = arith.kronecker
     mutants = {}  # name -> (module, name in it, its faulty stand-in, the targets that read it)
     for ring, d in ((Ring.GOLDEN, 5), (Ring.SQRT2, 8)):
@@ -317,8 +315,7 @@ def test_cross_check_catches_kronecker_faults(monkeypatch):
             patch.setattr(module, attr, fault)
             for target in targets:
                 outcomes[name, target] = cross_check_outcome(target)
-    assert {k: v for k, v in outcomes.items() if v != "caught"} == {
-        ("(d/2) flipped", Target.ZETA_K): "unseen"}
+    assert {k: v for k, v in outcomes.items() if v != "caught"} == {}
 
 
 def test_cross_check_catches_engine_constant_faults(monkeypatch):
@@ -429,8 +426,9 @@ def test_summatory_equals_the_cumulative_closed_form_at_every_small_n():
         assert {t: summatory(t, m) for t in Target} == {t: sums[t][m] for t in Target}, m
 
 
-# n = 1, 2, 3, a prime, and p^2 - 1, p^2, p^2 + 1, where p crosses isqrt(n);
-# also p^3 - 1, p^3, p^3 + 1, where p joins the primes that take a step each
+# n = 1, 2, 3, a prime, and p^2 - 1, p^2, p^2 + 1, where p joins the primes
+# p <= isqrt(n) that take a step; also p^3 - 1, p^3, p^3 + 1, where the step
+# for p gains its row for p^2
 EDGE_N = sorted({1, 2, 3, 100_003} | {p**k + d for p in (2, 3, 5, 7, 31, 317) for d in (-1, 0, 1)
                                       for k in (2, 3) if p**k < 10**6})
 

@@ -387,6 +387,23 @@ def test_from_multiplicative_leaves_int64_exactly():
     assert a[6] == 2**80 and a[30] == 2**120 and a[8] == 2**40
 
 
+def test_from_multiplicative_runs_int64_up_to_its_bit_edge():
+    # a(6) = a(2) a(3) has bit lengths 32 + 31 = 63: int64; 32 + 32 = 64 is
+    # refused, though 2^62 would still fit.  a(p) = 0 at p >= 5 and a(p^e) = 1
+    # at e >= 2.  At n = 6 the prime 3 lies above sqrt(n) and comes as an
+    # array; at n = 40 it is a small prime
+    assert dirichlet._bits_fit(63) and not dirichlet._bits_fit(64)
+    for a3, dtype in ((2**30, np.int64), (2**31, object)):
+        def ppower(p, e, a3=a3):
+            if isinstance(p, np.ndarray):
+                return np.where(p == 3, a3, 0)
+            return {2: 2**31, 3: a3}.get(p, 0) if e == 1 else 1
+        for n in (6, 40):
+            a = from_multiplicative(ppower, n)
+            assert a.array.dtype == dtype and a[6] == 2**31 * a3, (a3, n)
+            assert a.array.tolist() == reference_from_multiplicative(ppower, n)
+
+
 @st.composite
 def _multiplicative_seqs(draw):
     n = draw(st.integers(1, 400))
@@ -420,6 +437,9 @@ def test_floor_grid_holds_every_quotient_once_in_place():
         assert sorted(set(v)) == sorted({n // i for i in range(1, min(n, 2 * r + 2) + 1)} | set(range(1, r + 1)))
         assert v == sorted(v) and len(v) == 2 * r  # n // r = r is its only repeat
         assert v[:r] == list(range(1, r + 1)) and v[r:] == [n // i for i in range(r, 0, -1)]
+        if n < 200:  # each v // k is a grid value, and searchsorted finds it
+            w = [x // k for x in v for k in range(1, x + 1)]
+            assert np.array_equal(floor_grid(n)[floor_grid(n).searchsorted(w)], w)
     assert floor_grid(0).tolist() == []
 
 
@@ -492,4 +512,4 @@ def test_prime_power_pass_runs_int64_up_to_its_edge(monkeypatch):
         ppower = _edge_ppower(x)
         expected = partial_sum(from_multiplicative(ppower, n), n)
         assert multiplicative_sum(ppower, n, prime_sum) == expected == 50 + 13 * x
-        assert verdicts == [True] * 2 + [int64], x  # the steps for 5 and 7, 3, then 2
+        assert verdicts == [True] * 3 + [int64], x  # the steps for 7, 5, 3, then 2
