@@ -423,7 +423,8 @@ def multiplicative_sum(ppower: Callable[[int, int], int], n: int, prime_sum: np.
         lo = ws[0]  # the least v any row writes, p^2
         step = np.zeros(len(v) - lo, t.dtype)
         for k, w, x, y in zip(q, ws, pv, pv[1:]):
-            step[w - lo :] += x * (t[v.searchsorted(v[w:] // k)] - here) + y
+            if x or y:  # a(p^e) = 0, as at an inert prime at odd e, adds a(p^(e+1)) alone
+                step[w - lo :] += x * (t[v.searchsorted(v[w:] // k)] - here) + y if x else y
         t[lo:] += step
         if t.dtype != object:
             peak[lo:] = np.maximum.accumulate(np.maximum(np.abs(t[lo:]), peak[lo - 1]))

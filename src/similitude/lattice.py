@@ -67,26 +67,33 @@ def lattice_key(rows, dim: int) -> LatticeKey:
     return LatticeKey(hnf_rows(rows, dim))
 
 
+def _hnf_solve_fits(top_h: int, n: int, big_x: int) -> bool:
+    """Whether `hnf_solve` is exact in int64 (its docstring): top_h = max h_ii, big_x = max|x|."""
+    return (top_h << (n - 1)) * (big_x + 1) < 1 << 63
+
+
 def hnf_solve(hnf: tuple[tuple[int, ...], ...], x) -> tuple[np.ndarray, np.ndarray]:
     """(q, inside): x = q H on the rows of x in the lattice with row basis
     H = `hnf`, which `inside` marks; exact for object x, else int64.
     Back-substitution from the last column: step i takes q_i = v_i // h_ii
-    and subtracts q_i H_i from v (x at the start), leaving v_i mod h_ii in
-    column i, where no later H_j is nonzero: a row is inside iff no
-    remainder is left.  With M = max|x|, v_j = x_j - sum_{i>j} q_i h_ij and
-    0 <= h_ij < h_jj give |q_j| <= M + 1 + sum_{i>j} |q_i|, so by induction
-    |q_j| <= 2^(n-1-j) (M + 1), and each partial v_j and product q_i h_ij is
-    at most h_jj 2^(n-1-j) (M + 1): int64 is exact while max h_ii 2^(n-1)
-    (M + 1) < 2^63 (asserted).  In the kind test of `oracle.enumerate_ssm`,
-    h_ii <= m^2 <= 900, max|T| <= 3 and n <= 8 give M <= 21,600: under 2^32."""
+    and subtracts q_i h_ij from v (x at the start) one column j at a time,
+    leaving v_i mod h_ii in column i, where no later H_j is nonzero: a row
+    is inside iff no remainder is left.  With M = max|x|, v_j = x_j -
+    sum_{i>j} q_i h_ij and 0 <= h_ij < h_jj give |q_j| <= M + 1 + sum_{i>j} |q_i|,
+    so by induction |q_j| <= 2^(n-1-j) (M + 1), and each partial v_j and
+    product q_i h_ij is at most h_jj 2^(n-1-j) (M + 1): int64 is exact while
+    max h_ii 2^(n-1) (M + 1) < 2^63 (`_hnf_solve_fits`, asserted).  In the kind
+    test of `oracle.enumerate_ssm`, h_ii <= m^2 <= 900, max|T| <= 3 and
+    n <= 8 give M <= 21,600: under 2^32."""
     v, n = np.array(x), len(hnf)
     if v.dtype != object:
         v = v.astype(np.int64, copy=False)
-        big_x = magnitude(v)
-        top = ((1 << 63) - 1) // (max(r[i] for i, r in enumerate(hnf)) << (n - 1)) - 1
-        assert big_x <= top, f"hnf_solve: max|x| = {big_x} is above the int64 bound {top}"
+        big_x, top_h = magnitude(v), max(r[i] for i, r in enumerate(hnf))
+        assert _hnf_solve_fits(top_h, n, big_x), \
+            f"hnf_solve: max|x| = {big_x} is above the int64 bound {(2**63 - 1) // (top_h << n - 1) - 1}"
     h, q = np.array(hnf, dtype=v.dtype), np.zeros_like(v)
     for i in range(n - 1, -1, -1):
         q[:, i] = v[:, i] // h[i, i]
-        v -= np.outer(q[:, i], h[i])
+        for j in np.flatnonzero(h[i]).tolist():
+            v[:, j] -= q[:, i] * h[i, j]
     return q, (v == 0).all(axis=1)

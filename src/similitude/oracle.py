@@ -60,11 +60,16 @@ def _form(lattice: Order, s: int) -> np.ndarray:
     return np.block([[s * i, i], [i, (ring.c0 * s + ring.c1) * i]])[:lattice.rank, :lattice.rank]
 
 
+def _trace_fits(big_t: int) -> bool:
+    """Whether `_norm_vectors` admits the trace T = big_t (its docstring)."""
+    return big_t < 1 << 20
+
+
 def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]:
     """Doubled coordinates X of the elements of norm lam, and their key
     coordinates: sum X_i^2 = 4 lam with X/2 in the order, by a
     meet-in-the-middle join of pairs of coordinate squares a + b w, packed
-    as a * 2^24 + b.
+    as a * 2^24 + b; the join dies before `solve` runs on the matched rows.
 
     A coordinate c = p + q w has c^2 <= 4 lam under both embeddings, that
     is 4 lam - c^2 = A + B w is totally nonnegative: P >= 0 and P^2 >= d B^2
@@ -90,7 +95,7 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
     |q| <= 2^7 * 6,145 < 2^20 and |q U| < 2 * 2^8 * 6,145 < 2^22 (asserted).
     """
     big_t = (lam + lam.conjugate()).a
-    if big_t >= 1 << 20:
+    if not _trace_fits(big_t):
         raise OverflowError(f"lambda={lam} is too large for the int64 packings (T >= 2^20)")
     ring, pack = lattice.ring, 1 << 24
     r = math.isqrt(big_t) + 1
@@ -100,19 +105,17 @@ def _norm_vectors(lattice: Order, lam: QuadInt) -> tuple[np.ndarray, np.ndarray]
     room_a, room_b = 4 * lam.a - sq_a, 4 * lam.b - sq_b
     big_p = 2 * room_a + ring.c1 * room_b
     keep = (big_p >= 0) & (big_p * big_p >= ring.d * room_b * room_b)
-    cands, squares = np.stack([p[keep], q[keep]], axis=1), sq_a[keep] * pack + sq_b[keep]
-    k = len(cands)
-    i, j = np.divmod(np.arange(k * k), k)
-    pair = squares[i] + squares[j]
+    cands, squares = np.stack([p[keep], q[keep]])[:lattice.rank // 4], sq_a[keep] * pack + sq_b[keep]
+    k = len(squares)
+    pair = (squares[:, None] + squares).ravel()  # pair i k + j: squares i and j
     order = np.argsort(pair, kind="stable")
     need = 4 * lam.a * pack + 4 * lam.b - pair
     lo = np.searchsorted(pair[order], need, "left")
     count = np.searchsorted(pair[order], need, "right") - lo
     left = np.repeat(np.arange(k * k), count)
-    start = np.repeat(lo - np.cumsum(count) + count, count)
-    right = order[start + np.arange(len(left))]
-    idx = np.stack([i[left], j[left], i[right], j[right]], axis=1)
-    x = np.hstack([cands[idx, 0], cands[idx, 1]])[:, :lattice.rank]
+    right = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(left))]
+    x = np.hstack(list(cands[:, np.stack([*np.divmod(left, k), *np.divmod(right, k)], 1)]))
+    del pair, order, need, lo, count, left, right  # the join dies before the solve
     coords, inside = solve(lattice, x)
     return x[inside], coords[inside]
 
@@ -130,18 +133,17 @@ class LambdaClass(NamedTuple):
     keys: frozenset[LatticeKey]
 
 
-# Bytes per block of v_0: its dot rows, Gram blocks and frame indices, as
-# `_block_frames` counts them.  The first block is one v_0, and each block
-# sizes the next from the bytes per v_0 it used.  2^18 bytes (about nine v_0
-# at icosian m = 9, n = 1,200) spread the fixed cost of a block's NumPy
-# calls; a block peaks at about twice its count, and 2^19 bytes would raise
-# the peak RSS of `oracle --module icosian --m 9` by 0.3-0.5 MB more.
+# The bytes of a block of v_0 at its peak, as `_block_frames` counts them.
+# The first block is one v_0, and each block sizes the next from the bytes
+# per v_0 it used.  2^18 bytes (about fourteen v_0 at icosian m = 9,
+# n = 1,200) spread the fixed cost of a block's NumPy calls, and a block
+# stays below the peak of `_norm_vectors` there.
 _BLOCK_BYTES = 1 << 18
 
 
 def _padded(mask: np.ndarray) -> np.ndarray:
     """Column indices of the True entries of each row of `mask`, padded with
-    -1 to a common width."""
+    -1 to a common width; its index arrays peak below 6 times the result."""
     rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
     pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
     out = np.full((len(mask), pos.max(initial=-1) + 1), -1, dtype=np.intp)
@@ -158,54 +160,71 @@ def _words(mask: np.ndarray) -> np.ndarray:
     return np.packbits(out, bitorder="little").view(np.uint64).reshape(rows, out.shape[1] // 64)
 
 
-def _block_frames(x: np.ndarray, y: np.ndarray, t: list[list[int]],
+def _block_frames(x: np.ndarray, form: np.ndarray, t: list[list[int]],
                   lo: int, hi: int) -> tuple[tuple[np.ndarray, ...], int]:
     """The frames (v_0, v_1, v_2, v_3) with lo <= v_0 < hi, as four index
-    arrays in no particular order, and the bytes of the block's dot rows,
-    Gram blocks and frame indices.  x and y end in a NaN row, the pad of
-    the candidate rows: every vector is nonzero, so a dot with the pad has a
-    NaN term, is NaN and equals no target, and the pads need no mask.  t
-    holds the packed target dots.
+    arrays in no particular order, and the bytes of the block's peak.  x ends
+    in a NaN row, the pad of the candidate rows: every vector is nonzero, so
+    a dot with the pad has a NaN term, is NaN and equals no target, and the
+    pads need no mask.  The dots are x . x L for L = form (symmetric: x L.T
+    takes the BLAS kernel of the dots), and t holds the packed target dots.
 
     The dot rows of v_0 give its candidates B, C, D for v_1, v_2, v_3 as
-    index rows padded with -1; candidate sets, Gram blocks and word masks
-    that share their dots are computed once.  The (v_1, v_2) pairs are the
-    matches in B.C, and v_3 the set bits of the AND of their B.D and C.D
-    rows, packed in uint64 words: a pair has almost always one v_3."""
-    dots = x[lo:hi] @ y[:-1].T
+    index rows padded with -1, and each Gram block is built once.  The
+    (v_1, v_2) pairs are the matches in B.C, and v_3 the set bits of the AND
+    of their B.D and C.D rows, packed in uint64 words: a pair has almost
+    always one v_3.  Each array dies once read.  The peak counted is the
+    larger phase: the dots or a Gram block with what is held beside it, or,
+    for P pairs of W words and F frames, max(2P + max(3WP, 4.125F), 5F)
+    int64 beside the masks and candidates (a set word holds a frame); plus
+    8 kB for array headers and Python objects (2-6 kB at any size)."""
+    dots = (x[lo:hi] @ form.T) @ x[:-1].T
     cands = {v: _padded(dots == v) for v in set(t[0][1:])}
-    pairs = {(t[0][i], t[0][j]) for i, j in ((1, 2), (1, 3), (2, 3))}
-    grams = {(p, q): np.take(x, cands[p], axis=0) @ np.take(y, cands[q], axis=0).transpose(0, 2, 1)
-             for p, q in pairs}
+    peak = dots.nbytes * 9 // 8 + 6 * (held := sum(c.nbytes for c in cands.values()))  # see _padded
+    del dots
+    # B.C, B.D and C.D as (p, q, target, bool): G_pq == target, a bool array or else uint64 words
+    keys = [(t[0][i], t[0][j], t[i][j], j == 2) for i, j in ((1, 2), (1, 3), (2, 3))]
+    masks = {}
+    for p, q in {k[:2] for k in keys}:
+        gram = np.take(x, cands[p], axis=0) @ (np.take(x, cands[q], axis=0) @ form.T).transpose(0, 2, 1)
+        peak = max(peak, held + gram.nbytes + 8 * x.shape[1] * (cands[p].size + cands[q].size))
+        for key in {k for k in keys if k[:2] == (p, q)}:  # _words pads each row to 64 bits
+            masks[key] = gram == key[2] if key[3] else _words(gram == key[2])
+            held += masks[key].nbytes
+            peak = max(peak, held + gram.nbytes * 9 // 8 + (0 if key[3] else 8 * masks[key].nbytes))
+        del gram
     b, c, d = (cands[v] for v in t[0][1:])
-    bc = grams[t[0][1], t[0][2]] == t[1][2]
-    ends = [(t[0][i], t[0][3], t[i][3]) for i in (1, 2)]  # B.D and C.D, once if equal
-    words = {e: _words(grams[e[:2]] == e[2]) for e in set(ends)}
-    bd, cd = (words[e] for e in ends)
-    nbytes = dots.nbytes + sum(g.nbytes for g in grams.values())
-    del dots, grams  # the frames need only the masks
+    bc, bd, cd = (masks[k] for k in keys)
     # flat indices: ab = pa kb + pb into b and the rows of bd, ac = pa kc + pc
-    ab, pc = np.divmod(np.flatnonzero(bc), c.shape[1])
-    pa = ab // b.shape[1]
-    ac = pa * c.shape[1] + pc
-    pair_words = np.take(bd, ab, axis=0) & np.take(cd, ac, axis=0)
-    flat = np.flatnonzero(pair_words)
-    pair, word = np.divmod(flat, pair_words.shape[1])
-    bits = pair_words.ravel()[flat]
-    hit, pos = [], []
+    ab, ac = np.divmod(np.flatnonzero(bc), c.shape[1])
+    ac += ab // b.shape[1] * c.shape[1]
+    both = np.take(bd, ab, axis=0) & np.take(cd, ac, axis=0)
+    flat = np.flatnonzero(both)  # pair * n_words + word
+    bits, (n_pairs, n_words) = both.ravel()[flat], both.shape
+    del bc, bd, cd, both, masks
+    hit, low = [], []
     while True:
         below = bits - np.uint64(1)
-        hit.append(pair)
-        pos.append(64 * word + np.bitwise_count(bits ^ below) - 1)  # the lowest set bit
+        hit.append(flat)
+        low.append(np.bitwise_count(bits ^ below))  # the lowest set bit, plus one
         bits &= below
         more = bits != 0
         if not more.any():
             break
-        pair, word, bits = pair[more], word[more], bits[more]
-    hit, pos = np.concatenate(hit), np.concatenate(pos)
-    pa = pa[hit]
-    return ((lo + pa, b.ravel()[ab[hit]], c.ravel()[ac[hit]], d.ravel()[pa * d.shape[1] + pos]),
-            nbytes + 4 * pos.nbytes)
+        flat, bits = flat[more], bits[more]
+    del flat, bits, below
+    # 64 flat + bit = 64 n_words pair + the position of v_3 in its row of d
+    pair, word = np.divmod(64 * np.concatenate(hit) + np.concatenate(low) - 1, 64 * n_words)
+    del hit
+    fc, fa = c.ravel()[ac[pair]], ab[pair]
+    del ab, ac, pair
+    fb = b.ravel()[fa]
+    fa //= b.shape[1]
+    word += fa * d.shape[1]
+    fd = d.ravel()[word]
+    fa += lo
+    frames = max(2 * n_pairs + max(3 * n_words * n_pairs, 33 * len(fd) // 8 + 1), 5 * len(fd))
+    return (fa, fb, fc, fd), max(peak, held + 8 * frames) + (1 << 13)
 
 
 def _shell(table: tuple[np.ndarray, np.ndarray], units: np.ndarray,
@@ -219,6 +238,11 @@ def _shell(table: tuple[np.ndarray, np.ndarray], units: np.ndarray,
     images = (units @ rows).view(keys.dtype).ravel()
     pos = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
     return index[pos] if (keys[pos] == images).all() else None
+
+
+def _dots_exact(big_t: int) -> bool:
+    """Whether the float64 dots of `_search` are exact at the trace T = big_t (its docstring)."""
+    return 32 * big_t * big_t + 10 * big_t < 1 << 53
 
 
 @lru_cache(maxsize=128)
@@ -245,7 +269,8 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     BLAS adds them, is an integer no larger, so float64 is exact while
     32T^2 + 10T < 2^53, that is T < 2^24.  `_norm_vectors` admits only
     T < 2^20, so the kernels always run in float64, and the comparisons with
-    the packed targets are exact equality of integers.
+    the packed targets are exact equality of integers.  So is y, formed per
+    block: S p_i + q_i and p_i + c q_i (S p_i over Z) are below 3S sqrt(T).
 
     Each SSM found gets a shell bit, set in the words of the norm-lam
     vectors inside it (`_shell`).  A frame whose four vectors share a shell
@@ -253,25 +278,24 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
     `lattice_key`, of v_i (and w v_i) in key coordinates.
     """
     x, coords = _norm_vectors(lattice, lam)
-    n = len(x)
-    rows_as_bytes = coords.view(np.dtype((np.void, coords.strides[0]))).ravel()
-    index = np.argsort(rows_as_bytes)
-    table = rows_as_bytes[index], index
+    n, void = len(x), np.dtype((np.void, coords.strides[0]))
+    index = np.argsort(coords.view(void).ravel())
+    coords, row = coords[index], np.argsort(index, kind="stable")  # vector v is at row[v]
+    table = coords.view(void).ravel(), index
     units = _units(lattice)
     big_t = (lam + lam.conjugate()).a
     form = _form(lattice, 8 * big_t + 1)
     u = np.array(lattice.units, dtype=np.int64)
     t = (u @ form @ times(lam, u).T).tolist()
-    assert 32 * big_t * big_t + 10 * big_t < 1 << 53  # T < 2^20 (`_norm_vectors`)
-    pad = np.full((1, x.shape[1]), np.nan)
-    x, y = np.vstack([x, pad]), np.vstack([x @ form, pad])
+    assert _dots_exact(big_t)  # T < 2^20 (`_norm_vectors`)
+    x, float_form = np.vstack([x, np.full((1, x.shape[1]), np.nan)]), form.astype(np.float64)
     frames, keys = 0, set()
     # row v, bit i of word i // 64: v is inside SSM i (a row per vector, gathered whole)
     shells = np.zeros((n, 1), dtype=np.uint64)
     lo, step = 0, 1
     while lo < n:
         hi = min(lo + step, n)
-        (fa, fb, fc, fd), used = _block_frames(x, y, t, lo, hi)
+        (fa, fb, fc, fd), used = _block_frames(x, float_form, t, lo, hi)
         step = max(1, _BLOCK_BYTES * (hi - lo) // used)
         lo = hi
         frames += len(fd)
@@ -282,7 +306,7 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
         while todo.any():
             f = np.flatnonzero(todo)[0]
             quad = [int(v[f]) for v in (fa, fb, fc, fd)]
-            rows = key_basis(lattice, coords[quad])
+            rows = key_basis(lattice, coords[row[quad]])
             hits = _shell(table, units, rows)
             if hits is None:
                 raise AssertionError(f"{lattice.name} lambda={lam}: the frame {quad} maps a unit "
@@ -298,6 +322,7 @@ def _search(lattice: Order, lam: QuadInt) -> LambdaClass:
             shells[shell, len(keys) // 64] |= np.uint64(1 << len(keys) % 64)
             keys.add(key)
             todo &= ~(shell[fa] & shell[fb] & shell[fc] & shell[fd])
+        del fa, fb, fc, fd, cover, todo  # before the next block
     return LambdaClass(lam, n, frames, frozenset(keys))
 
 

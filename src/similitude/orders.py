@@ -102,18 +102,24 @@ def _data(order: Order) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     return tuple(r[:n] for r in hu), u
 
 
+def _solve_fits(top_u: int, n: int, big_x: int) -> bool:
+    """Whether `solve` is exact in int64 (its docstring): top_u = max|U|, big_x = max|x|."""
+    return (top_u << n) * (big_x + 1) < 1 << 63
+
+
 def solve(order: Order, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key coordinates c (x = c K) of the rows x of doubled coordinates, and
     which rows lie in the order: `hnf_solve` gives x = q H for the HNF H = U K
     of the key basis K, so c = q U.  In the dtype of x: object for exact ints,
     else int64.  `hnf_solve` bounds |q_j| <= 2^(n-1-j) (M + 1), M = max|x|, so
-    |c| < 2^n (M + 1) max|U| < 2^63 (asserted).  For the four orders max|U| <= 2
+    |c| < 2^n (M + 1) max|U| < 2^63 (_solve_fits, asserted).  For the four orders max|U| <= 2
     and n <= 8: the int64 callers `structure` (|x| <= 4) and
     `oracle._norm_vectors` (|x| <= 6,144) meet |q| < 2^20 and |c| < 2^22."""
     h, u = _data(order)
     if x.dtype != object:
-        big_x, top = magnitude(x), ((1 << 63) - 1) // (magnitude(u) << order.rank) - 1
-        assert big_x <= top, f"{order.name} solve: max|x| = {big_x} is above the int64 bound {top}"
+        big_x, top_u, n = magnitude(x), magnitude(u), order.rank
+        assert _solve_fits(top_u, n, big_x), (f"{order.name} solve: max|x| = {big_x} is above the int64 "
+                                              f"bound {(2**63 - 1) // (top_u << n) - 1}")
     q, inside = hnf_solve(h, x)
     return q @ u.astype(q.dtype, copy=False), inside
 

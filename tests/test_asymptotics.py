@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,17 +86,12 @@ def test_mean_value_consistency_modest():
     assert abs(slope / target_constant("slope_a_j") - 1) < 0.02
 
 
-def test_estimate_at_ten_million_terms_builds_no_n_array():
+def test_estimate_at_ten_million_terms_builds_no_n_array(traced_peak):
     # the sum is read off the grid {n // i}, O(sqrt n) entries: about
     # 1.8 MiB at N = 10^7, where the sieve, partial_sum(closed_sequence(f_k,
     # N), N), peaks at about 97 MiB
     estimate_constant("slope_f_k", 1000)  # first calls outside the trace
     prime_sums.cache_clear()
     floor_grid.cache_clear()
-    tracemalloc.start()
-    try:
-        estimate_constant("slope_f_k", 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(estimate_constant, "slope_f_k", 10**7)[1]
     assert peak < 2 * 2**20

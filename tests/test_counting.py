@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,7 +368,7 @@ def test_dilated_inverse_is_the_full_inverse(n, lead, tail):
     assert expand(pairs, n) == full.array.tolist()
 
 
-def test_engine_holds_at_most_three_n_arrays():
+def test_engine_holds_at_most_three_n_arrays(traced_peak):
     # engine_sequence's docstring: every step holds at most three live
     # n-arrays (two operands and a result) beside one block of at most 2^14
     # int64 entries (128 KiB) and a few arrays of isqrt(n) terms; series runs
@@ -383,16 +382,11 @@ def test_engine_holds_at_most_three_n_arrays():
     for target in (Target.F_J, Target.F_Z4, Target.F_I, Target.F_K):
         for build, bound in ((series, 3 * 8 * n + 2**20), (closed_sequence, 1.5 * 8 * n)):
             arith.primes_up_to.cache_clear()  # the sieve is part of the peak
-            tracemalloc.start()
-            try:
-                build(target, n)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(build, target, n)[1]
             assert peak <= bound, (target, build.__name__, peak, bound)
 
 
-def test_verify_holds_at_most_three_n_arrays():
+def test_verify_holds_at_most_three_n_arrays(traced_peak):
     # verify runs series (above) and then, with the returned sequence alive,
     # is_multiplicative's rebuild (one closed-form sieve) and, for zeta_j,
     # the blocked odd-divisor sums: one n-array each
@@ -401,12 +395,8 @@ def test_verify_holds_at_most_three_n_arrays():
     n = 10**6
     for target in (Target.RIEMANN, Target.ZETA_J, Target.F_J):
         arith.primes_up_to.cache_clear()  # the sieve is part of the peak
-        tracemalloc.start()
-        try:
-            assert all(ok for _, ok in _verify_one(target, n)), target
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        checks, peak = traced_peak(_verify_one, target, n)
+        assert all(ok for _, ok in checks), target
         assert peak <= 3 * 8 * n + 2**20, (target, peak / (8 * n))
 
 

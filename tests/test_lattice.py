@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from similitude.lattice import LatticeKey, hnf_rows, hnf_solve, lattice_key
+from similitude.lattice import LatticeKey, _hnf_solve_fits, hnf_rows, hnf_solve, lattice_key
 
 
 def random_unimodular_ops(rng, rows, steps=12):
@@ -132,7 +132,9 @@ def test_int64_hnf_solve_holds_its_bound():
     for n in (4, 8):
         for _ in range(20):
             h = random_hnf(rng, n, 1000)
-            top = ((1 << 63) - 1) // (max(h[i][i] for i in range(n)) << (n - 1)) - 1
+            top_h = max(h[i][i] for i in range(n))
+            top = ((1 << 63) - 1) // (top_h << (n - 1)) - 1
+            assert _hnf_solve_fits(top_h, n, top) and not _hnf_solve_fits(top_h, n, top + 1)
             x = np_rng.integers(-top, top, (50, n), endpoint=True)
             x[0], x[1] = top, -top
             coords, inside = hnf_solve(h, x)

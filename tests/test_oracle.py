@@ -234,6 +234,64 @@ def test_census_failure_names_the_class(monkeypatch):
         oracle.census.__wrapped__(CUBIAN, 7)
 
 
+def test_norm_vector_counts_are_the_theta_series_coefficients():
+    # a second route to the counts of the join: Jacobi's r_4(m) = 8 sigma(m)
+    # - 32 sigma(m/4) for Z^4 and Hurwitz's 24 times the odd divisor sum for
+    # D4*; over Z[w] the class number is 1, so the generators of the ideals
+    # of norm m, summed over the lambda classes, are |units| = 120 (icosian)
+    # or 48 (cubian) per ideal: the order zeta coefficient
+    def sigma(m, step=1):
+        return sum(d for d in range(1, m + 1, step) if m % d == 0)
+
+    for m in range(1, 61):
+        assert len(_norm_vectors(Z4, QuadInt(Ring.RATIONAL, m))[0]) == 8 * sigma(m) - (
+            32 * sigma(m // 4) if m % 4 == 0 else 0), m
+        assert len(_norm_vectors(D4STAR, QuadInt(Ring.RATIONAL, m))[0]) == 24 * sigma(m, 2), m
+    for lattice, units, zeta in ((ICOSIAN, 120, Target.ZETA_I), (CUBIAN, 48, Target.ZETA_K)):
+        for m in range(1, 41):
+            found = sum(len(_norm_vectors(lattice, lam)[0]) for lam in _lambdas(lattice.ring, m))
+            assert found == units * coeff(zeta, m), (lattice.name, m)
+
+
+def test_census_bounds_at_their_edges():
+    # T = 2^20 - 1 is the largest trace the int64 packings admit, and the
+    # float64 dots are exact up to T = 2^24 - 1 (32T^2 + 10T < 2^53)
+    assert oracle._trace_fits((1 << 20) - 1) and not oracle._trace_fits(1 << 20)
+    assert oracle._dots_exact((1 << 24) - 1) and not oracle._dots_exact(1 << 24)
+    assert 32 * ((1 << 24) - 1) ** 2 + 10 * ((1 << 24) - 1) < 1 << 53 <= 32 * (1 << 48) + 10 * (1 << 24)
+
+
+def test_norm_vectors_peak_within_its_output(traced_peak):
+    # the join dies before the candidate rows are built, and hnf_solve holds
+    # one column beside q and v: the peak is x, its copy v and q (about
+    # 2,160 candidate rows of 8 int64), under 3.5 times the 1,200 kept rows
+    # and their key coordinates
+    lam = QuadInt(Ring.GOLDEN, 3)
+    _norm_vectors(ICOSIAN, lam)  # the order's cached data outside the trace
+    (x, coords), peak = traced_peak(_norm_vectors, ICOSIAN, lam)
+    assert len(x) == 1200 and peak <= 3.5 * (x.nbytes + coords.nbytes), peak
+
+
+def test_block_frames_peak_within_the_bytes_they_report(monkeypatch, traced_peak):
+    # each block reports its real peak, the larger of its Gram and frame
+    # phases, so the budget bounds what a block holds
+    real, calls = oracle._block_frames, []
+
+    def spy(x, y, t, lo, hi):
+        (frames, used), peak = traced_peak(real, x, y, t, lo, hi)
+        calls.append((peak, used, hi - lo))
+        return frames, used
+
+    oracle._search.__wrapped__(Z4, QuadInt(Ring.RATIONAL, 1))  # NumPy's first calls outside the trace
+    monkeypatch.setattr(oracle, "_block_frames", spy)
+    for lattice, ms in ((Z4, range(1, 6)), (D4STAR, range(1, 6)), (ICOSIAN, (1, 9))):
+        for m in ms:
+            for lam in _lambdas(lattice.ring, m):
+                calls.clear()
+                oracle._search.__wrapped__(lattice, lam)
+                assert all(peak <= 1.1 * used for peak, used, _ in calls), (lattice.name, lam, calls)
+
+
 def test_norm_vectors_refuse_large_lambda_before_allocating():
     # T = lam + lam' = 2^20 is the first trace outside the int64 packings
     for lattice, lam in ((Z4, QuadInt(Ring.RATIONAL, 1 << 19)),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from similitude.lattice import hnf_rows, hnf_solve, lattice_key
 from similitude.oracle import _lambdas, _norm_vectors, enumerate_ssm
 from similitude.orders import (CUBIAN, D4STAR, ICOSIAN, ORDERS, Z4, _data, _product,
-                               _reduced_norm, element, is_member, key_basis,
+                               _reduced_norm, _solve_fits, element, is_member, key_basis,
                                module_lattice, solve, structure)
 from similitude.quadfield import QuadInt, Ring
 from similitude.quat import Quat
@@ -325,7 +325,9 @@ def test_int64_solve_holds_its_bound():
     rng = np.random.default_rng(5)
     for order in ORDERS.values():
         u = _data(order)[1]
-        top = ((1 << 63) - 1) // (int(np.abs(u).max()) << order.rank) - 1
+        top_u = int(np.abs(u).max())
+        top = ((1 << 63) - 1) // (top_u << order.rank) - 1
+        assert _solve_fits(top_u, order.rank, top) and not _solve_fits(top_u, order.rank, top + 1)
         x = rng.integers(-top, top, (50, order.rank), endpoint=True)
         x[0, 0] = top
         coords, inside = solve(order, x)
