@@ -1,4 +1,5 @@
-"""Shared integer utilities: primality, sieves, factorization, characters."""
+"""Shared integer utilities: primality, sieves, factorization, and the
+Kronecker symbol that the engine reads."""
 
 from __future__ import annotations
 
@@ -148,22 +149,6 @@ def magnitude(x: np.ndarray) -> int:
     """max |x| over an integer array of any shape and dtype, as a Python int
     (0 when empty).  It reads the extremes, as np.abs(x) would copy x."""
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
-
-
-def _residue_rule(table: tuple[int, ...], m):
-    """table[m % period]: a Python int for an int m, elementwise for an integer array."""
-    r = m % len(table)
-    return np.array(table)[r] if isinstance(r, np.ndarray) else table[r]
-
-
-def chi5(m):
-    """Quadratic character mod 5: +1 at +-1, -1 at +-2, else 0; of an int or an int array."""
-    return _residue_rule((0, 1, -1, -1, 1), m)
-
-
-def chi8(m):
-    """Quadratic character mod 8: +1 at +-1, -1 at +-3, else 0; of an int or an int array."""
-    return _residue_rule((0, 1, 0, -1, 0, -1, 0, 1), m)
 
 
 _TWO = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) by a % 8, and (2/a) at odd a (Cohen's tab2)

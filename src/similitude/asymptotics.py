@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import chi5, chi8
 from .counting import Target, closed_sequence, summatory
 from .dirichlet import CoeffSeq
+from .quadfield import Ring, splitting_sign
 
 _TAU = (1 + math.sqrt(5)) / 2
 _LOG_TAU = math.log(_TAU)
@@ -75,22 +75,24 @@ _L_PERIODS = 400_000
 
 
 def l_value_at_one(character: str) -> float:
-    """sum chi(m)/m over m < mod * _L_PERIODS: whole periods, one exactly
-    rounded math.fsum, fed in blocks of 2^15 periods so memory stays a few MB.
+    """sum chi(m)/m over m < mod * _L_PERIODS, chi the splitting_sign of Z[tau]
+    (chi5) or Z[sqrt2] (chi8) and mod its period's length: whole periods, one
+    exactly rounded math.fsum, fed in blocks of 2^15 periods so memory stays a few MB.
 
     Each period contributes O(k^-3), so the truncation error is O(periods^-2),
     far below 1e-10 absolute error.
     """
     try:
-        chi, mod = {"chi5": (chi5, 5), "chi8": (chi8, 8)}[character]
+        ring = {"chi5": Ring.GOLDEN, "chi8": Ring.SQRT2}[character]
     except KeyError:
         raise ValueError(f"unknown character {character!r}") from None
+    mod = len(ring.chi)
     top, step = mod * _L_PERIODS, mod << 15
 
     def terms(lo: int) -> list[float]:
         m = np.arange(lo, min(lo + step, top))
-        m = m[chi(m) != 0]
-        return (chi(m) / m).tolist()
+        chi = splitting_sign(m, ring)
+        return (chi[chi != 0] / m[chi != 0]).tolist()
 
     return math.fsum(itertools.chain.from_iterable(map(terms, range(1, top, step))))
 

@@ -75,8 +75,8 @@ def _digits8(g: np.ndarray) -> np.ndarray:
 
 def _encode(fields: list[tuple[str, np.ndarray]]) -> str:
     """The rows that are, for each (prefix, column) in fields, the prefix and
-    then the decimal digits of the column's value.  The columns are int64
-    of one length and hold no negative value.
+    then the decimal digits of the column's value.  The columns are of one
+    length, each _encodable.
 
     Each field takes the fewest 8-byte words that hold its prefix and the
     digits of the column's largest value, right-aligned; the prefix takes the
@@ -120,6 +120,11 @@ def _encode(fields: list[tuple[str, np.ndarray]]) -> str:
     return chars.view(np.uint8).ravel()[mask.view(np.bool_).ravel()].tobytes().decode("ascii")
 
 
+def _encodable(x: np.ndarray) -> bool:
+    """Whether _encode takes x as a column: int64 >= 0 (an empty x too), cast to uint64 exactly."""
+    return x.dtype == np.int64 and x.min(initial=0) >= 0
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
@@ -135,9 +140,9 @@ def _terms_error(terms: int) -> str | None:
 
 def cmd_series(args) -> int:
     """Write the coefficients in chunks, each through _encode, whose domain
-    (int64 counts >= 0) every accepted command meets: each Euler rule value is
-    >= 0, and at MAX_TERMS the bit bound by which from_multiplicative picks
-    int64 is at most 47 (f_k), far below 63.  The check before the first byte
+    (_encodable) every accepted command meets: each Euler rule value is >= 0,
+    and at MAX_TERMS the bit bound by which from_multiplicative picks int64
+    is at most 47 (f_k), far below 63.  The check before the first byte
     refuses anything else with the first m out of range."""
     if err := _terms_error(args.terms):
         return _usage_error(err)
@@ -148,16 +153,15 @@ def cmd_series(args) -> int:
         print(f"FAIL {exc}", file=sys.stderr)
         return 1
     x = seq.array
-    if x.dtype != np.int64 or x.min() < 0:
+    if not _encodable(x):
         bad = next((m for m, v in enumerate(x.tolist(), 1) if not 0 <= v < 1 << 63), None)
         raise AssertionError(f"series {target.value}: {x.dtype} counts, first outside "
                              f"0 <= a(m) < 2^63 at m = {bad}")
     square = target.index_kind == "square"
     if args.format == "json":
-        import json  # here only, so that no other command pays for the import
         # the bytes of json.dumps(obj) with obj["terms"] the whole sequence
-        head = json.dumps({"target": target.value, "index_kind": target.index_kind, "terms": []})
-        start, end = head[:-2], head[-2:] + "\n"
+        start = f'{{"target": "{target.value}", "index_kind": "{target.index_kind}", "terms": ['
+        end = "]}\n"
     else:
         start, end = "m,index,count\n" if args.format == "csv" else "", "\n"
     sep = "," if args.format == "csv" else " "

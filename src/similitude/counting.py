@@ -149,24 +149,20 @@ def summatory(target: Target, n: int) -> int:
     closed_sequence(target, n), from the target's values on the grid
     {n // i}: O(n^(3/4)) time and O(sqrt n) memory, no n-array.
 
-    At an odd prime p the row's value is (1 + chi(p)) (c0 + c1 p), with chi
-    the ring's splitting character (0 over Z; its period is the field's
-    discriminant d) and h(q, 1) = c0 + c1 q, so the prime sums are c0 and c1
-    times those of dirichlet.prime_sums for the principal character and for
-    chi.  The form differs from _ppower(p, 1) at p = 2 only (the Hurwitz
-    targets' fixed value there), so the grid values v >= 2 take the
-    difference once; a rule whose h(q, 1) is not linear in q raises
-    ValueError.  dirichlet's multiplicative_sum then adds the prime powers."""
+    At an odd prime p the row's value is (1 + chi(p)) (c0 + c1 p), with chi the
+    ring's period Ring.chi ((0,) over Z) and h(q, 1) = c0 + c1 q, so the prime
+    sums are c0 and c1 times those of dirichlet.prime_sums for the principal
+    character and for chi.  The form differs from _ppower(p, 1) at p = 2 only
+    (the Hurwitz targets' fixed value there), so the grid values v >= 2 take the
+    difference once; a rule whose h(q, 1) is not linear in q raises ValueError.
+    dirichlet's multiplicative_sum then adds the prime powers."""
     ring, h, _ = _EULER[target]
     c1 = h(3, 1) - h(2, 1)
     c0 = h(2, 1) - 2 * c1
     if h(5, 1) != c0 + 5 * c1:
         raise ValueError(f"{target.value}: summatory needs h(q, 1) linear in q")
-    characters = [(1,)]
-    if ring.character is not None:
-        characters.append(tuple(ring.character(np.arange(ring.d)).tolist()))
     total = sum(np.multiply(rows[0], c0, dtype=object) + np.multiply(rows[1], c1, dtype=object)
-                for rows in (prime_sums(n, chi) for chi in characters))
+                for rows in (prime_sums(n, chi) for chi in ((1,), ring.chi)))
     total[np.searchsorted(floor_grid(n), 2):] += (_ppower(target, 2, 1)
                                                   - (1 + splitting_sign(2, ring)) * (c0 + 2 * c1))
     return multiplicative_sum(lambda p, e: _ppower(target, p, e), n, total)
@@ -246,7 +242,7 @@ def engine_sequence(target: Target, n: int) -> CoeffSeq:
     convolution, inverse, dilation, and shift, using no prime-power rules at
     all: the field zeta factors enter as zeta(s) L(s, (d/.)), d the field's
     discriminant.  It reads its own inputs, never the Euler table, a Ring row
-    or chi5/chi8: no single fault in the closed form's data moves both routes.
+    or its period chi: no single fault in the closed form's data moves both routes.
 
     In the "square" indexing, arguments 2s come for free, s -> 2s-1 is shift,
     4s is dilation by 2, and the correction factors (1 - 2^(1-2s)),

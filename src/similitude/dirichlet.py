@@ -171,8 +171,8 @@ def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
 
     b(m) = -a(1) sum of a(d) b(m/d) over d | m, d > 1, in exact Python ints.
     acc[m - 1] gathers -sum, and becomes b(m) once every e < m is done: each
-    final b(e) is subtracted times a(d) from m = d e, d >= 2, in one strided
-    update.  For n = 0 every slice is empty: the empty sequence is its own inverse."""
+    final b(e) is subtracted times a(d) from m = d e, d >= 2, by _add_scaled.
+    For n = 0 every slice is empty: the empty sequence is its own inverse."""
     x = a.array
     lead = int(x[0]) if len(x) else 1
     if lead not in (1, -1):
@@ -183,7 +183,7 @@ def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
     for e in range(1, n // 2 + 1):
         b = acc[e - 1] = lead * acc[e - 1]
         if b:
-            acc[2 * e - 1 :: e] -= b * x[1 : n // e]
+            _add_scaled(acc, x, e, -b, 2)
     acc[n // 2 :] *= lead  # these m have no multiple 2m <= n left to update
     return CoeffSeq(as_array(acc))
 

@@ -12,25 +12,27 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .arith import chi5, chi8, factorize
+import numpy as np
+
+from .arith import factorize
 
 
 class Ring(enum.Enum):
-    """Base ring Z[w] as one row: w^2 = c0 + c1 w, so w = (c1 +- sqrt(d))/2
-    (+ in the identity embedding) with d = c1^2 + 4 c0 and w' = c1 - w; the
-    fundamental unit a + b w, the primes' splitting character and w's print
-    symbol.  Over Z (no unit) elements have b = 0, so no rule meets w."""
+    """Base ring Z[w] as one row: w^2 = c0 + c1 w, so w = (c1 +- sqrt(d))/2 (+ in
+    the identity embedding) with d = c1^2 + 4 c0 and w' = c1 - w; the fundamental
+    unit a + b w, one period chi of the primes' splitting character (splitting_sign
+    reads it) and w's print symbol.  Over Z (no unit) elements have b = 0, so no rule meets w."""
 
-    #          value       c0 c1 unit    character  symbol
-    RATIONAL = ("Z",        0, 0, None,   None,      "")
-    GOLDEN = ("Z[tau]",     1, 1, (0, 1), chi5,      "t")
-    SQRT2 = ("Z[sqrt2]",    2, 0, (1, 1), chi8,      "r2")
+    #          value       c0 c1 unit    chi                         symbol
+    RATIONAL = ("Z",        0, 0, None,   (0,),                       "")
+    GOLDEN = ("Z[tau]",     1, 1, (0, 1), (0, 1, -1, -1, 1),          "t")
+    SQRT2 = ("Z[sqrt2]",    2, 0, (1, 1), (0, 1, 0, -1, 0, -1, 0, 1), "r2")
 
-    def __new__(cls, value, c0, c1, unit, character, symbol):
+    def __new__(cls, value, c0, c1, unit, chi, symbol):
         ring = object.__new__(cls)
         ring._value_ = value
         ring.c0, ring.c1, ring.d = c0, c1, c1 * c1 + 4 * c0
-        ring.unit, ring.character, ring.symbol = unit, character, symbol
+        ring.unit, ring.chi, ring.symbol = unit, chi, symbol
         return ring
 
 
@@ -119,9 +121,10 @@ class QuadInt(namedtuple("QuadInt", "ring a b")):
 
 def splitting_sign(p, ring: Ring):
     """+1 when the prime p splits in the ring, -1 when inert, 0 when ramified
-    or over Z: the ring's residue rule mod 5 or 8, with no primality test,
-    so p may be an int or an integer array of primes."""
-    return 0 if ring.character is None else ring.character(p)
+    or over Z: the ring's period chi at p % len(chi), with no primality test.
+    p is a Python int, exact at any size, or an int64 array (elementwise)."""
+    r = p % len(ring.chi)
+    return np.array(ring.chi)[r] if isinstance(r, np.ndarray) else ring.chi[r]
 
 
 def is_representable_index(m: int, ring: Ring) -> bool:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from similitude import arith
-from similitude.arith import (PRIMALITY_LIMIT, chi5, chi8, factorize, is_prime, kronecker,
-                              odd_divisor_sums, primes_up_to)
+from similitude.arith import (PRIMALITY_LIMIT, factorize, is_prime, kronecker, odd_divisor_sums,
+                              primes_up_to)
 from similitude.counting import Target, coeff, ssm_count
+from similitude.quadfield import Ring, splitting_sign
 
 # the least strong pseudoprime to the first 12 prime bases (OEIS A014233)
 PSI_12 = 318665857834031151167461
@@ -71,11 +72,12 @@ def test_factorize_beyond_int64():
     assert m >= 2**63
     assert factorize(m) == [(5, 1), (2**61 - 1, 1)]
     assert ssm_count(Target.F_K, m) == ssm_count(Target.F_K, 5) * ssm_count(Target.F_K, 2**61 - 1)
-    # a prime above 2^64, as Pollard rho hands it over: the residue rule and g stay exact
+    # a prime above 2^64, as Pollard rho hands it over: the ring's period and g stay exact
     p = next(q for q in range(2**64 + 1, 2**64 + 1000, 2) if is_prime(q))
     assert factorize(3 * p) == [(3, 1), (p, 1)]
-    assert coeff(Target.F_I, p) == (1 + chi5(p)) * (2 * p + 2)
-    assert coeff(Target.F_K, 3 * p) == coeff(Target.F_K, 3) * (1 + chi8(p)) * (2 * p + 2)
+    assert coeff(Target.F_I, p) == (1 + Ring.GOLDEN.chi[p % 5]) * (2 * p + 2)
+    assert coeff(Target.F_K, 3 * p) == coeff(Target.F_K, 3) * (1 + Ring.SQRT2.chi[p % 8]) * (2 * p + 2)
+    assert type(splitting_sign(p, Ring.GOLDEN)) is int
 
 
 def _trial_division(m):
@@ -126,11 +128,13 @@ def test_odd_divisor_sums():
 
 
 def test_kronecker_equals_the_quadratic_characters():
-    # (5/m) and (8/m), the engine's characters, are chi5 and chi8, which
-    # the closed form reads
+    # (5/m) and (8/m), the engine's characters, are the periods Ring.*.chi
+    # of Z[tau] and Z[sqrt2] that the closed form reads, on ints and arrays
     m = np.arange(1, 10**4 + 1)
-    assert [kronecker(5, k) for k in m.tolist()] == chi5(m).tolist()
-    assert [kronecker(8, k) for k in m.tolist()] == chi8(m).tolist()
+    for d, ring in ((5, Ring.GOLDEN), (8, Ring.SQRT2)):
+        expected = [kronecker(d, k) for k in m.tolist()]
+        assert splitting_sign(m, ring).tolist() == expected
+        assert [splitting_sign(k, ring) for k in m.tolist()] == expected
 
 
 def test_kronecker_against_its_definition():

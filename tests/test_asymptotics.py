@@ -1,13 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 
-from similitude.arith import chi5, chi8
 from similitude.asymptotics import (CONSTANTS, estimate_constant, l_value_at_one,
                                     target_constant, zeta_special_value_check)
 from similitude.counting import Target, closed_sequence
 from similitude.dirichlet import floor_grid, partial_sum, prime_sums
+from similitude.quadfield import Ring
 
 
 def test_target_constant_values():
@@ -26,8 +25,7 @@ def test_target_constant_values():
 
 
 def test_character_period_sums_to_zero():
-    assert chi5(np.arange(5)).sum() == 0
-    assert chi8(np.arange(8)).sum() == 0
+    assert sum(Ring.GOLDEN.chi) == sum(Ring.SQRT2.chi) == sum(Ring.RATIONAL.chi) == 0
 
 
 def test_l_values():

@@ -74,6 +74,18 @@ def test_series_refuses_counts_the_encoder_cannot_print(capsys, monkeypatch, fmt
     assert capsys.readouterr().out == ""
 
 
+def test_encodable_at_its_edge():
+    # the encoder's domain: int64 counts >= 0, the largest int64 and an empty
+    # chunk included, each printed as Python prints it; -1 and exact ints
+    # (an object array, even of small values) are refused
+    for column in (np.array([0, 2**63 - 1]), np.array([7]), np.array([], np.int64)):
+        assert cli._encodable(column)
+        assert column.size == 0 or cli._encode([(" ", column)]) == "".join(
+            f" {v}" for v in column.tolist())
+    for column in (np.array([0, -1]), np.array([1, 2], dtype=object)):
+        assert not cli._encodable(column)
+
+
 # 0, 10^k - 1 and 10^k for k = 0..18 (every digit count), and the largest int64
 _DIGIT_BOUNDARIES = sorted({0, 2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0)})
 
@@ -114,6 +126,17 @@ def test_series_json_roundtrip(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj == {"target": "zeta_i", "index_kind": "square", "terms": [1, 0, 0, 5, 6, 0]}
+
+
+def test_readme_cli_block_runs(capsys):
+    # every `similitude ...` line of README's CLI block is a working command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["similitude"]]
+    assert len(commands) == 11
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_series_rejects_bad_terms(capsys):

@@ -247,43 +247,37 @@ RING_TARGETS = {Ring.GOLDEN: (Target.DEDEKIND_TAU, Target.ZETA_I, Target.F_I),
 
 
 def test_cross_check_catches_swapped_characters(monkeypatch):
-    swaps = ((Ring.GOLDEN, arith.chi8), (Ring.SQRT2, arith.chi5))
+    swaps = ((Ring.GOLDEN, Ring.SQRT2.chi), (Ring.SQRT2, Ring.GOLDEN.chi))
     missed = {}
     for ring, wrong in swaps:
         with monkeypatch.context() as patch:
-            patch.setattr(ring, "character", wrong)
+            patch.setattr(ring, "chi", wrong)
             for target in RING_TARGETS[ring]:
                 if (outcome := cross_check_outcome(target)) != "caught":
                     missed[ring, target] = outcome
     assert missed == {}
 
 
-CHI_TABLES = {Ring.GOLDEN: ("chi5", (0, 1, -1, -1, 1)),
-              Ring.SQRT2: ("chi8", (0, 1, 0, -1, 0, -1, 0, 1))}
-
-
 def test_cross_check_catches_character_table_faults(monkeypatch):
-    # a fault in chi5's or chi8's residue table reaches only the closed form
-    # (the engine reads the Kronecker symbol of its own discriminant): each
-    # single change of an entry, and chi8 read as (-4/n), must be caught on
-    # the field zeta, the order zeta and the f_* of its ring.  The faulty
-    # table replaces every reference to the character: arith's and the Ring row's
+    # a fault in a ring row's period chi reaches only the closed form (the
+    # engine reads the Kronecker symbol of its own discriminant): each
+    # single change of an entry, and Z[sqrt2]'s read as (-4/n), must be
+    # caught on the field zeta, the order zeta and the f_* of its ring.  The
+    # row's period is the character's one reference, so it alone is patched
     mutants = [(Ring.SQRT2, (0, 1, 0, -1, 0, 1, 0, -1))]
-    for ring, (name, table) in CHI_TABLES.items():
-        assert (arith._residue_rule(table, np.arange(40)) == getattr(arith, name)(np.arange(40))).all()
+    for ring in RING_TARGETS:
+        table = ring.chi
         mutants += [(ring, table[:i] + (v,) + table[i + 1:])
                     for i in range(len(table)) for v in (-1, 0, 1) if v != table[i]]
     assert len(mutants) == 1 + 10 + 16
     outcomes = {}
     for ring, table in mutants:
         with monkeypatch.context() as patch:
-            character = lambda m, table=table: arith._residue_rule(table, m)
-            patch.setattr(arith, CHI_TABLES[ring][0], character)
-            patch.setattr(ring, "character", character)
+            patch.setattr(ring, "chi", table)
             for target in RING_TARGETS[ring]:
                 outcomes[table, target] = cross_check_outcome(target)
     # no prime is 0, 4 or 6 mod 8: a change of chi8 there reaches no coefficient
-    chi8 = CHI_TABLES[Ring.SQRT2][1]
+    chi8 = Ring.SQRT2.chi
     equivalent = {(table, target) for table, target in outcomes
                   if len(table) == 8 and all(table[r] == chi8[r] for r in (1, 2, 3, 5, 7))}
     assert len(equivalent) == 6 * 3

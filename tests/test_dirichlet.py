@@ -107,6 +107,26 @@ def test_inverse_identity_and_involution():
         assert convolve(a, dirichlet_inverse(a)) == epsilon(n)
 
 
+def test_inverse_updates_in_blocks(monkeypatch, traced_peak):
+    # each final b(e) reaches its multiples d e through blocks of at most
+    # _BLOCK entries, never one (n/e)-entry object temporary: with n / _BLOCK
+    # = 8, as at n = 2^17 with the default 2^14, the traced peak stays below
+    # 13 * 8n bytes (15 * 8n with whole updates; 11.8 * 8n here)
+    monkeypatch.setattr(dirichlet, "_BLOCK", 2**10)
+    n = 2**13
+    values = np.random.default_rng(43).integers(10**3, 10**6, n)
+    for lead in (1, -1):
+        inv, peak = traced_peak(dirichlet_inverse, CoeffSeq(np.r_[lead, values[1:]]))
+        assert peak < 13 * 8 * n, lead
+    # where the blocks end changes no value, for either lead
+    heads = [coeff_seq([lead] + values[1:300].tolist()) for lead in (1, -1)]
+    expected = [dirichlet_inverse(a) for a in heads]
+    monkeypatch.setattr(dirichlet, "_BLOCK", 3)
+    for a, inv in zip(heads, expected):
+        assert dirichlet_inverse(a) == inv
+        assert convolve(a, inv) == epsilon(300)
+
+
 def test_inverse_requires_unit_lead():
     with pytest.raises(ValueError, match="leading coefficient"):
         dirichlet_inverse(coeff_seq([2, 0, 0]))

@@ -75,8 +75,8 @@ def test_cli_import_loads_no_fractions_or_decimal():
 
 def test_start_up_loads_no_dataclasses_json_or_full_prime_table():
     # a fresh CLI process pays for none of them: dataclasses generated code
-    # for each value class (4-6 ms), only `series --format json` imports
-    # json, and factorize(m) for m <= 10^4 sieves the primes below 2^7 only,
+    # for each value class (4-6 ms), no command imports json (`series
+    # --format json` writes its head as a literal), and factorize(m) for m <= 10^4 sieves the primes below 2^7 only,
     # never the 2^16 table (+0.3 MB of peak RSS in an oracle command)
     code = """import sys, similitude.cli
 from similitude import arith
@@ -161,30 +161,23 @@ def _names(tree, names) -> list[str]:
 def test_engine_reads_none_of_the_closed_form():
     # the cross-check's two routes are independent only if each reads its
     # own data: no engine function or map names the Euler table, its
-    # evaluators, a Ring row or the closed form's characters chi5 and chi8,
-    # and neither the closed form (_ppower, and quadfield, which holds the
-    # ring rows and splitting_sign) nor its characters name the engine's
+    # evaluators, a Ring row or the rows' character periods chi, and the
+    # closed form (_ppower, and quadfield, which holds the ring rows and
+    # splitting_sign, the periods' one evaluator) names none of the engine's
     # Kronecker symbol
     engine = {"_engine", "engine_sequence", "_character", "_index2", "_index2_inverse",
               "_dilated_inverse", "_DISCRIMINANT", "_ZETA", "_BASE_FIELD"}
-    closed_form = {"_EULER", "_ppower", "coeff", "closed_sequence", "splitting_sign", "Ring",
-                   "chi5", "chi8"}
+    closed_form = {"_EULER", "_ppower", "coeff", "closed_sequence", "splitting_sign", "Ring", "chi"}
     src = Path(similitude.__file__).resolve().parent
-    defs = {}
-    for module in ("counting", "arith"):
-        tree = ast.parse((src / f"{module}.py").read_text())
-        defs[module] = {getattr(d, "name", None) or getattr(d.targets[0], "id", None): d
-                        for d in tree.body if isinstance(d, ast.FunctionDef)
-                        or isinstance(d, ast.Assign) and len(d.targets) == 1}
-    assert engine <= defs["counting"].keys()
-    reads = [f"{name} {ref}" for name in sorted(engine)
-             for ref in _names(defs["counting"][name], closed_form)]
+    defs = {getattr(d, "name", None) or getattr(d.targets[0], "id", None): d
+            for d in ast.parse((src / "counting.py").read_text()).body
+            if isinstance(d, ast.FunctionDef) or isinstance(d, ast.Assign) and len(d.targets) == 1}
+    assert engine <= defs.keys()
+    reads = [f"{name} {ref}" for name in sorted(engine) for ref in _names(defs[name], closed_form)]
     assert reads == []
     kronecker = {"kronecker", "_TWO"}
     reads = [f"quadfield {ref}" for ref in _names(ast.parse((src / "quadfield.py").read_text()), kronecker)]
-    closed = (("counting", "_ppower"), ("arith", "_residue_rule"), ("arith", "chi5"), ("arith", "chi8"))
-    reads += [f"{module}.{name} {ref}" for module, name in closed
-              for ref in _names(defs[module][name], kronecker)]
+    reads += [f"counting._ppower {ref}" for ref in _names(defs["_ppower"], kronecker)]
     assert reads == []
 
 
