@@ -61,6 +61,8 @@ def estimate_constant(name: str, n: int) -> float | None:
     counting.summatory(target, n), which builds no n-term sequence; None for
     a constant with no route."""
     target_constant(name)  # ValueError for an unknown name
+    if n < 1:
+        raise ValueError(f"n = {n}: an estimate needs n >= 1")
     if (route := CONSTANTS[name][2]) is None:
         return None
     target, alpha, logpower = route

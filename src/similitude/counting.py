@@ -147,7 +147,7 @@ def closed_sequence(target: Target, n: int) -> CoeffSeq:
 def summatory(target: Target, n: int) -> int:
     """The exact partial sum of a(m) over m <= n, the sum of
     closed_sequence(target, n), from the target's values on the grid
-    {n // i}: O(n^(3/4)) time and O(sqrt n) memory, no n-array.
+    {n // i}: O(n^(3/4)) time and O(sqrt n) memory, no n-array; 0 for n < 1.
 
     At an odd prime p the row's value is (1 + chi(p)) (c0 + c1 p), with chi the
     ring's period Ring.chi ((0,) over Z) and h(q, 1) = c0 + c1 q, so the prime
@@ -156,6 +156,8 @@ def summatory(target: Target, n: int) -> int:
     (the Hurwitz targets' fixed value there), so the grid values v >= 2 take the
     difference once; a rule whose h(q, 1) is not linear in q raises ValueError.
     dirichlet's multiplicative_sum then adds the prime powers."""
+    if n < 1:  # an empty sum, as in partial_sum and multiplicative_sum
+        return 0
     ring, h, _ = _EULER[target]
     c1 = h(3, 1) - h(2, 1)
     c0 = h(2, 1) - 2 * c1

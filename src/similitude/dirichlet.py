@@ -11,9 +11,10 @@ of prime_sums and one pass over the prime powers (multiplicative_sum).
 
 Each operation takes and returns CoeffSeqs.  An array is int64 only while an
 a-priori bound shows that no value or partial sum can leave int64; otherwise
-it holds exact Python ints (dtype=object), so nothing ever wraps.
-Convolution and shift allocate no N-sized array but their result, and every
-strided update goes through blocks of at most _BLOCK entries.
+it holds exact Python ints (dtype=object), so nothing ever wraps.  Each
+operation picks its result's dtype once and reads operands in it by blocks:
+convolution, inverse and shift allocate no N-sized array but their result,
+and every strided update goes through blocks of at most _BLOCK entries.
 """
 
 from __future__ import annotations
@@ -78,16 +79,16 @@ def as_array(values) -> np.ndarray:
     """The integers as a 1-D int64 array when all fit, else as an object array of exact ints."""
     lo, hi = min(values, default=0), max(values, default=0)
     dtype = np.int64 if -_INT64_LIMIT <= lo and hi < _INT64_LIMIT else object
-    return np.array(values, dtype=dtype)
+    return np.asarray(values, dtype=dtype)  # an ndarray of that dtype already is not copied
 
 
 def _add_scaled(out: np.ndarray, x: np.ndarray, j: int, v, e0: int = 1) -> None:
     """out(j e) += v x(e) for e0 <= e <= len(out) / j (out(m) at out[m - 1]),
-    one strided update per block of at most _BLOCK values of e."""
+    one strided update per block of at most _BLOCK values of e, x read in out's dtype."""
     top = len(out) // j
     for lo in range(e0 - 1, top, _BLOCK):
         hi = min(lo + _BLOCK, top)
-        out[j * (lo + 1) - 1 : j * hi : j] += v * x[lo:hi]
+        out[j * (lo + 1) - 1 : j * hi : j] += v * x[lo:hi].astype(out.dtype, copy=False)
 
 
 def _head_bound_fits(mx: int, my: int, hx: int, hy: int, s: int) -> bool:
@@ -99,7 +100,7 @@ def _head_bound_fits(mx: int, my: int, hx: int, hy: int, s: int) -> bool:
     at most hx my and a y-side term at most hy mx, and each side adds at
     most one term per d <= s, so at most s.  So every partial sum of c(m),
     and every single product, is at most s (hx my + hy mx), which must stay
-    below 2^63; mx and my must fit int64 themselves to be cast.  As hx <= mx
+    below 2^63; mx and my must fit int64 to be read in int64.  As hx <= mx
     and hy <= my, this admits all that 2 (s + 1) mx my < 2^63 admits, and
     far more when the large values of an operand lie past its head."""
     return mx < _INT64_LIMIT and my < _INT64_LIMIT and s * (hx * my + hy * mx) < _INT64_LIMIT
@@ -111,15 +112,13 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Theory, I.3): with s = isqrt(n), every factorisation m = d e <= n has
     d <= s, or else e <= s < d, never both d, e > s.  So the loop runs over
     d <= s only, with one blocked strided update for each side.  out starts
-    as x(1) y, the x side of d = 1, so the only n-array allocated is the
-    result; int64 under _head_bound_fits, else exact Python ints.
+    as x(1) y, the x side of d = 1, formed in the result's dtype (int64
+    under _head_bound_fits, else exact Python ints), and _add_scaled reads
+    x and y in it block by block: the only n-array allocated is the result.
     """
-    n = len(x)
-    s = math.isqrt(n)
+    s = math.isqrt(len(x))
     fits = _head_bound_fits(magnitude(x), magnitude(y), magnitude(x[:s]), magnitude(y[:s]), s)
-    dtype = np.int64 if fits else object
-    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
-    out = x[:1] * y  # an empty x[:1] only when n = 0
+    out = np.multiply(x[:1], y, dtype=np.int64 if fits else object, casting="unsafe")  # empty at n = 0
     for d in range(1, s + 1):
         if d > 1 and x[d - 1]:  # m = d e for every e <= n / d
             _add_scaled(out, y, d, x[d - 1])
@@ -147,8 +146,7 @@ def _convolve_finite(x: np.ndarray, poly) -> np.ndarray:
     if any(j < 1 for j, _ in poly):
         raise ValueError("a Dirichlet polynomial's indices j must be >= 1")
     fits = _support_bound_fits(magnitude(x), sum(abs(v) for _, v in poly))
-    dtype = np.int64 if fits else object
-    x, out = x.astype(dtype, copy=False), np.zeros(n, dtype)
+    out = np.zeros(n, np.int64 if fits else object)
     for j, v in poly:
         if v:
             _add_scaled(out, x, j, v)
@@ -173,11 +171,10 @@ def dirichlet_inverse(a: CoeffSeq) -> CoeffSeq:
     acc[m - 1] gathers -sum, and becomes b(m) once every e < m is done: each
     final b(e) is subtracted times a(d) from m = d e, d >= 2, by _add_scaled.
     For n = 0 every slice is empty: the empty sequence is its own inverse."""
-    x = a.array
-    lead = int(x[0]) if len(x) else 1
+    x, n = a.array, len(a)
+    lead = int(x[0]) if n else 1
     if lead not in (1, -1):
         raise ValueError("not invertible: leading coefficient must be +-1")
-    n, x = len(x), x.astype(object)
     acc = np.zeros(n, object)
     acc[:1] = 1
     for e in range(1, n // 2 + 1):
@@ -192,8 +189,7 @@ def dilate(a: CoeffSeq, k: int) -> CoeffSeq:
     """b(m^k) = a(m), zero off k-th powers: realizes s -> k*s."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    x = a.array
-    n = len(x)
+    x, n = a.array, len(a)
     r = int(n ** (1 / k)) + 1  # then down to the largest r with r^k <= n
     while r**k > n:
         r -= 1
@@ -211,12 +207,9 @@ def _terms_fit(mx: int, n: int) -> bool:
 
 def shift(a: CoeffSeq) -> CoeffSeq:
     """b(m) = m * a(m): realizes s -> s - 1; int64 under _terms_fit, else exact ints."""
-    x = a.array
-    n = len(x)
-    dtype = np.int64 if _terms_fit(magnitude(x), n) else object
-    out = np.arange(1, n + 1, dtype=np.int64).astype(dtype, copy=False)
-    out *= x.astype(dtype, copy=False)  # in place: the result is the only n-array
-    return CoeffSeq(out)
+    x, n = a.array, len(a)
+    out = np.arange(1, n + 1, dtype=np.int64 if _terms_fit(magnitude(x), n) else object)
+    return CoeffSeq(np.multiply(out, x, out=out, casting="unsafe"))  # x cast per ufunc buffer
 
 
 def _apply_prime_powers(out: np.ndarray, factors, op) -> None:

@@ -49,6 +49,9 @@ class Quat:
     def __setattr__(self, *args):
         raise AttributeError("Quat is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, immutable again
+        return Quat, (self.ring, self.nums, self.den)
+
     def _check(self, other: "Quat"):
         if self.ring is not other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")

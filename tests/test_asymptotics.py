@@ -74,6 +74,13 @@ def test_estimate_constant_degenerate():
         estimate_constant("C_J", 1)  # log(1) = 0
 
 
+def test_estimate_constant_refuses_n_below_one():
+    for n in (-5, -1, 0):
+        for name in CONSTANTS:
+            with pytest.raises(ValueError, match=f"n = {n}: an estimate needs n >= 1"):
+                estimate_constant(name, n)
+
+
 def test_mean_value_consistency_modest():
     n = 50_000
     tau = closed_sequence(Target.DEDEKIND_TAU, n)

@@ -430,6 +430,12 @@ def test_summatory_matches_the_sieve_at_random_n(n):
         assert summatory(target, n) == partial_sum(closed_sequence(target, n), n), (target, n)
 
 
+def test_summatory_is_zero_below_one():
+    # an empty sum, as partial_sum and multiplicative_sum give, with no grid built
+    for n in (-5, -1, 0):
+        assert {t: summatory(t, n) for t in Target} == dict.fromkeys(Target, 0), n
+
+
 def test_summatory_refuses_a_rule_not_linear_at_primes(monkeypatch):
     # summatory's prime sums can express only h(q, 1) = c0 + c1 q; a rule
     # that is not would be summed right only where the grid's small primes

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ def reference_convolve(a, b):
         for m in range(d, n + 1, d):
             out[m] += a[d - 1] * b[m // d - 1]
     return out[1:]
+
+
+def reference_inverse(a):
+    """b(1) = a(1) = +-1 and b(m) = -a(1) sum of a(d) b(m/d) over d | m, d > 1,
+    in Python ints, kept as the reference for dirichlet_inverse."""
+    n = len(a)
+    divisors = [[] for _ in range(n + 1)]
+    for d in range(2, n + 1):
+        for m in range(d, n + 1, d):
+            divisors[m].append(d)
+    b = [0, a[0]] + [0] * (n - 1)
+    for m in range(2, n + 1):
+        b[m] = -a[0] * sum(a[d - 1] * b[m // d] for d in divisors[m])
+    return b[1:]
 
 
 def reference_from_multiplicative(ppower, n):
@@ -111,7 +126,8 @@ def test_inverse_updates_in_blocks(monkeypatch, traced_peak):
     # each final b(e) reaches its multiples d e through blocks of at most
     # _BLOCK entries, never one (n/e)-entry object temporary: with n / _BLOCK
     # = 8, as at n = 2^17 with the default 2^14, the traced peak stays below
-    # 13 * 8n bytes (15 * 8n with whole updates; 11.8 * 8n here)
+    # 13 * 8n bytes (15 * 8n with whole updates, 11.8 * 8n with a whole
+    # exact copy of a; 6.4 * 8n here)
     monkeypatch.setattr(dirichlet, "_BLOCK", 2**10)
     n = 2**13
     values = np.random.default_rng(43).integers(10**3, 10**6, n)
@@ -125,6 +141,65 @@ def test_inverse_updates_in_blocks(monkeypatch, traced_peak):
     for a, inv in zip(heads, expected):
         assert dirichlet_inverse(a) == inv
         assert convolve(a, inv) == epsilon(300)
+
+
+@st.composite
+def _int64_operands(draw):
+    """Two length-n operands and up to 8 pairs, all below 2^20 in absolute
+    value: every convolution and shift of them runs in int64."""
+    n = draw(st.integers(1, 400))
+    values = st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n)
+    pairs = st.lists(st.tuples(st.integers(1, n + 5), st.integers(-(2**20), 2**20)), max_size=8)
+    return draw(values), draw(values), draw(pairs), draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_int64_operands(), st.sampled_from((np.int64, object)))
+def test_exact_path_equals_the_int64_path(ops, dtype):
+    # with every bound refusing int64, each operation forms its products in
+    # exact ints block by block, from int64 or object operands alike, and
+    # gives the int64 path's values element for element
+    a, b, pairs, lead = ops
+    x, y = CoeffSeq(np.array(a, dtype)), CoeffSeq(np.array(b, dtype))
+    fast = convolve(x, y), convolve(x, pairs), shift(x)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_head_bound_fits", "_support_bound_fits", "_terms_fit"):
+            mp.setattr(dirichlet, name, lambda *bounds: False)
+        exact = convolve(x, y), convolve(x, pairs), shift(x)
+    for f, e in zip(fast, exact):
+        assert (f.array.dtype, e.array.dtype) == (np.int64, object)
+        assert {type(v) for v in e.array.tolist()} == {int}  # Python ints, which never wrap
+        assert e.array.tolist() == f.array.tolist()
+    head = [lead] + a[1:]
+    assert dirichlet_inverse(CoeffSeq(np.array(head, dtype))).array.tolist() == reference_inverse(head)
+
+
+def test_exact_path_holds_its_result_and_one_block(monkeypatch, traced_peak):
+    # on the exact path an operation holds its result and, beside it, one
+    # strided update: three block-sized object arrays (a block of an operand
+    # read in exact ints, its products, their sums) and a ufunc buffer of as
+    # many entries.  The operands are built before the trace: an exact copy
+    # of one would add at least 5 * 8n bytes, more than the bound leaves in
+    # every case here
+    block, n = 2**10, 2**13
+    monkeypatch.setattr(dirichlet, "_BLOCK", block)
+    rng = np.random.default_rng(44)
+    x, y = (CoeffSeq(rng.integers(-(2**40), 2**40, n)) for _ in range(2))  # products leave int64
+    pairs = list(zip(range(1, 100), rng.integers(-(2**40), 2**40, 99).tolist()))
+    wide = CoeffSeq(rng.integers(-(2**51), 2**51, n))  # max|a| n leaves int64
+    unit = CoeffSeq(np.r_[1, rng.integers(10**3, 10**6, n - 1)])
+    old = np.setbufsize(block)
+    try:
+        for name, call, args in (("convolve", convolve, (x, y)), ("by pairs", convolve, (x, pairs)),
+                                 ("shift", shift, (wide,)), ("inverse", dirichlet_inverse, (unit,))):
+            out, peak = traced_peak(call, *args)
+            values = out.array.tolist()
+            assert out.array.dtype == object, name
+            held = out.array.nbytes + sum(map(sys.getsizeof, values))
+            entry = 8 + max(map(sys.getsizeof, values))
+            assert peak < held + 4 * block * entry, (name, peak / (8 * n), held / (8 * n))
+    finally:
+        np.setbufsize(old)
 
 
 def test_inverse_requires_unit_lead():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -45,3 +47,11 @@ def test_mul_associative_and_norm_multiplicative():
 def test_ring_mismatch():
     with pytest.raises(ValueError, match="ring mismatch"):
         ONE * Quat(GOLD, (1, 0, 0, 0))
+
+
+def test_copy_and_pickle_rebuild_an_immutable_quat():
+    q = Quat(GOLD, [QuadInt(GOLD, 1, 2), 3, 0, QuadInt(GOLD, -4, 1)], 6)
+    for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert twin == q and hash(twin) == hash(q)
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.den = 1
